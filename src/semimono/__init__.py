@@ -34,7 +34,6 @@ from .classify import (
 )
 from .feasibility import (
     FeasibilityOutcome,
-    SignSystem,
     Strictness,
     feasible_semistrict,
     feasible_strict,
@@ -45,7 +44,6 @@ from .ratcore import (
     CharPoly,
     IndexSet,
     RatMatrix,
-    Rational,
     SingularBlockError,
     SingularMatrixError,
     adjugate,

@@ -4,23 +4,24 @@ hierarchy, with machine-checkable certificates.
 The central reduction: a square matrix A fails to be semimonotone exactly
 when some nonempty support alpha admits y > 0 with A_aa y < 0 (pad y with
 zeros to recover the failing x), and fails to be strictly semimonotone when
-some support admits y > 0 with A_aa y <= 0.  Membership in either class is
-therefore decided by sweeping all 2^n - 1 supports through the exact
-feasibility oracle; the sweep is shared, memoized by index set, and reused
-by the exact-order profile.
+some support admits y > 0 with A_aa y <= 0.  One lazy sweep, ``_sweep``,
+solves the 2^n - 1 supports with the exact feasibility oracle in a fixed
+(size, lex) order, skipping any support whose sub-support already fails
+(membership is hereditary).  The memoized exact-order profile drains it,
+the semimonotone, copositive and almost verdicts read their first witness
+off that profile, and ``has_exact_order`` stops it early.
 
-All procedures are pure; supports are visited in a fixed (size, lex) order
-so the "first witness" is deterministic.
+All procedures are pure; the fixed order makes the first witness
+deterministic.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .feasibility import (
     FeasibilityOutcome,
@@ -110,12 +111,16 @@ class ExactOrderResult:
     not partition all matrices).  ``evidence[m-1]`` records whether ALL,
     NONE, or a MIXED set of the order-m principal submatrices belong to the
     class; heredity forces the ALL region to be a prefix and the NONE region
-    a suffix of the orders.
+    a suffix of the orders.  ``witness`` is the first failing support in
+    (size, lex) order with its certificate, or None when A itself belongs;
+    it is left out of equality, so two results compare by (variant, k,
+    evidence) alone.
     """
 
     variant: Variant
     k: Optional[int]
     evidence: tuple[OrderStatus, ...]
+    witness: Optional[SupportWitness] = field(default=None, compare=False)
 
     @property
     def has_exact_order(self) -> bool:
@@ -128,34 +133,29 @@ class ExactOrderResult:
         return f"{self.variant.value} exact order {self.k}"
 
 
-def _support_outcome(a: RatMatrix, alpha: IndexSet, variant: Variant) -> FeasibilityOutcome:
-    block = principal_submatrix(a, alpha)
-    if variant is Variant.E0:
-        return feasible_strict(block)
-    return feasible_semistrict(block)
+def _sweep(
+    a: RatMatrix, variant: Variant
+) -> Iterator[tuple[IndexSet, Optional[FeasibilityOutcome]]]:
+    """The one support sweep: every support in (size, lex) order with the
+    oracle's outcome on its block.
 
-
-def _membership_verdict(a: RatMatrix, variant: Variant) -> ClassVerdict:
-    a._require_square()
-    label = ClassLabel.E0 if variant is Variant.E0 else ClassLabel.E
+    Membership is hereditary, so a support with a failing sub-support fails
+    too; it is yielded with outcome None and its system is never solved.
+    The first failing support therefore always carries a real outcome.  The
+    sweep is lazy: callers stop as soon as they know their answer.
+    """
+    oracle = feasible_strict if variant is Variant.E0 else feasible_semistrict
+    failing: set[tuple[int, ...]] = set()
     for alpha in all_supports(a.order):
-        outcome = _support_outcome(a, alpha, variant)
+        key = alpha.members
+        if failing and any(key[:i] + key[i + 1:] in failing for i in range(len(key))):
+            failing.add(key)
+            yield alpha, None
+            continue
+        outcome = oracle(principal_submatrix(a, alpha))
         if outcome.feasible:
-            assert outcome.certificate is not None
-            return ClassVerdict(label, False, SupportWitness(alpha, outcome.certificate))
-    return ClassVerdict(label, True)
-
-
-def is_semimonotone(a: RatMatrix) -> ClassVerdict:
-    """Semimonotone: every nonzero x >= 0 has an index i with x_i > 0 and
-    (Ax)_i >= 0.  A negative verdict carries the first failing support and
-    its certifying y."""
-    return _membership_verdict(a, Variant.E0)
-
-
-def is_strictly_semimonotone(a: RatMatrix) -> ClassVerdict:
-    """Same with (Ax)_i > 0 demanded at the witnessing index."""
-    return _membership_verdict(a, Variant.E)
+            failing.add(key)
+        yield alpha, outcome
 
 
 @lru_cache(maxsize=512)
@@ -165,39 +165,44 @@ def exact_order(a: RatMatrix, variant: Variant) -> ExactOrderResult:
     A has exact order k when every order-(n-k) principal submatrix is in the
     class and no larger one is.  k = 0 means A itself belongs; k = n is
     reported when already the order-1 submatrices all fail (the order-0
-    requirement is vacuous).  Every support is solved exactly once.
+    requirement is vacuous).  The result also keeps the first failing
+    support and its certificate, from which the membership verdicts read
+    their witness.
     """
-    a._require_square()
     n = a.order
-    failing: dict[tuple[int, ...], bool] = {}
     members_per_order: list[list[bool]] = [[] for _ in range(n)]
-    for alpha in all_supports(n):
-        key = alpha.members
-        bad = _support_outcome(a, alpha, variant).feasible
-        if not bad and len(key) > 1:
-            bad = any(failing[tuple(x for x in key if x != i)] for i in key)
-        failing[key] = bad
-        members_per_order[len(key) - 1].append(not bad)
+    witness: Optional[SupportWitness] = None
+    for alpha, outcome in _sweep(a, variant):
+        bad = outcome is None or outcome.feasible
+        if bad and witness is None:
+            assert outcome is not None and outcome.certificate is not None
+            witness = SupportWitness(alpha, outcome.certificate)
+        members_per_order[len(alpha) - 1].append(not bad)
 
-    statuses: list[OrderStatus] = []
-    for members in members_per_order:
-        if all(members):
-            statuses.append(OrderStatus.ALL)
-        elif not any(members):
-            statuses.append(OrderStatus.NONE)
-        else:
-            statuses.append(OrderStatus.MIXED)
+    statuses = tuple(
+        OrderStatus.ALL if all(members) else OrderStatus.MIXED if any(members) else OrderStatus.NONE
+        for members in members_per_order
+    )
+    all_prefix = next((m for m, s in enumerate(statuses) if s is not OrderStatus.ALL), n)
+    k = n - all_prefix if all(s is OrderStatus.NONE for s in statuses[all_prefix:]) else None
+    return ExactOrderResult(variant, k, statuses, witness)
 
-    all_prefix = 0
-    for status in statuses:
-        if status is not OrderStatus.ALL:
-            break
-        all_prefix += 1
-    if all(statuses[m] is OrderStatus.NONE for m in range(all_prefix, n)):
-        k: Optional[int] = n - all_prefix
-    else:
-        k = None
-    return ExactOrderResult(variant, k, tuple(statuses))
+
+def _swept_verdict(a: RatMatrix, variant: Variant, label: ClassLabel) -> ClassVerdict:
+    witness = exact_order(a, variant).witness
+    return ClassVerdict(label, witness is None, witness)
+
+
+def is_semimonotone(a: RatMatrix) -> ClassVerdict:
+    """Semimonotone: every nonzero x >= 0 has an index i with x_i > 0 and
+    (Ax)_i >= 0.  A negative verdict carries the first failing support and
+    its certifying y."""
+    return _swept_verdict(a, Variant.E0, ClassLabel.E0)
+
+
+def is_strictly_semimonotone(a: RatMatrix) -> ClassVerdict:
+    """Same with (Ax)_i > 0 demanded at the witnessing index."""
+    return _swept_verdict(a, Variant.E, ClassLabel.E)
 
 
 def has_exact_order(a: RatMatrix, k: int, variant: Variant) -> bool:
@@ -207,18 +212,16 @@ def has_exact_order(a: RatMatrix, k: int, variant: Variant) -> bool:
     must show no failing support, and every support of size n-k+1 must fail
     (heredity settles all larger orders).
     """
-    a._require_square()
     n = a.order
     if not 0 <= k <= n:
         raise ValueError(f"exact order must lie in 0..{n}")
-    for size in range(1, n - k + 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            if _support_outcome(a, IndexSet(n, combo), variant).feasible:
-                return False
-    if k >= 1:
-        for combo in itertools.combinations(range(1, n + 1), n - k + 1):
-            if not _support_outcome(a, IndexSet(n, combo), variant).feasible:
-                return False
+    for alpha, outcome in _sweep(a, variant):
+        size = len(alpha.members)
+        if size > n - k + 1:
+            break
+        bad = outcome is None or outcome.feasible
+        if bad != (size == n - k + 1):
+            return False
     return True
 
 
@@ -228,21 +231,17 @@ def is_almost_semimonotone(a: RatMatrix, variant: Variant = Variant.E0) -> Class
 
     This is the literal two-part definition; it is related to, but not
     interchangeable with, "exact order 1" (use :func:`exact_order` for
-    that predicate).  A positive verdict carries the certifying x on the
-    full support.
+    that predicate).  A negative verdict carries the first failing proper
+    support when there is one; a positive verdict carries the certifying x
+    on the full support.
     """
-    a._require_square()
     n = a.order
     if n < 2:
         raise ValueError("almost-class tests need order >= 2")
     label = ClassLabel.ALMOST_E0 if variant is Variant.E0 else ClassLabel.ALMOST_E
-    for alpha in all_supports(n):
-        if len(alpha) == n:
-            continue
-        outcome = _support_outcome(a, alpha, variant)
-        if outcome.feasible:
-            assert outcome.certificate is not None
-            return ClassVerdict(label, False, SupportWitness(alpha, outcome.certificate))
+    witness = exact_order(a, variant).witness
+    if witness is not None and len(witness.support) < n:
+        return ClassVerdict(label, False, witness)
     full = feasible_semistrict(a) if variant is Variant.E0 else feasible_strict(a)
     if not full.feasible:
         return ClassVerdict(label, False)
@@ -289,15 +288,13 @@ def is_copositive(a: RatMatrix) -> ClassVerdict:
     coincides with semimonotonicity.  A failure witness (alpha, y) gives a
     nonnegative x (y padded with zeros) with x^T A x < 0.
     """
-    verdict = _membership_verdict(a.symmetric_part(), Variant.E0)
-    return ClassVerdict(ClassLabel.COPOSITIVE, verdict.member, verdict.witness)
+    return _swept_verdict(a.symmetric_part(), Variant.E0, ClassLabel.COPOSITIVE)
 
 
 def is_strictly_copositive(a: RatMatrix) -> ClassVerdict:
     """x^T A x > 0 for all nonzero x >= 0, via the strict test on the
     symmetric part."""
-    verdict = _membership_verdict(a.symmetric_part(), Variant.E)
-    return ClassVerdict(ClassLabel.STRICTLY_COPOSITIVE, verdict.member, verdict.witness)
+    return _swept_verdict(a.symmetric_part(), Variant.E, ClassLabel.STRICTLY_COPOSITIVE)
 
 
 def copositive_exact_order(a: RatMatrix, variant: Variant) -> ExactOrderResult:

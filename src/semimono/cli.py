@@ -40,6 +40,8 @@ class CliError(Exception):
 def parse_rational_token(token: str, where: str) -> Fraction:
     if any(ch in token for ch in ".eE"):
         raise CliError(f"{where}: token {token!r} is not an exact rational (floats are rejected)")
+    if "_" in token:
+        raise CliError(f"{where}: token {token!r} has a digit separator '_', which is not allowed")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
@@ -252,35 +254,15 @@ def _cmd_classify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     return 0
 
 
-_AUDIT_NEEDS_VARIANT = {"thm3.4", "prop4.10", "n=k+1", "sym-copositive"}
-
-
 def _cmd_audit(args: argparse.Namespace, argv: Sequence[str]) -> int:
     started = time.monotonic()
     a = load_matrix(args.matrix)
+    b = load_matrix(args.matrix_b) if args.matrix_b else None
     variant = Variant.E if args.variant == "e" else Variant.E0
-    b: Optional[RatMatrix] = None
+    seed = args.seed if args.seed is not None else 0
     try:
-        if args.theorem == "thm3.4":
-            report = verify.audit_thm_3x3_structure(a, variant)
-        elif args.theorem == "thm3.5":
-            report = verify.audit_thm_3x3_inverse(a)
-        elif args.theorem == "prop4.10":
-            report = verify.audit_prop_4_10(a, variant)
-        elif args.theorem == "thm4.11":
-            report = verify.audit_thm_4_11(a)
-        elif args.theorem == "invariance":
-            report = verify.audit_invariance(a, args.seed if args.seed is not None else 0)
-        elif args.theorem == "n=k+1":
-            report = verify.audit_n_eq_k_plus_1(a, variant)
-        elif args.theorem == "sym-copositive":
-            report = verify.audit_symmetric_copositive_equiv(a, variant)
-        else:  # nonclosure
-            if not args.matrix_b:
-                raise CliError("audit nonclosure needs --matrix-b with the second matrix")
-            b = load_matrix(args.matrix_b)
-            report = verify.audit_nonclosure(a, b)
-    except (cls.WrongOrderError, verify.NotSymmetricError, ValueError) as exc:
+        report = verify.AUDITS[args.theorem](a, variant, seed, b)
+    except ValueError as exc:  # WrongOrderError and NotSymmetricError included
         raise CliError(f"audit {args.theorem}: {exc}") from exc
 
     lines = [f"audit {args.theorem} on {args.matrix}"]
@@ -332,30 +314,35 @@ def _cmd_explore(args: argparse.Namespace, argv: Sequence[str]) -> int:
     num_bound = args.num_bound if args.num_bound is not None else defaults.get("num_bound", 5)
     den_bound = args.den_bound if args.den_bound is not None else defaults.get("den_bound", 3)
     diag_bound = args.diag_bound if args.diag_bound is not None else defaults.get("diag_bound")
-    config = explore.GeneratorConfig(
-        order=args.n,
-        template=template,
-        numerator_bound=num_bound,
-        denominator_bound=den_bound,
-        seed=args.seed,
-        max_attempts=args.attempts,
-        free_weights=defaults.get("weights", (4, 1, 4)),
-        diagonal_numerator_bound=diag_bound,
-    )
-    if args.target == "exact-order":
-        if args.k is None:
-            raise CliError("explore exact-order needs --k")
-        report = explore.search_exact_order(args.n, args.k, variant, config, target_hits=args.hits)
-    elif args.target == "conjecture1":
-        report = explore.search_conjecture_1(config, target_hits=args.hits)
-    elif args.target == "conjecture2":
-        report = explore.search_conjecture_2(config, target_hits=args.hits)
-    else:  # neg-entries
-        if args.k is None:
-            raise CliError("explore neg-entries needs --k")
-        report = explore.search_negative_entries_question(
-            config, args.k, variant, target_hits=args.hits
+    if args.target in ("exact-order", "neg-entries") and args.k is None:
+        raise CliError(f"explore {args.target} needs --k")
+    # The config and the searches check their arguments before sampling, so
+    # a ValueError here is a usage error, not a finding.
+    try:
+        config = explore.GeneratorConfig(
+            order=args.n,
+            template=template,
+            numerator_bound=num_bound,
+            denominator_bound=den_bound,
+            seed=args.seed,
+            max_attempts=args.attempts,
+            free_weights=defaults.get("weights", (4, 1, 4)),
+            diagonal_numerator_bound=diag_bound,
         )
+        if args.target == "exact-order":
+            report = explore.search_exact_order(
+                args.n, args.k, variant, config, target_hits=args.hits
+            )
+        elif args.target == "conjecture1":
+            report = explore.search_conjecture_1(config, target_hits=args.hits)
+        elif args.target == "conjecture2":
+            report = explore.search_conjecture_2(config, target_hits=args.hits)
+        else:  # neg-entries
+            report = explore.search_negative_entries_question(
+                config, args.k, variant, target_hits=args.hits
+            )
+    except ValueError as exc:
+        raise CliError(f"explore {args.target}: {exc}") from exc
 
     if args.out:
         out = Path(args.out)

@@ -39,17 +39,6 @@ class Strictness(Enum):
 
 
 @dataclass(frozen=True)
-class SignSystem:
-    """One support-restricted system: a square block plus the strictness."""
-
-    m: RatMatrix
-    strictness: Strictness
-
-    def __post_init__(self) -> None:
-        self.m._require_square()
-
-
-@dataclass(frozen=True)
 class FeasibilityOutcome:
     feasible: bool
     certificate: Optional[RatVector] = None
@@ -268,10 +257,6 @@ def feasible_strict(m: RatMatrix) -> FeasibilityOutcome:
 def feasible_semistrict(m: RatMatrix) -> FeasibilityOutcome:
     """Is there y > 0 with My <= 0?  Certificate satisfies y >= 1, My <= 0."""
     return _decide(m, Strictness.SEMISTRICT)
-
-
-def decide(system: SignSystem) -> FeasibilityOutcome:
-    return _decide(system.m, system.strictness)
 
 
 # ---------------------------------------------------------------------------

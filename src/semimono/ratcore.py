@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from . import poly
 
-Rational = Fraction
 RatVector = tuple[Fraction, ...]
 
 Entry = Union[Fraction, int, str]

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .classify import (
     Variant,
@@ -451,13 +451,23 @@ def audit_nonclosure(a: RatMatrix, b: RatMatrix) -> AuditReport:
     return AuditReport("nonclosure", met, note, tuple(conclusions), None)
 
 
-AUDIT_IDS = (
-    "thm3.4",
-    "thm3.5",
-    "prop4.10",
-    "thm4.11",
-    "invariance",
-    "n=k+1",
-    "sym-copositive",
-    "nonclosure",
-)
+def _nonclosure_entry(a: RatMatrix, b: Optional[RatMatrix]) -> AuditReport:
+    if b is None:
+        raise ValueError("needs a second matrix (--matrix-b)")
+    return audit_nonclosure(a, b)
+
+
+# Every audit behind one signature (a, variant, seed, b); audits ignore the
+# arguments they do not use.
+AUDITS: dict[str, Callable[[RatMatrix, Variant, int, Optional[RatMatrix]], AuditReport]] = {
+    "thm3.4": lambda a, variant, seed, b: audit_thm_3x3_structure(a, variant),
+    "thm3.5": lambda a, variant, seed, b: audit_thm_3x3_inverse(a),
+    "prop4.10": lambda a, variant, seed, b: audit_prop_4_10(a, variant),
+    "thm4.11": lambda a, variant, seed, b: audit_thm_4_11(a),
+    "invariance": lambda a, variant, seed, b: audit_invariance(a, seed),
+    "n=k+1": lambda a, variant, seed, b: audit_n_eq_k_plus_1(a, variant),
+    "sym-copositive": lambda a, variant, seed, b: audit_symmetric_copositive_equiv(a, variant),
+    "nonclosure": lambda a, variant, seed, b: _nonclosure_entry(a, b),
+}
+
+AUDIT_IDS = tuple(AUDITS)

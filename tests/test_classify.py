@@ -27,6 +27,7 @@ from semimono.classify import (
     negative_entry_profile,
     sign_pattern,
 )
+from semimono.feasibility import fm_feasible
 from semimono.ratcore import RatMatrix, all_supports, det, principal_submatrix
 
 from matrices import (
@@ -204,6 +205,59 @@ def test_has_exact_order_matches_full_classifier():
             k_full = exact_order(m, variant).k
             for k in range(n + 1):
                 assert has_exact_order(m, k, variant) == (k_full == k)
+
+
+def witness_support(result):
+    return None if result.witness is None else result.witness.support.members
+
+
+def unpruned_sweep(a, variant):
+    """Reference for the pruned sweep: Fourier-Motzkin on every support; a
+    support fails when any of its subsets has a feasible system.  Returns
+    the per-order evidence and the first feasible support."""
+    supports = list(all_supports(a.order))
+    feasible = [
+        alpha.members
+        for alpha in supports
+        if fm_feasible(principal_submatrix(a, alpha), variant.failing_system).feasible
+    ]
+    evidence = []
+    for size in range(1, a.order + 1):
+        member = [
+            not any(set(f) <= set(alpha.members) for f in feasible)
+            for alpha in supports
+            if len(alpha) == size
+        ]
+        if all(member):
+            evidence.append(OrderStatus.ALL)
+        elif any(member):
+            evidence.append(OrderStatus.MIXED)
+        else:
+            evidence.append(OrderStatus.NONE)
+    return tuple(evidence), feasible[0] if feasible else None
+
+
+def test_pruned_sweep_matches_unpruned_reference():
+    rng = random.Random(59)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        m = random_matrix(rng, n, num_bound=3, den_bound=2)
+        for variant, member_test, copositive_test in (
+            (Variant.E0, is_semimonotone, is_copositive),
+            (Variant.E, is_strictly_semimonotone, is_strictly_copositive),
+        ):
+            evidence, first = unpruned_sweep(m, variant)
+            result = exact_order(m, variant)
+            assert result.evidence == evidence
+            assert witness_support(result) == first
+            assert witness_support(member_test(m)) == first
+            _, first_symmetric = unpruned_sweep(m.symmetric_part(), variant)
+            assert witness_support(copositive_test(m)) == first_symmetric
+            almost = is_almost_semimonotone(m, variant)
+            if first is not None and len(first) < n:
+                assert not almost.member and witness_support(almost) == first
+            else:
+                assert almost.witness is None or len(almost.witness.support) == n
 
 
 def test_heredity_of_membership():

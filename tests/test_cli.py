@@ -13,7 +13,8 @@ from semimono.cli import (
 )
 from semimono.ratcore import RatMatrix
 
-from matrices import M3_ORDER2_E0, M4_ORDER2_NONZ, NONCLOSURE_A, NONCLOSURE_B
+from semimono import classify
+from matrices import M3_ORDER2_E0, M4_ORDER2_NONZ, M5_ORDER2, NONCLOSURE_A, NONCLOSURE_B
 
 
 def write_matrix(tmp_path, name, m):
@@ -43,9 +44,11 @@ def test_vector_round_trip():
 
 
 def test_parse_rejects_floats_with_position():
-    with pytest.raises(CliError) as err:
-        parse_matrix_text("2\n1 0.5\n0 1\n", "m.txt")
-    assert "row 1" in str(err.value) and "column 2" in str(err.value)
+    # "1_0" would parse as 10 through Fraction's digit separators
+    for token in ("0.5", "1_0"):
+        with pytest.raises(CliError) as err:
+            parse_matrix_text(f"2\n1 {token}\n0 1\n", "m.txt")
+        assert "row 1" in str(err.value) and "column 2" in str(err.value)
 
 
 def test_parse_rejects_bad_shape():
@@ -103,6 +106,19 @@ def test_classify_reports_deterministic_modulo_timing(tmp_path, capsys):
     first.pop("timing_seconds")
     second.pop("timing_seconds")
     assert first == second
+
+
+def test_classify_sweeps_each_support_table_once(tmp_path, capsys, monkeypatch):
+    # four (matrix, variant) tables of 31 supports, plus one full-matrix
+    # call per almost variant
+    calls = []
+    for name in ("feasible_strict", "feasible_semistrict"):
+        oracle = getattr(classify, name)
+        monkeypatch.setattr(classify, name, lambda m, oracle=oracle: calls.append(m) or oracle(m))
+    classify.exact_order.cache_clear()
+    path = write_matrix(tmp_path, "m5.txt", M5_ORDER2)
+    assert main(["classify", path]) == 0
+    assert 0 < len(calls) <= 4 * 31 + 2
 
 
 def test_classify_missing_file_exit_2(capsys):
@@ -195,6 +211,22 @@ def test_explore_requires_seed(capsys):
 
 def test_explore_exact_order_requires_k(capsys):
     assert main(["explore", "--target", "exact-order", "--n", "3", "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--target", "exact-order", "--n", "3", "--k", "5"],
+        ["--target", "exact-order", "--n", "3", "--k", "2", "--attempts", "0"],
+        ["--target", "neg-entries", "--n", "3", "--k", "3"],
+        ["--target", "conjecture1", "--n", "0"],
+    ],
+    ids=["k-above-n", "zero-attempts", "neg-entries-k-equals-n", "order-zero"],
+)
+def test_explore_usage_errors_exit_2(extra, capsys):
+    assert main(["explore", "--seed", "1", *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: explore") and "Traceback" not in err
 
 
 def test_explore_nonneg_template_all_hits(capsys):

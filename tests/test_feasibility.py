@@ -8,10 +8,8 @@ from semimono.feasibility import (
     FM_MAX_ORDER,
     FeasibilityOutcome,
     OrderTooLargeError,
-    SignSystem,
     Strictness,
     _simplex_outcome,
-    decide,
     feasible_semistrict,
     feasible_strict,
     fm_feasible,
@@ -72,11 +70,6 @@ def test_boundary_det_zero_is_strictly_infeasible_but_semistrict_feasible():
     m = RatMatrix([[1, -1], [-1, 1]])
     assert not feasible_strict(m).feasible
     assert_certificate(m, feasible_semistrict(m), Strictness.SEMISTRICT)
-
-
-def test_decide_dispatch():
-    system = SignSystem(RatMatrix([[-1]]), Strictness.STRICT)
-    assert decide(system).feasible
 
 
 # ---------------------------------------------------------------------------
