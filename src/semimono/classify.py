@@ -270,6 +270,21 @@ def _minor_verdict(a: RatMatrix, strict: bool) -> ClassVerdict:
     return ClassVerdict(label, True)
 
 
+def z_exact_two_minor_breaks(a: RatMatrix) -> Iterator[tuple[IndexSet, Fraction]]:
+    """The principal minors that break the minor condition of Theorem 4.11
+    (a Z-matrix has E0 exact order 2 iff its minors of order <= n-2 are
+    nonnegative and those of order n-1 negative), yielded lazily as
+    (alpha, minor) in (size, lex) order."""
+    n = a.order
+    for alpha in all_supports(n):
+        size = len(alpha)
+        if size == n:
+            return
+        minor = det(principal_submatrix(a, alpha))
+        if size <= n - 2 and minor < 0 or size == n - 1 and minor >= 0:
+            yield alpha, minor
+
+
 def is_P0(a: RatMatrix) -> ClassVerdict:
     """All 2^n - 1 principal minors nonnegative, checked exactly."""
     return _minor_verdict(a, strict=False)
@@ -313,38 +328,6 @@ def is_inverse_Z(a: RatMatrix) -> ClassVerdict:
     except SingularMatrixError:
         return ClassVerdict(ClassLabel.INVERSE_Z, False)
     return ClassVerdict(ClassLabel.INVERSE_Z, is_Z(inv))
-
-
-class Sign(Enum):
-    NEG = "-"
-    ZERO = "0"
-    POS = "+"
-
-    @classmethod
-    def of(cls, x: Fraction) -> "Sign":
-        if x < 0:
-            return cls.NEG
-        if x > 0:
-            return cls.POS
-        return cls.ZERO
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """Exact entry signs, diagonal separated from off-diagonal."""
-
-    diagonal: tuple[Sign, ...]
-    off_diagonal: tuple[tuple[Optional[Sign], ...], ...]
-
-
-def sign_pattern(a: RatMatrix) -> SignPattern:
-    a._require_square()
-    n = a.order
-    diag = tuple(Sign.of(a[i, i]) for i in range(n))
-    off = tuple(
-        tuple(None if i == j else Sign.of(a[i, j]) for j in range(n)) for i in range(n)
-    )
-    return SignPattern(diag, off)
 
 
 @dataclass(frozen=True)

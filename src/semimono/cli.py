@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import classify as cls
 from . import explore, lcp, verify
@@ -289,32 +289,59 @@ _TEMPLATES = {
     "nonneg": lambda n, variant: explore.template_nonneg(n),
 }
 
-_DEFAULT_TEMPLATE = {
-    "exact-order": "pattern",
-    "conjecture1": "z",
-    "conjecture2": "diag-free",
-    "neg-entries": "pattern",
-}
+class _Target(NamedTuple):
+    """One explore target: its default template, generator defaults, and its
+    search behind one signature (config, k, variant, hits)."""
+
+    template: str
+    search: Callable[..., explore.SearchReport]
+    needs_k: bool = False
+    num_bound: int = 5
+    den_bound: int = 3
+    diag_bound: Optional[int] = None
+    weights: tuple[int, int, int] = (4, 1, 4)
 
 
-_CONJECTURE_DEFAULTS = {
-    # calibrated bounds: conjecture targets want diagonals that dominate the
-    # off-diagonal magnitudes, and the free template leans negative
-    "conjecture1": {"num_bound": 4, "den_bound": 2, "diag_bound": 8, "weights": (4, 1, 4)},
-    "conjecture2": {"num_bound": 4, "den_bound": 2, "diag_bound": 8, "weights": (12, 1, 2)},
+# Conjecture targets use calibrated bounds: they want diagonals that dominate
+# the off-diagonal magnitudes, and conjecture 2's free template leans negative.
+_TARGETS = {
+    "exact-order": _Target(
+        "pattern",
+        lambda config, k, variant, hits: explore.search_exact_order(
+            config.order, k, variant, config, target_hits=hits
+        ),
+        needs_k=True,
+    ),
+    "conjecture1": _Target(
+        "z",
+        lambda config, k, variant, hits: explore.search_conjecture_1(config, target_hits=hits),
+        num_bound=4, den_bound=2, diag_bound=8,
+    ),
+    "conjecture2": _Target(
+        "diag-free",
+        lambda config, k, variant, hits: explore.search_conjecture_2(config, target_hits=hits),
+        num_bound=4, den_bound=2, diag_bound=8, weights=(12, 1, 2),
+    ),
+    "neg-entries": _Target(
+        "pattern",
+        lambda config, k, variant, hits: explore.search_negative_entries_question(
+            config, k, variant, target_hits=hits
+        ),
+        needs_k=True,
+    ),
 }
 
 
 def _cmd_explore(args: argparse.Namespace, argv: Sequence[str]) -> int:
     started = time.monotonic()
     variant = Variant.E if args.variant == "e" else Variant.E0
-    template_name = args.template or _DEFAULT_TEMPLATE[args.target]
+    target = _TARGETS[args.target]
+    template_name = args.template or target.template
     template = _TEMPLATES[template_name](args.n, variant)
-    defaults = _CONJECTURE_DEFAULTS.get(args.target, {})
-    num_bound = args.num_bound if args.num_bound is not None else defaults.get("num_bound", 5)
-    den_bound = args.den_bound if args.den_bound is not None else defaults.get("den_bound", 3)
-    diag_bound = args.diag_bound if args.diag_bound is not None else defaults.get("diag_bound")
-    if args.target in ("exact-order", "neg-entries") and args.k is None:
+    num_bound = args.num_bound if args.num_bound is not None else target.num_bound
+    den_bound = args.den_bound if args.den_bound is not None else target.den_bound
+    diag_bound = args.diag_bound if args.diag_bound is not None else target.diag_bound
+    if target.needs_k and args.k is None:
         raise CliError(f"explore {args.target} needs --k")
     # The config and the searches check their arguments before sampling, so
     # a ValueError here is a usage error, not a finding.
@@ -326,21 +353,10 @@ def _cmd_explore(args: argparse.Namespace, argv: Sequence[str]) -> int:
             denominator_bound=den_bound,
             seed=args.seed,
             max_attempts=args.attempts,
-            free_weights=defaults.get("weights", (4, 1, 4)),
+            free_weights=target.weights,
             diagonal_numerator_bound=diag_bound,
         )
-        if args.target == "exact-order":
-            report = explore.search_exact_order(
-                args.n, args.k, variant, config, target_hits=args.hits
-            )
-        elif args.target == "conjecture1":
-            report = explore.search_conjecture_1(config, target_hits=args.hits)
-        elif args.target == "conjecture2":
-            report = explore.search_conjecture_2(config, target_hits=args.hits)
-        else:  # neg-entries
-            report = explore.search_negative_entries_question(
-                config, args.k, variant, target_hits=args.hits
-            )
+        report = target.search(config, args.k, variant, args.hits)
     except ValueError as exc:
         raise CliError(f"explore {args.target}: {exc}") from exc
 
@@ -477,11 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--json", action="store_true")
 
     p_explore = sub.add_parser("explore", help="seeded randomized search")
-    p_explore.add_argument(
-        "--target",
-        required=True,
-        choices=["exact-order", "conjecture1", "conjecture2", "neg-entries"],
-    )
+    p_explore.add_argument("--target", required=True, choices=list(_TARGETS))
     p_explore.add_argument("--n", type=int, required=True, help="matrix order")
     p_explore.add_argument("--k", type=int, default=None, help="exact order target")
     p_explore.add_argument("--seed", type=int, required=True, help="generator seed (mandatory)")

@@ -7,6 +7,14 @@ conjectured conclusions on every verified hit.  Searches can only falsify a
 conjecture or accumulate evidence for it, never prove it; reports carry that
 caveat.
 
+Every public search is a thin caller of one loop, ``_search``: a cheap
+screen, then ``has_exact_order``, then the full classifier must agree on
+each hit.  A conclusion checker runs once per hit, and a hit it fails is
+reported as a counterexample only after a triple check: the classifier
+agreed, the checker reproduces the failure, and an independent second route
+(adjugate against Gauss-Jordan for the inverse conjectures, the transpose's
+profile for the negative-entry counts) agrees.
+
 Determinism contract: a report is a pure function of its configuration
 (seed included), so identical configs reproduce identical reports.
 """
@@ -18,9 +26,16 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .classify import Variant, exact_order, has_exact_order, is_Z, negative_entry_profile
+from .classify import (
+    Variant,
+    exact_order,
+    has_exact_order,
+    is_Z,
+    negative_entry_profile,
+    z_exact_two_minor_breaks,
+)
 from .ratcore import (
     IndexSet,
     RatMatrix,
@@ -31,7 +46,6 @@ from .ratcore import (
     count_negative_eigenvalues,
     det,
     inverse,
-    principal_submatrix,
 )
 
 
@@ -197,20 +211,21 @@ _EVIDENCE_NOTE = "randomized search accumulates evidence or counterexamples; it 
 def _z_exact_two_minor_screen(a: RatMatrix) -> bool:
     """For Z-matrices, E0 exact order 2 is equivalent to: principal minors of
     order <= n-2 nonnegative and of order n-1 negative.  Used as a cheap
-    determinant-only screen; survivors still face the support-LP classifier."""
-    n = a.order
-    for size in range(1, n):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            minor = det(principal_submatrix(a, IndexSet(n, combo)))
-            if size <= n - 2 and minor < 0:
-                return False
-            if size == n - 1 and minor >= 0:
-                return False
-    return True
+    determinant-only screen that stops at the first breaking minor;
+    survivors still face the support-LP classifier."""
+    return next(z_exact_two_minor_breaks(a), None) is None
 
 
 def _diag_nonneg(a: RatMatrix) -> bool:
     return all(a[i, i] >= 0 for i in range(a.order))
+
+
+def _conjecture_1_screen(a: RatMatrix) -> bool:
+    return is_Z(a) and _diag_nonneg(a) and _z_exact_two_minor_screen(a)
+
+
+def _pass(a: RatMatrix) -> bool:
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +272,6 @@ def conjecture_2_violations(a: RatMatrix) -> list[tuple[str, str]]:
     return violations
 
 
-def _revalidate_hit(a: RatMatrix, k: int, variant: Variant) -> bool:
-    full = exact_order(a, variant)
-    return full.k == k
-
-
 def _independent_inverse_check(a: RatMatrix) -> bool:
     """Second route to the inverse: adjugate over determinant must agree with
     Gauss-Jordan elimination entrywise."""
@@ -271,17 +281,63 @@ def _independent_inverse_check(a: RatMatrix) -> bool:
     return adjugate(a) * (Fraction(1) / d) == inverse(a)
 
 
-def _validated_counterexample(a: RatMatrix, k: int, variant: Variant, recheck) -> bool:
-    """Triple check before a counterexample may enter a report: the classifier
-    re-confirms the hit, the conclusion checker reproduces the violation, and
-    an independent substitution route agrees on the underlying inverse."""
-    return bool(
-        _revalidate_hit(a, k, variant) and recheck(a) and _independent_inverse_check(a)
+def _negative_entry_violations(a: RatMatrix, k: int) -> list[tuple[str, str]]:
+    profile = negative_entry_profile(a)
+    if profile.min_row >= k and profile.min_column >= k:
+        return []
+    return [
+        (
+            f"a row or column has fewer than {k} negative entries",
+            f"row counts {profile.row_counts}, column counts {profile.column_counts}",
+        )
+    ]
+
+
+def _transpose_profile_agrees(a: RatMatrix) -> bool:
+    """Second route to the negative-entry counts: the transpose's profile
+    must show the same counts with rows and columns swapped."""
+    profile = negative_entry_profile(a)
+    transposed = negative_entry_profile(a.transpose())
+    return (
+        transposed.row_counts == profile.column_counts
+        and transposed.column_counts == profile.row_counts
     )
 
 
 # ---------------------------------------------------------------------------
 # searches
+
+
+def _search(
+    config: GeneratorConfig,
+    k: int,
+    variant: Variant,
+    target_hits: Optional[int],
+    screen: Callable[[RatMatrix], bool],
+    violations: Callable[[RatMatrix], list[tuple[str, str]]],
+    second_route: Callable[[RatMatrix], bool],
+) -> tuple[int, tuple[RatMatrix, ...], tuple[Counterexample, ...]]:
+    """The one search loop (see the module docstring); returns
+    (attempts, hits, counterexamples)."""
+    hits: list[RatMatrix] = []
+    counterexamples: list[Counterexample] = []
+    attempts = 0
+    for m in generate(config):
+        attempts += 1
+        if not screen(m) or not has_exact_order(m, k, variant):
+            continue
+        if exact_order(m, variant).k != k:
+            raise AssertionError("screener and full classifier disagree")
+        hits.append(m)
+        found = violations(m)
+        # triple check: the classifier agreed above, the checker must
+        # reproduce the failure, and the second route must agree
+        if found and not (violations(m) and second_route(m)):
+            raise AssertionError("counterexample failed re-validation; refusing to report it")
+        counterexamples.extend(Counterexample(m, failed, evidence) for failed, evidence in found)
+        if target_hits is not None and len(hits) >= target_hits:
+            break
+    return attempts, tuple(hits), tuple(counterexamples)
 
 
 def search_exact_order(
@@ -296,18 +352,9 @@ def search_exact_order(
         raise ValueError("config order must match n")
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}")
-    hits: list[RatMatrix] = []
-    attempts = 0
-    for m in generate(config):
-        attempts += 1
-        if has_exact_order(m, k, variant):
-            if exact_order(m, variant).k != k:
-                raise AssertionError("screener and full classifier disagree")
-            hits.append(m)
-            if target_hits is not None and len(hits) >= target_hits:
-                break
+    attempts, hits, _ = _search(config, k, variant, target_hits, _pass, lambda m: [], _pass)
     return SearchReport(
-        f"exact-order k={k} ({variant.value})", attempts, tuple(hits), (), (_EVIDENCE_NOTE,)
+        f"exact-order k={k} ({variant.value})", attempts, hits, (), (_EVIDENCE_NOTE,)
     )
 
 
@@ -316,31 +363,15 @@ def search_conjecture_1(
 ) -> SearchReport:
     """Hunt for Z-matrices of E0 exact order 2 violating the inverse-block
     conjecture (Z principal blocks of the inverse, one negative eigenvalue)."""
-    hits: list[RatMatrix] = []
-    counterexamples: list[Counterexample] = []
-    attempts = 0
-    for m in generate(config):
-        attempts += 1
-        if not is_Z(m) or not _diag_nonneg(m):
-            continue
-        if not _z_exact_two_minor_screen(m):
-            continue
-        if not has_exact_order(m, 2, Variant.E0):
-            continue
-        hits.append(m)
-        for failed, evidence in conjecture_1_violations(m):
-            if not _validated_counterexample(
-                m, 2, Variant.E0, lambda x: bool(conjecture_1_violations(x))
-            ):
-                raise AssertionError("counterexample failed re-validation; refusing to report it")
-            counterexamples.append(Counterexample(m, failed, evidence))
-        if target_hits is not None and len(hits) >= target_hits:
-            break
+    attempts, hits, counterexamples = _search(
+        config, 2, Variant.E0, target_hits,
+        _conjecture_1_screen, conjecture_1_violations, _independent_inverse_check,
+    )
     return SearchReport(
         "conjecture-1 (Z exact order 2: inverse blocks Z, one negative eigenvalue)",
         attempts,
-        tuple(hits),
-        tuple(counterexamples),
+        hits,
+        counterexamples,
         (_EVIDENCE_NOTE,),
     )
 
@@ -351,32 +382,16 @@ def search_conjecture_2(
     """Hunt for E0-exact-order-2 matrices (no Z restriction) violating
     det < 0 or inverse-Z-ness.  The report notes how many hits escape the
     Z class, since those are the informative ones."""
-    hits: list[RatMatrix] = []
-    counterexamples: list[Counterexample] = []
-    attempts = 0
-    non_z_hits = 0
-    for m in generate(config):
-        attempts += 1
-        if not _diag_nonneg(m):
-            continue
-        if not has_exact_order(m, 2, Variant.E0):
-            continue
-        hits.append(m)
-        if not is_Z(m):
-            non_z_hits += 1
-        for failed, evidence in conjecture_2_violations(m):
-            if not _validated_counterexample(
-                m, 2, Variant.E0, lambda x: bool(conjecture_2_violations(x))
-            ):
-                raise AssertionError("counterexample failed re-validation; refusing to report it")
-            counterexamples.append(Counterexample(m, failed, evidence))
-        if target_hits is not None and len(hits) >= target_hits:
-            break
+    attempts, hits, counterexamples = _search(
+        config, 2, Variant.E0, target_hits,
+        _diag_nonneg, conjecture_2_violations, _independent_inverse_check,
+    )
+    non_z_hits = sum(1 for m in hits if not is_Z(m))
     return SearchReport(
         "conjecture-2 (exact order 2: det < 0, inverse exists and is Z)",
         attempts,
-        tuple(hits),
-        tuple(counterexamples),
+        hits,
+        counterexamples,
         (_EVIDENCE_NOTE, f"hits outside the Z class: {non_z_hits}"),
     )
 
@@ -393,37 +408,14 @@ def search_negative_entries_question(
     n = config.order
     if not 1 <= k < n:
         raise ValueError("k must satisfy 1 <= k < n")
-    hits: list[RatMatrix] = []
-    counterexamples: list[Counterexample] = []
-    attempts = 0
-    for m in generate(config):
-        attempts += 1
-        if not has_exact_order(m, k, variant):
-            continue
-        hits.append(m)
-        profile = negative_entry_profile(m)
-        if profile.min_row < k or profile.min_column < k:
-            transpose_profile = negative_entry_profile(m.transpose())
-            confirmed = (
-                _revalidate_hit(m, k, variant)
-                and transpose_profile.row_counts == profile.column_counts
-                and transpose_profile.column_counts == profile.row_counts
-            )
-            if not confirmed:
-                raise AssertionError("counterexample failed re-validation; refusing to report it")
-            counterexamples.append(
-                Counterexample(
-                    m,
-                    f"a row or column has fewer than {k} negative entries",
-                    f"row counts {profile.row_counts}, column counts {profile.column_counts}",
-                )
-            )
-        if target_hits is not None and len(hits) >= target_hits:
-            break
+    attempts, hits, counterexamples = _search(
+        config, k, variant, target_hits,
+        _pass, lambda m: _negative_entry_violations(m, k), _transpose_profile_agrees,
+    )
     return SearchReport(
         f"negative-entries question (exact order k={k}, {variant.value})",
         attempts,
-        tuple(hits),
-        tuple(counterexamples),
+        hits,
+        counterexamples,
         (_EVIDENCE_NOTE,),
     )

@@ -35,8 +35,11 @@ class SingularBlockError(SingularMatrixError):
 def rat(value: Entry) -> Fraction:
     """Coerce an int, ``p/q`` string, or Fraction to an exact rational.
 
-    Float-looking inputs are rejected: exactness is the whole point.
+    Float-looking inputs are rejected: exactness is the whole point.  A
+    Fraction is immutable, so one is returned as it is.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floating point input is not accepted; use Fraction or 'p/q'")
     if isinstance(value, str) and ("." in value or "e" in value or "E" in value):
@@ -390,13 +393,14 @@ def schur_complement(a: RatMatrix, alpha: IndexSet) -> RatMatrix:
     comp = alpha.complement()
     if len(comp) == 0:
         raise ValueError("alpha must be a proper subset")
-    block = principal_submatrix(a, alpha)
-    if det(block) == 0:
-        raise SingularBlockError(f"A_{alpha} is singular")
+    try:
+        block_inv = inverse(principal_submatrix(a, alpha))
+    except SingularMatrixError as exc:
+        raise SingularBlockError(f"A_{alpha} is singular") from exc
     a_bb = principal_submatrix(a, comp)
     a_ba = submatrix(a, comp, alpha)
     a_ab = submatrix(a, alpha, comp)
-    return a_bb - (a_ba @ inverse(block)) @ a_ab
+    return a_bb - (a_ba @ block_inv) @ a_ab
 
 
 def block_inverse_principal(a: RatMatrix, alpha: IndexSet) -> RatMatrix:

@@ -4,8 +4,10 @@ becomes a hypotheses/conclusions check runnable on arbitrary input.
 Hypothesis checking is kept strictly separate from conclusion checking: a
 failed conclusion *with hypotheses met* is genuine evidence against the
 audited statement and is surfaced as a counterexample with re-checkable
-data, while unmet hypotheses simply skip the conclusions.  The audits
-double as the validators behind the randomized conjecture searches.
+data, while unmet hypotheses simply skip the conclusions.  The randomized
+searches in ``explore`` run their own conclusion checkers; only the
+Theorem 4.11 minor test is shared, through
+``classify.z_exact_two_minor_breaks``.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from .classify import (
     exact_order,
     is_Z,
     negative_entry_profile,
+    z_exact_two_minor_breaks,
 )
 from .ratcore import (
     IndexSet,
     RatMatrix,
     SingularBlockError,
     SingularMatrixError,
-    all_supports,
     count_negative_eigenvalues,
     det,
     inverse,
@@ -272,17 +274,9 @@ def audit_thm_4_11(a: RatMatrix) -> AuditReport:
     note = f"Z: {z}; classified as {result.describe()}; requires Z and E0 exact order 2"
     conclusions: list[Conclusion] = []
     if met:
-        small_bad = []
-        middle_bad = []
-        for alpha in all_supports(n):
-            size = len(alpha)
-            if size > n - 1:
-                continue
-            minor = det(principal_submatrix(a, alpha))
-            if size <= n - 2 and minor < 0:
-                small_bad.append(f"det A_{alpha} = {minor}")
-            if size == n - 1 and minor >= 0:
-                middle_bad.append(f"det A_{alpha} = {minor}")
+        breaks = list(z_exact_two_minor_breaks(a))
+        small_bad = [f"det A_{alpha} = {minor}" for alpha, minor in breaks if len(alpha) <= n - 2]
+        middle_bad = [f"det A_{alpha} = {minor}" for alpha, minor in breaks if len(alpha) == n - 1]
         conclusions.append(
             Conclusion(
                 "principal minors of order <= n-2 nonnegative",

@@ -6,7 +6,6 @@ import pytest
 from semimono.classify import (
     ClassLabel,
     OrderStatus,
-    Sign,
     SupportWitness,
     Variant,
     WrongOrderError,
@@ -25,7 +24,6 @@ from semimono.classify import (
     is_strictly_copositive,
     is_strictly_semimonotone,
     negative_entry_profile,
-    sign_pattern,
 )
 from semimono.feasibility import fm_feasible
 from semimono.ratcore import RatMatrix, all_supports, det, principal_submatrix
@@ -417,14 +415,6 @@ def test_negative_entry_profile():
     assert negative_entry_profile(RatMatrix.identity(3)).row_counts == (0, 0, 0)
     small = negative_entry_profile(RatMatrix([[0, -1], [-2, 0]]))
     assert small.row_counts == (1, 1) and small.column_counts == (1, 1)
-
-
-def test_sign_pattern():
-    pattern = sign_pattern(RatMatrix([[0, -1], [2, 0]]))
-    assert pattern.diagonal == (Sign.ZERO, Sign.ZERO)
-    assert pattern.off_diagonal[0][1] is Sign.NEG
-    assert pattern.off_diagonal[1][0] is Sign.POS
-    assert pattern.off_diagonal[0][0] is None
 
 
 def test_nonclosure_ingredients_classify():

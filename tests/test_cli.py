@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -245,6 +246,36 @@ def test_explore_nonneg_template_all_hits(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["hit_count"] == 30
+
+
+# sha256 of the report.json text that `explore --out` writes, for one small
+# seeded run per target: a search refactor must leave these unchanged.
+GOLDEN_REPORTS = {
+    "exact-order": (
+        ["--n", "3", "--k", "2", "--seed", "7", "--attempts", "400", "--hits", "3"],
+        "e86c3a2b1b713ec68993ae09cf469bbc5f0368b60dd5b76f83b80b1f997e82cb",
+    ),
+    "conjecture1": (
+        ["--n", "4", "--seed", "1", "--attempts", "2000", "--hits", "3"],
+        "0ddcb99228d4591f813c75e875f014690228de33e679ab50609ad6f774ef6be7",
+    ),
+    "conjecture2": (
+        ["--n", "4", "--seed", "2", "--attempts", "3000", "--hits", "3"],
+        "ff01ae7ee7c71e68f02c560e363019c0fab764b26e8792136c463eb4190f355f",
+    ),
+    "neg-entries": (
+        ["--n", "3", "--k", "1", "--seed", "4", "--attempts", "400", "--hits", "3",
+         "--template", "diag-free"],
+        "f606eabdbcf1f90db6fc0691192e0403838d712dbfca484b0fd9260c7853fbbb",
+    ),
+}
+
+
+@pytest.mark.parametrize("target", list(GOLDEN_REPORTS))
+def test_explore_report_golden_digest(target, tmp_path, capsys):
+    args, digest = GOLDEN_REPORTS[target]
+    assert main(["explore", "--target", target, *args, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
 
 
 def test_explore_conjecture2_small(capsys):

@@ -1,7 +1,10 @@
 import pytest
 
+from semimono import explore
 from semimono.classify import Variant, exact_order, is_Z
+from semimono.cli import main, parse_matrix_text
 from semimono.explore import (
+    Counterexample,
     GeneratorConfig,
     SearchReport,
     _z_exact_two_minor_screen,
@@ -258,3 +261,44 @@ def test_degenerate_stream_reports_zero_hits():
     assert report.attempts == 100
     assert report.hit_count == 0
     assert report.counterexamples == ()
+
+
+def test_search_counterexample_path(monkeypatch, tmp_path, capsys):
+    # A planted violation is the only way to reach the counterexample path:
+    # no seeded run has found a real one.
+    planted = [("planted failure", "test evidence")]
+    monkeypatch.setattr(explore, "conjecture_2_violations", lambda a: planted)
+    c = GeneratorConfig(
+        order=4,
+        template=template_diag_nonneg_off_free(4),
+        numerator_bound=4,
+        denominator_bound=2,
+        diagonal_numerator_bound=8,
+        free_weights=(12, 1, 2),
+        seed=2,
+        max_attempts=3000,
+    )
+    report = search_conjecture_2(c, target_hits=2)
+    assert report.hit_count == 2
+    assert report.counterexamples == tuple(
+        Counterexample(m, "planted failure", "test evidence") for m in report.hits
+    )
+
+    out = tmp_path / "out"
+    argv = ["explore", "--target", "conjecture2", "--n", "4", "--seed", "2",
+            "--attempts", "3000", "--hits", "2", "--out", str(out)]
+    assert main(argv) == 1
+    assert "COUNTEREXAMPLE: planted failure" in capsys.readouterr().out
+    ce = out / "counterexample_0001.txt"
+    assert parse_matrix_text(ce.read_text(), str(ce)) == report.hits[0]
+
+    # each leg of the triple check can refuse: the checker must reproduce
+    # the failure, and the independent inverse route must agree
+    once = iter([planted])
+    monkeypatch.setattr(explore, "conjecture_2_violations", lambda a: next(once, []))
+    with pytest.raises(AssertionError, match="refusing to report it"):
+        search_conjecture_2(c, target_hits=2)
+    monkeypatch.setattr(explore, "conjecture_2_violations", lambda a: planted)
+    monkeypatch.setattr(explore, "_independent_inverse_check", lambda a: False)
+    with pytest.raises(AssertionError, match="refusing to report it"):
+        search_conjecture_2(c, target_hits=2)
