@@ -158,7 +158,10 @@ def _sweep(
         yield alpha, outcome
 
 
-@lru_cache(maxsize=512)
+# One classify call or audit reuses at most a few dozen (matrix, variant)
+# keys, and nothing reuses one across CLI calls, so a small cache keeps every
+# hit without holding hundreds of dead matrices.
+@lru_cache(maxsize=64)
 def exact_order(a: RatMatrix, variant: Variant) -> ExactOrderResult:
     """Full per-order membership profile and the exact order k, if any.
 

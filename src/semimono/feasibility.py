@@ -7,11 +7,14 @@ positive homogeneity these are equivalent to the closed systems
     strict:      y >= 1,  My <= -1
     semistrict:  y >= 1,  My <=  0
 
-which are decided exactly: orders 1 and 2 by closed-form interval
-arithmetic, larger orders by a phase-1 simplex over Fractions with Bland's
-pivoting rule (termination under degeneracy, no tolerances anywhere).
-A Fourier-Motzkin eliminator provides an independent second route for
-small orders.
+which are decided exactly.  Order 2 has a closed form by interval
+arithmetic.  Every other order first tries O(n^2) sign shortcuts, which
+settle every order-1 system, and then a phase-1 simplex with Bland's
+pivoting rule (termination under degeneracy, no tolerances anywhere).  The
+simplex pivots an integer tableau fraction-free through ``ratcore._pivot``,
+the one exact kernel that ``det`` and ``inverse`` use too.  A
+Fourier-Motzkin eliminator provides an independent second route for small
+orders.
 
 Everything here is pure and stateless; callers may evaluate many systems
 concurrently.
@@ -22,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from math import lcm
+from typing import Optional, Sequence
 
-from .ratcore import RatMatrix, RatVector
+from .ratcore import RatMatrix, RatVector, _cleared, _pivot
 
 FM_MAX_ORDER = 5
 
@@ -59,105 +63,83 @@ def _closed_rhs(m: RatMatrix, strictness: Strictness) -> list[Fraction]:
 # phase-1 simplex for {x >= 0 : Gx <= h}
 
 
-def phase1_feasible(g_rows: list[list[Fraction]], h: list[Fraction]) -> tuple[bool, Optional[list[Fraction]]]:
+def phase1_feasible(g_rows: Sequence[Sequence[Fraction]], h: Sequence[Fraction]) -> tuple[bool, Optional[list[Fraction]]]:
     """Decide whether {x >= 0 : Gx <= h} is nonempty, exactly.
 
     Minimizes the sum of artificial variables with Bland's rule; the system
     is feasible iff the optimum is exactly zero.  Returns a witness x when
     feasible.
+
+    The tableau, objective row included, is the rational one times the
+    common denominator of G and h, and is pivoted fraction-free
+    (``ratcore._pivot``).  Each of its rows stays a positive multiple of the
+    rational row, so every sign test, ratio and tie-break matches rational
+    pivoting, and a basic x_j reads off as its right-hand side over the
+    last pivot.
     """
     nrows = len(g_rows)
     nvars = len(g_rows[0]) if nrows else 0
     if all(hi >= 0 for hi in h):
         return True, [Fraction(0)] * nvars
 
-    art_rows = [i for i in range(nrows) if h[i] < 0]
-    nart = len(art_rows)
+    scale = lcm(*(v.denominator for row in g_rows for v in row), *(v.denominator for v in h))
+    rhs = _cleared(h, scale)
+    nart = sum(v < 0 for v in rhs)
     ncols = nvars + nrows + nart
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     basis: list[int] = []
-    art_pos = {r: k for k, r in enumerate(art_rows)}
+    # reduced-cost row for the phase-1 objective (cost 1 on artificials)
+    zrow = [0] * (nvars + nrows) + [scale] * nart + [0]
+    art = nvars + nrows
     for i in range(nrows):
-        row = [zero] * (ncols + 1)
-        negate = h[i] < 0
-        for j in range(nvars):
-            row[j] = -g_rows[i][j] if negate else g_rows[i][j]
-        row[nvars + i] = -one if negate else one
-        if negate:
-            row[nvars + nrows + art_pos[i]] = one
-            basis.append(nvars + nrows + art_pos[i])
+        sign = -1 if rhs[i] < 0 else 1
+        row = [sign * v for v in _cleared(g_rows[i], scale)]
+        row += [0] * (ncols - nvars) + [sign * rhs[i]]
+        row[nvars + i] = sign * scale
+        if sign < 0:
+            row[art] = scale
+            basis.append(art)
+            art += 1
+            zrow = [z - v for z, v in zip(zrow, row)]
         else:
             basis.append(nvars + i)
-        row[ncols] = -h[i] if negate else h[i]
         rows.append(row)
+    rows.append(zrow)
 
-    # reduced-cost row for the phase-1 objective (cost 1 on artificials)
-    zrow = [zero] * (ncols + 1)
-    for j in range(nart):
-        zrow[nvars + nrows + j] = one
-    for i in range(nrows):
-        if basis[i] >= nvars + nrows:
-            for j in range(ncols + 1):
-                zrow[j] -= rows[i][j]
-
+    prev = 1
     while True:
+        zrow = rows[nrows]
         enter = next((j for j in range(ncols) if zrow[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best_ratio: Optional[Fraction] = None
         for i in range(nrows):
             coeff = rows[i][enter]
             if coeff > 0:
-                ratio = rows[i][ncols] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # rhs_i / coeff against rhs_leave / coeff_leave, both coeffs > 0
+                here = rows[i][ncols] * rows[leave][enter]
+                best = rows[leave][ncols] * coeff
+                if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise AssertionError("phase-1 objective is bounded; no leaving row means a bug")
-        pivot = rows[leave][enter]
-        rows[leave] = [v / pivot for v in rows[leave]]
-        prow = rows[leave]
-        for i in range(nrows):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [v - f * p for v, p in zip(rows[i], prow)]
-        if zrow[enter] != 0:
-            f = zrow[enter]
-            zrow = [v - f * p for v, p in zip(zrow, prow)]
+        prev = _pivot(rows, leave, enter, prev)
         basis[leave] = enter
 
-    objective = -zrow[ncols]
-    if objective != 0:
+    if rows[nrows][ncols] != 0:
         return False, None
-    x = [zero] * nvars
+    x = [Fraction(0)] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
-            x[b] = rows[i][ncols]
+            x[b] = Fraction(rows[i][ncols], prev)
     return True, x
 
 
 # ---------------------------------------------------------------------------
-# closed forms for orders 1 and 2
-
-
-def _order1(m: RatMatrix, strictness: Strictness) -> FeasibilityOutcome:
-    a = m[0, 0]
-    if strictness is Strictness.STRICT:
-        if a >= 0:
-            return FeasibilityOutcome(False)
-        y = max(Fraction(1), Fraction(-1) / a)
-        return FeasibilityOutcome(True, (y,))
-    if a > 0:
-        return FeasibilityOutcome(False)
-    return FeasibilityOutcome(True, (Fraction(1),))
+# closed form for order 2
 
 
 def _order2(m: RatMatrix, strictness: Strictness) -> FeasibilityOutcome:
@@ -207,9 +189,7 @@ def _normalize_certificate(m: RatMatrix, y: RatVector, strictness: Strictness) -
 
 
 def _simplex_outcome(m: RatMatrix, strictness: Strictness) -> FeasibilityOutcome:
-    n = m.order
-    g = [[m[i, j] for j in range(n)] for i in range(n)]
-    ok, u = phase1_feasible(g, _closed_rhs(m, strictness))
+    ok, u = phase1_feasible(m.entries, _closed_rhs(m, strictness))
     if not ok:
         return FeasibilityOutcome(False)
     y = tuple(ui + 1 for ui in u)
@@ -222,7 +202,7 @@ def _shortcut(m: RatMatrix, strictness: Strictness) -> Optional[FeasibilityOutco
     A row with no negative entry pins (My)_i >= 0 for y > 0 (> 0 when the
     row is nonzero), settling infeasibility; conversely the all-ones vector
     is a ready-made certificate whenever the row sums already have the right
-    signs.
+    signs.  One of the two always applies at order 1.
     """
     n = m.order
     strict = strictness is Strictness.STRICT
@@ -239,8 +219,6 @@ def _shortcut(m: RatMatrix, strictness: Strictness) -> Optional[FeasibilityOutco
 
 def _decide(m: RatMatrix, strictness: Strictness) -> FeasibilityOutcome:
     m._require_square()
-    if m.order == 1:
-        return _order1(m, strictness)
     if m.order == 2:
         return _order2(m, strictness)
     quick = _shortcut(m, strictness)

@@ -11,7 +11,6 @@ solutions only on degenerate instances.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +20,7 @@ from .ratcore import (
     RatMatrix,
     RatVector,
     SingularMatrixError,
+    all_supports,
     inverse,
     principal_submatrix,
 )
@@ -97,23 +97,21 @@ def lcp_solve_enum(inst: LcpInstance) -> LcpEnumeration:
 
     if all(qi >= 0 for qi in inst.q):
         consider(tuple([zero] * n), IndexSet.empty(n))
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            alpha = IndexSet(n, combo)
-            block = principal_submatrix(inst.a, alpha)
-            try:
-                block_inv = inverse(block)
-            except SingularMatrixError:
-                singular.append(alpha)
-                continue
-            q_alpha = tuple(inst.q[i] for i in alpha.zero_based())
-            z_alpha = block_inv @ tuple(-v for v in q_alpha)
-            if any(v < 0 for v in z_alpha):
-                continue
-            z = [zero] * n
-            for pos, i in enumerate(alpha.zero_based()):
-                z[i] = z_alpha[pos]
-            consider(tuple(z), alpha)
+    for alpha in all_supports(n):
+        block = principal_submatrix(inst.a, alpha)
+        try:
+            block_inv = inverse(block)
+        except SingularMatrixError:
+            singular.append(alpha)
+            continue
+        q_alpha = tuple(inst.q[i] for i in alpha.zero_based())
+        z_alpha = block_inv @ tuple(-v for v in q_alpha)
+        if any(v < 0 for v in z_alpha):
+            continue
+        z = [zero] * n
+        for pos, i in enumerate(alpha.zero_based()):
+            z[i] = z_alpha[pos]
+        consider(tuple(z), alpha)
     return LcpEnumeration(tuple(solutions), tuple(singular))
 
 

@@ -91,12 +91,6 @@ def gcd(p: Poly, q: Poly) -> Poly:
     return monic(a)
 
 
-def squarefree_part(p: Poly) -> Poly:
-    if degree(p) <= 0:
-        return monic(p)
-    return monic(divmod_poly(p, gcd(p, derivative(p)))[0])
-
-
 def strip_zero_roots(p: Poly) -> tuple[Poly, int]:
     """Factor x^m out of p; returns (p / x^m, m)."""
     if is_zero(p):
@@ -157,6 +151,8 @@ def real_root_sign_counts(coeffs: Sequence[Fraction]) -> tuple[int, int, int]:
 
     Multiplicities come from the repeated-gcd chain p, gcd(p,p'), ...: a root
     of multiplicity m contributes one distinct root to the first m layers.
+    One gcd per layer L serves twice: L / gcd(L, L') is the square-free part
+    whose roots are counted, and gcd(L, L') is the next layer.
     """
     p = normalize(coeffs)
     if is_zero(p):
@@ -166,9 +162,10 @@ def real_root_sign_counts(coeffs: Sequence[Fraction]) -> tuple[int, int, int]:
     positives = 0
     layer = p
     while degree(layer) >= 1:
-        stripped, _ = strip_zero_roots(layer)
-        n, q = _distinct_neg_pos_counts(squarefree_part(stripped))
+        below = gcd(layer, derivative(layer))
+        distinct, _ = strip_zero_roots(divmod_poly(layer, below)[0])
+        n, q = _distinct_neg_pos_counts(distinct)
         negatives += n
         positives += q
-        layer = gcd(layer, derivative(layer))
+        layer = below
     return negatives, zero_mult, positives

@@ -4,6 +4,8 @@ classifiers are built on.
 Every entry is a ``fractions.Fraction``; there is no floating point anywhere.
 All class memberships downstream are strict sign conditions, so determinants,
 inverses, Schur complements, and eigenvalue counts must be certified exactly.
+Determinants, inverses and the feasibility simplex all eliminate through one
+fraction-free integer pivot step, ``_pivot``, on denominator-cleared copies.
 
 All values here are immutable after construction and safe to share across
 threads.
@@ -291,51 +293,70 @@ def submatrix(a: RatMatrix, row_set: IndexSet, col_set: IndexSet) -> RatMatrix:
     return RatMatrix([[a[i, j] for j in ci] for i in ri])
 
 
-def _int_bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix.
+def _cleared(values: Iterable[Fraction], scale: int) -> list[int]:
+    """The integers scale * v; scale must be a multiple of every denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
-    Intermediate entries stay integral; the exact divisions bound growth far
-    better than naive elimination.
+
+def _pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step on an integer array, in place.
+
+    Every row i != r becomes (p * row_i - row_i[c] * row_r) // prev with
+    p = rows[r][c] and prev the previous pivot (1 before the first step).
+    By Sylvester's identity the division is exact, and afterwards the array
+    is p times what rational Gauss-Jordan with the same pivots leaves.
+    Returns p.
     """
-    n = len(m)
+    row_r = rows[r]
+    p = row_r[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * v - f * w) // prev for v, w in zip(row, row_r)]
+    return p
+
+
+def _gauss_jordan(a: RatMatrix, augment: bool) -> tuple[list[list[int]], Fraction]:
+    """Fraction-free pivots down the diagonal of D A, or of [D A | D] when
+    ``augment``, with D the row denominator LCMs; a lower row is swapped in
+    where a pivot is 0.
+
+    Returns the integer rows and det(A), which is 0 when A is singular (the
+    rows are then left part-way).  A full pass leaves the last pivot p on the
+    whole diagonal, so the right block of [D A | D] is then p A^{-1}.
+    """
+    n = a.order
+    rows: list[list[int]] = []
+    scale = 1
+    for i, row in enumerate(a.entries):
+        d = lcm(*(v.denominator for v in row))
+        scale *= d
+        rows.append(_cleared(row, d))
+        if augment:
+            rows[i] += [d if j == i else 0 for j in range(n)]
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    for k in range(n):
+        if rows[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
+            if swap is None:
+                return rows, Fraction(0)
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        prev = _pivot(rows, k, k, prev)
+    return rows, Fraction(sign * prev, scale)
 
 
 def det(a: RatMatrix) -> Fraction:
-    """Exact determinant via Bareiss elimination on a denominator-cleared copy."""
+    """Exact determinant by fraction-free pivots on the denominator-cleared
+    integer copy D A; closed forms for orders 1 and 2."""
     a._require_square()
     n = a.order
     if n == 1:
         return a[0, 0]
     if n == 2:
         return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    scale = Fraction(1)
-    rows: list[list[int]] = []
-    for i in range(n):
-        d = lcm(*(a[i, j].denominator for j in range(n)))
-        scale *= d
-        rows.append([int(a[i, j] * d) for j in range(n)])
-    return Fraction(_int_bareiss_det(rows), 1) / scale
+    return _gauss_jordan(a, augment=False)[1]
 
 
 def adjugate(a: RatMatrix) -> RatMatrix:
@@ -362,25 +383,19 @@ def adjugate(a: RatMatrix) -> RatMatrix:
 
 
 def inverse(a: RatMatrix) -> RatMatrix:
-    """Exact inverse by Gauss-Jordan elimination.
+    """Exact inverse: fraction-free pivots turn [D A | D], with D the row
+    denominator LCMs, into p [I | A^{-1}]; the right block is divided by the
+    last pivot p once.
 
     Raises :class:`SingularMatrixError` when det(A) = 0.
     """
     a._require_square()
     n = a.order
-    work = [list(a.row(i)) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [v / pivot for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [v - factor * p for v, p in zip(work[r], work[col])]
-    return RatMatrix([row[n:] for row in work])
+    rows, d = _gauss_jordan(a, augment=True)
+    if d == 0:
+        raise SingularMatrixError("matrix is singular")
+    p = rows[0][0]
+    return RatMatrix([[Fraction(v, p) for v in row[n:]] for row in rows])
 
 
 def schur_complement(a: RatMatrix, alpha: IndexSet) -> RatMatrix:
@@ -411,14 +426,16 @@ def block_inverse_principal(a: RatMatrix, alpha: IndexSet) -> RatMatrix:
     Requires both A_aa and the Schur complement A/A_aa to be nonsingular.
     The result equals principal_submatrix(inverse(A), alpha); the direct
     formula is exposed because some conjecture checks are stated against it.
+    A_aa is inverted once and serves both terms and the Schur complement.
     """
     comp = alpha.complement()
     block_inv = inverse(principal_submatrix(a, alpha))
-    schur = schur_complement(a, alpha)
-    schur_inv = inverse(schur)
+    if len(comp) == 0:
+        raise ValueError("alpha must be a proper subset")
     a_ab = submatrix(a, alpha, comp)
-    a_ba = submatrix(a, comp, alpha)
-    return block_inv + ((block_inv @ a_ab) @ schur_inv) @ (a_ba @ block_inv)
+    left = submatrix(a, comp, alpha) @ block_inv  # A_ba A_aa^{-1}
+    schur_inv = inverse(principal_submatrix(a, comp) - left @ a_ab)
+    return block_inv + ((block_inv @ a_ab) @ schur_inv) @ left
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Independent oracles and random generators for the test suite.
 
 The determinant oracle is plain cofactor expansion, deliberately unrelated
-to the Bareiss elimination used by the package; it is capped at order 5
-where its factorial cost is still instant.
+to the fraction-free pivoting the package uses for det, inverse and the
+simplex; it is capped at order 5 where its factorial cost is still instant.
 """
 
 import random

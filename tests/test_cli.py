@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from semimono.cli import (
 )
 from semimono.ratcore import RatMatrix
 
+import matrices
 from semimono import classify
 from matrices import M3_ORDER2_E0, M4_ORDER2_NONZ, M5_ORDER2, NONCLOSURE_A, NONCLOSURE_B
 
@@ -120,6 +122,69 @@ def test_classify_sweeps_each_support_table_once(tmp_path, capsys, monkeypatch):
     path = write_matrix(tmp_path, "m5.txt", M5_ORDER2)
     assert main(["classify", path]) == 0
     assert 0 < len(calls) <= 4 * 31 + 2
+
+
+def _nonneg_diagonal_matrices(n, count):
+    # positive diagonal, mostly negative off-diagonal: the mix whose larger
+    # supports reach the simplex and come back feasible with a witness
+    rng = random.Random(n)
+    return [
+        RatMatrix(
+            [
+                [F(rng.randint(1, 9) if i == j else rng.randint(-9, 3), rng.randint(1, 4))
+                 for j in range(n)]
+                for i in range(n)
+            ]
+        )
+        for _ in range(count)
+    ]
+
+
+CLASSIFY_FIXTURES = (
+    "M3_ORDER2_E0", "M3_ORDER2_E", "M4_ORDER2_NONZ", "M4_ORDER2_NONZ_INV",
+    "M4_ORDER2_NONZ_B", "M4_ORDER2_NONZ_B_INV", "M4_ORDER3", "M5_ORDER3",
+    "M4_ORDER2", "M5_ORDER2", "NONCLOSURE_A", "NONCLOSURE_SUM",
+    "NONCLOSURE_PRODUCT", "SHIFT_BASE", "SHIFT_SUM", "COPOSITIVE_ONLY",
+    "STRICTLY_COPOSITIVE_ONLY", "NON_Q0_MATRIX",
+)
+
+# sha256 over the `results` objects of `classify --json`, in order, computed
+# before the exact kernel moved to integer pivots: they pin every verdict
+# and every witness vector the simplex produced.
+GOLDEN_CLASSIFY = {
+    "fixtures": (
+        lambda: [getattr(matrices, name) for name in CLASSIFY_FIXTURES],
+        "c8813cfa0eab7f5a7c94fc18c988687ff13368ac0925ea76bbb6043413e39892",
+    ),
+    "order-3": (
+        lambda: _nonneg_diagonal_matrices(3, 8),
+        "e446a32a2aa74fb17dfb0c950832ebc9a15a7559e1ebb115926c02afa184fa66",
+    ),
+    "order-4": (
+        lambda: _nonneg_diagonal_matrices(4, 8),
+        "d219a3042a8e2deda9046b9fa8677566686c8d2767487da95b1cc42bc931d1ca",
+    ),
+    "order-5": (
+        lambda: _nonneg_diagonal_matrices(5, 8),
+        "2f2391fba0eeaf9581f5356f2006ef44920785aa7b6d9b5ecc5794bf1ff7cfae",
+    ),
+    "order-6": (
+        lambda: _nonneg_diagonal_matrices(6, 8),
+        "bfd5f62bbf7a987d91cf57026f52683da633d10e0a98acc9fc5f6888e67dfb51",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_CLASSIFY))
+def test_classify_results_golden_digest(case, tmp_path, capsys):
+    build, digest = GOLDEN_CLASSIFY[case]
+    h = hashlib.sha256()
+    for i, m in enumerate(build()):
+        path = write_matrix(tmp_path, f"m{i}.txt", m)
+        main(["classify", path, "--json"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        h.update(json.dumps(results, sort_keys=True).encode())
+    assert h.hexdigest() == digest
 
 
 def test_classify_missing_file_exit_2(capsys):

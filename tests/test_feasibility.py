@@ -13,6 +13,7 @@ from semimono.feasibility import (
     feasible_semistrict,
     feasible_strict,
     fm_feasible,
+    phase1_feasible,
 )
 from semimono.ratcore import RatMatrix
 
@@ -43,6 +44,7 @@ def assert_certificate(m: RatMatrix, outcome: FeasibilityOutcome, strictness: St
 def test_strict_order1():
     out = feasible_strict(RatMatrix([[-1]]))
     assert out.feasible and out.certificate == (F(1),)
+    assert feasible_strict(RatMatrix([[F(-1, 7)]])).certificate == (F(7),)
     assert not feasible_strict(RatMatrix([[1]])).feasible
     assert not feasible_strict(RatMatrix([[0]])).feasible
 
@@ -171,3 +173,33 @@ def test_fm_order_cap():
     big = RatMatrix.identity(FM_MAX_ORDER + 1)
     with pytest.raises(OrderTooLargeError):
         fm_feasible(big, Strictness.STRICT)
+
+
+# Systems whose ratio test ties, so Bland's tie-break picks the leaving row;
+# the witnesses were frozen from rational pivoting with the same rule.
+DEGENERATE_PHASE1 = [
+    (
+        [[-7, F(2, 3), F(-3, 2)], [-2, -3, -1], [-2, 0, -3]],
+        [F(-9, 4), F(-3, 2), -5],
+        [0, 0, F(5, 3)],
+    ),
+    (
+        [
+            [-5, F(-2, 3), 4, -4, F(5, 3)],
+            [2, -3, F(2, 3), F(-2, 3), F(-7, 4)],
+            [1, F(7, 3), F(-1, 2), -6, -2],
+            [F(-5, 3), F(7, 2), -5, F(7, 4), F(4, 3)],
+            [7, F(4, 3), 3, -3, 3],
+        ],
+        [-2, 1, 0, 8, 0],
+        [0, F(9, 11), 0, F(4, 11), 0],
+    ),
+]
+
+
+@pytest.mark.parametrize("g, h, witness", DEGENERATE_PHASE1)
+def test_phase1_ties_follow_bland(g, h, witness):
+    g = [[F(v) for v in row] for row in g]
+    ok, x = phase1_feasible(g, [F(v) for v in h])
+    assert ok and x == witness
+    assert all(sum(a * xi for a, xi in zip(row, x)) <= hi for row, hi in zip(g, h))
