@@ -5,11 +5,13 @@ The central reduction: a square matrix A fails to be semimonotone exactly
 when some nonempty support alpha admits y > 0 with A_aa y < 0 (pad y with
 zeros to recover the failing x), and fails to be strictly semimonotone when
 some support admits y > 0 with A_aa y <= 0.  One lazy sweep, ``_sweep``,
-solves the 2^n - 1 supports with the exact feasibility oracle in a fixed
-(size, lex) order, skipping any support whose sub-support already fails
-(membership is hereditary).  The memoized exact-order profile drains it,
-the semimonotone, copositive and almost verdicts read their first witness
-off that profile, and ``has_exact_order`` stops it early.
+decides the 2^n - 1 supports with the exact feasibility oracle's decision
+step in a fixed (size, lex) order, skipping any support whose sub-support
+already fails (membership is hereditary).  The memoized exact-order profile
+drains it and normalizes the certificate of the first failing support
+only; the semimonotone, copositive and almost verdicts read that witness
+off the profile, and ``has_exact_order`` stops the sweep early and reads no
+witness at all.
 
 All procedures are pure; the fixed order makes the first witness
 deterministic.
@@ -24,8 +26,9 @@ from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 from .feasibility import (
-    FeasibilityOutcome,
     Strictness,
+    _normalize_certificate,
+    _witness,
     feasible_semistrict,
     feasible_strict,
 )
@@ -135,27 +138,28 @@ class ExactOrderResult:
 
 def _sweep(
     a: RatMatrix, variant: Variant
-) -> Iterator[tuple[IndexSet, Optional[FeasibilityOutcome]]]:
-    """The one support sweep: every support in (size, lex) order with the
-    oracle's outcome on its block.
+) -> Iterator[tuple[IndexSet, bool, Optional[RatVector]]]:
+    """The one support sweep: every support in (size, lex) order, whether
+    it fails, and the oracle's raw witness y when its system was solved.
 
     Membership is hereditary, so a support with a failing sub-support fails
-    too; it is yielded with outcome None and its system is never solved.
-    The first failing support therefore always carries a real outcome.  The
-    sweep is lazy: callers stop as soon as they know their answer.
+    too; it is yielded with y None and its system is never solved.  The
+    first failing support therefore always carries a witness.  The sweep
+    only decides; a caller that reports a witness normalizes it.  It is
+    lazy: callers stop as soon as they know their answer.
     """
-    oracle = feasible_strict if variant is Variant.E0 else feasible_semistrict
+    strict = variant.failing_system is Strictness.STRICT
     failing: set[tuple[int, ...]] = set()
     for alpha in all_supports(a.order):
         key = alpha.members
         if failing and any(key[:i] + key[i + 1:] in failing for i in range(len(key))):
             failing.add(key)
-            yield alpha, None
+            yield alpha, True, None
             continue
-        outcome = oracle(principal_submatrix(a, alpha))
-        if outcome.feasible:
+        y = _witness(principal_submatrix(a, alpha).entries, strict)
+        if y is not None:
             failing.add(key)
-        yield alpha, outcome
+        yield alpha, y is not None, y
 
 
 # One classify call or audit reuses at most a few dozen (matrix, variant)
@@ -175,12 +179,13 @@ def exact_order(a: RatMatrix, variant: Variant) -> ExactOrderResult:
     n = a.order
     members_per_order: list[list[bool]] = [[] for _ in range(n)]
     witness: Optional[SupportWitness] = None
-    for alpha, outcome in _sweep(a, variant):
-        bad = outcome is None or outcome.feasible
-        if bad and witness is None:
-            assert outcome is not None and outcome.certificate is not None
-            witness = SupportWitness(alpha, outcome.certificate)
-        members_per_order[len(alpha) - 1].append(not bad)
+    for alpha, failing, y in _sweep(a, variant):
+        if failing and witness is None:
+            assert y is not None
+            rows = principal_submatrix(a, alpha).entries
+            strict = variant.failing_system is Strictness.STRICT
+            witness = SupportWitness(alpha, _normalize_certificate(rows, y, strict))
+        members_per_order[len(alpha) - 1].append(not failing)
 
     statuses = tuple(
         OrderStatus.ALL if all(members) else OrderStatus.MIXED if any(members) else OrderStatus.NONE
@@ -218,12 +223,11 @@ def has_exact_order(a: RatMatrix, k: int, variant: Variant) -> bool:
     n = a.order
     if not 0 <= k <= n:
         raise ValueError(f"exact order must lie in 0..{n}")
-    for alpha, outcome in _sweep(a, variant):
+    for alpha, failing, _ in _sweep(a, variant):
         size = len(alpha.members)
         if size > n - k + 1:
             break
-        bad = outcome is None or outcome.feasible
-        if bad != (size == n - k + 1):
+        if failing != (size == n - k + 1):
             return False
     return True
 

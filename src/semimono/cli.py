@@ -444,7 +444,10 @@ def _cmd_lcp(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
     violation = False
     if args.q0_trials:
-        q0 = lcp.q0_falsify(a, args.q0_trials, args.seed if args.seed is not None else 0)
+        try:
+            q0 = lcp.q0_falsify(a, args.q0_trials, args.seed if args.seed is not None else 0)
+        except ValueError as exc:
+            raise CliError(f"lcp --q0-trials: {exc}") from exc
         results["q0"] = {
             "trials": q0.trials,
             "feasible": q0.feasible_count,

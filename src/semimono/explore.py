@@ -319,6 +319,8 @@ def _search(
 ) -> tuple[int, tuple[RatMatrix, ...], tuple[Counterexample, ...]]:
     """The one search loop (see the module docstring); returns
     (attempts, hits, counterexamples)."""
+    if target_hits is not None and target_hits < 1:
+        raise ValueError("target_hits must be >= 1")
     hits: list[RatMatrix] = []
     counterexamples: list[Counterexample] = []
     attempts = 0

@@ -7,14 +7,19 @@ positive homogeneity these are equivalent to the closed systems
     strict:      y >= 1,  My <= -1
     semistrict:  y >= 1,  My <=  0
 
-which are decided exactly.  Order 2 has a closed form by interval
-arithmetic.  Every other order first tries O(n^2) sign shortcuts, which
-settle every order-1 system, and then a phase-1 simplex with Bland's
-pivoting rule (termination under degeneracy, no tolerances anywhere).  The
-simplex pivots an integer tableau fraction-free through ``ratcore._pivot``,
-the one exact kernel that ``det`` and ``inverse`` use too.  A
-Fourier-Motzkin eliminator provides an independent second route for small
-orders.
+which are decided exactly.  The decision and the certificate are two
+steps.  ``_witness`` decides a block from its rows and returns some raw
+witness: order 2 has a closed form by interval arithmetic; every other
+order first tries O(n^2) sign shortcuts, which settle every order-1 system,
+and then a phase-1 simplex with Bland's pivoting rule (termination under
+degeneracy, no tolerances anywhere) on the closed system.  The simplex
+pivots an integer tableau fraction-free through ``ratcore._pivot``, the one
+exact kernel that ``det`` and ``inverse`` use too.  ``_normalize_certificate``
+scales a raw witness onto the closed system above; it runs only where a
+certificate is read: behind the public oracles, and for the first failing
+support of an exact-order sweep, whose other supports need only the
+decision.  A Fourier-Motzkin eliminator provides an independent second
+route for small orders.
 
 Everything here is pure and stateless; callers may evaluate many systems
 concurrently.
@@ -32,6 +37,8 @@ from .ratcore import RatMatrix, RatVector, _cleared, _pivot
 
 FM_MAX_ORDER = 5
 
+_Rows = Sequence[Sequence[Fraction]]
+
 
 class OrderTooLargeError(ValueError):
     """Fourier-Motzkin refuses orders whose elimination blows up."""
@@ -46,17 +53,6 @@ class Strictness(Enum):
 class FeasibilityOutcome:
     feasible: bool
     certificate: Optional[RatVector] = None
-
-    @property
-    def status(self) -> str:
-        return "feasible" if self.feasible else "infeasible"
-
-
-def _closed_rhs(m: RatMatrix, strictness: Strictness) -> list[Fraction]:
-    """Right-hand side of the compiled system M u <= h after u = y - 1."""
-    shift = Fraction(-1) if strictness is Strictness.STRICT else Fraction(0)
-    n = m.order
-    return [shift - sum((m[i, j] for j in range(n)), Fraction(0)) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -139,19 +135,19 @@ def phase1_feasible(g_rows: Sequence[Sequence[Fraction]], h: Sequence[Fraction])
 
 
 # ---------------------------------------------------------------------------
-# closed form for order 2
+# the decision and the certificate
 
 
-def _order2(m: RatMatrix, strictness: Strictness) -> FeasibilityOutcome:
-    strict = strictness is Strictness.STRICT
+def _order2(rows: _Rows, strict: bool) -> Optional[RatVector]:
+    """Closed form by interval arithmetic: some y = (1, t), or None."""
     lo_val, lo_open = Fraction(0), True  # y = (1, t) with t > 0
     hi_val: Optional[Fraction] = None
     hi_open = False
-    for p, q in ((m[0, 0], m[0, 1]), (m[1, 0], m[1, 1])):
+    for p, q in rows:
         if q == 0:
             ok = p < 0 if strict else p <= 0
             if not ok:
-                return FeasibilityOutcome(False)
+                return None
         elif q < 0:
             bound = -p / q
             if bound > lo_val or (bound == lo_val and strict):
@@ -169,16 +165,45 @@ def _order2(m: RatMatrix, strictness: Strictness) -> FeasibilityOutcome:
     elif lo_val == hi_val and not lo_open and not hi_open and lo_val > 0:
         t = lo_val
     else:
-        return FeasibilityOutcome(False)
-    return FeasibilityOutcome(True, _normalize_certificate(m, (Fraction(1), t), strictness))
+        return None
+    return Fraction(1), t
 
 
-def _normalize_certificate(m: RatMatrix, y: RatVector, strictness: Strictness) -> RatVector:
-    """Scale a raw witness (y > 0, My < 0 or <= 0) onto y >= 1, My <= -1 / 0."""
+def _witness(rows: _Rows, strict: bool) -> Optional[RatVector]:
+    """Decide the system of a square block given by its rows: some raw
+    y > 0 with My < 0 (``strict``) or My <= 0, or None when there is none.
+
+    Order 2 has a closed form.  Otherwise two exact O(n^2) shortcuts come
+    first, and one of them always applies at order 1: a row with no negative
+    entry pins (My)_i >= 0 for y > 0 (> 0 when the row is nonzero), settling
+    infeasibility, and the all-ones vector is a witness whenever the row
+    sums already have the right signs.  The rest goes to the simplex on the
+    closed system u >= 0, Mu <= shift - row sums (u = y - 1), whose witness
+    u + 1 already satisfies y >= 1, My <= shift.
+    """
+    n = len(rows)
+    if n == 2:
+        return _order2(rows, strict)
+    for row in rows:
+        if all(v >= 0 for v in row) and (strict or any(v > 0 for v in row)):
+            return None
+    sums = [sum(row, Fraction(0)) for row in rows]
+    if all(s < 0 for s in sums) if strict else all(s <= 0 for s in sums):
+        return (Fraction(1),) * n
+    shift = -1 if strict else 0
+    ok, u = phase1_feasible(rows, [shift - s for s in sums])
+    return tuple(ui + 1 for ui in u) if ok else None
+
+
+def _normalize_certificate(rows: _Rows, y: RatVector, strict: bool) -> RatVector:
+    """Scale a raw witness (y > 0, My < 0 or <= 0) onto y >= 1, My <= -1 / 0.
+
+    A simplex witness already lies there, so it comes back unchanged.
+    """
     factors = [Fraction(1)]
     factors.extend(Fraction(1) / yi for yi in y)
-    if strictness is Strictness.STRICT:
-        image = m @ y
+    if strict:
+        image = (sum((a * yi for a, yi in zip(row, y)), Fraction(0)) for row in rows)
         factors.extend(Fraction(-1) / wi for wi in image)
     t = max(factors)
     return tuple(t * yi for yi in y)
@@ -188,43 +213,13 @@ def _normalize_certificate(m: RatMatrix, y: RatVector, strictness: Strictness) -
 # public oracles
 
 
-def _simplex_outcome(m: RatMatrix, strictness: Strictness) -> FeasibilityOutcome:
-    ok, u = phase1_feasible(m.entries, _closed_rhs(m, strictness))
-    if not ok:
-        return FeasibilityOutcome(False)
-    y = tuple(ui + 1 for ui in u)
-    return FeasibilityOutcome(True, y)
-
-
-def _shortcut(m: RatMatrix, strictness: Strictness) -> Optional[FeasibilityOutcome]:
-    """Exact O(n^2) resolutions that skip the simplex when possible.
-
-    A row with no negative entry pins (My)_i >= 0 for y > 0 (> 0 when the
-    row is nonzero), settling infeasibility; conversely the all-ones vector
-    is a ready-made certificate whenever the row sums already have the right
-    signs.  One of the two always applies at order 1.
-    """
-    n = m.order
-    strict = strictness is Strictness.STRICT
-    for i in range(n):
-        row = m.row(i)
-        if all(v >= 0 for v in row) and (strict or any(v > 0 for v in row)):
-            return FeasibilityOutcome(False)
-    sums = [sum(row, Fraction(0)) for row in m.entries]
-    if (strict and all(s < 0 for s in sums)) or (not strict and all(s <= 0 for s in sums)):
-        ones = tuple([Fraction(1)] * n)
-        return FeasibilityOutcome(True, _normalize_certificate(m, ones, strictness))
-    return None
-
-
 def _decide(m: RatMatrix, strictness: Strictness) -> FeasibilityOutcome:
     m._require_square()
-    if m.order == 2:
-        return _order2(m, strictness)
-    quick = _shortcut(m, strictness)
-    if quick is not None:
-        return quick
-    return _simplex_outcome(m, strictness)
+    strict = strictness is Strictness.STRICT
+    y = _witness(m.entries, strict)
+    if y is None:
+        return FeasibilityOutcome(False)
+    return FeasibilityOutcome(True, _normalize_certificate(m.entries, y, strict))
 
 
 def feasible_strict(m: RatMatrix) -> FeasibilityOutcome:

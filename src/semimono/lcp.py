@@ -146,9 +146,11 @@ def q0_falsify(
     The q stream is a deterministic function of the seed: components are
     p/r with p in [-numerator_bound, numerator_bound] and r in
     [1, denominator_bound].  A violation is a q with FEA nonempty but no
-    enumerated solution.
+    enumerated solution.  Raises ValueError when ``trials`` is negative.
     """
     a._require_square()
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     n = a.order
     rng = random.Random(seed)
     feasible_count = 0

@@ -37,13 +37,6 @@ def leading(p: Poly) -> Fraction:
     return p[-1]
 
 
-def evaluate(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def scale(p: Poly, c: Fraction) -> Poly:
     return normalize(v * c for v in p)
 

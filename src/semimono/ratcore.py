@@ -147,10 +147,6 @@ class RatMatrix:
         n = len(vals)
         return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def column(cls, values: Iterable[Entry]) -> "RatMatrix":
-        return cls([[v] for v in values])
-
     @property
     def rows(self) -> int:
         return self._m
@@ -175,12 +171,6 @@ class RatMatrix:
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return self._entries[i][j]
-
-    def row(self, i: int) -> RatVector:
-        return self._entries[i]
-
-    def col(self, j: int) -> RatVector:
-        return tuple(row[j] for row in self._entries)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -458,9 +448,6 @@ class CharPoly:
 
     def coefficient(self, k: int) -> Fraction:
         return self.coefficients[k]
-
-    def __call__(self, x: Entry) -> Fraction:
-        return poly.evaluate(self.coefficients, rat(x))
 
 
 def char_poly(a: RatMatrix) -> CharPoly:

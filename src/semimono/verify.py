@@ -82,6 +82,17 @@ def _report(
     return AuditReport(audit_id, hypotheses_met, note, tuple(conclusions), counter)
 
 
+def _diagonal_conclusion(a: RatMatrix, variant: Variant) -> Conclusion:
+    """The admissible diagonal signs: >= 0 for E0, > 0 for E."""
+    diagonal = [a[i, i] for i in range(a.order)]
+    strict = variant is Variant.E
+    return Conclusion(
+        f"diagonal entries {'> 0' if strict else '>= 0'}",
+        all(v > 0 if strict else v >= 0 for v in diagonal),
+        f"diagonal = {[str(v) for v in diagonal]}",
+    )
+
+
 def _almost_block_conclusions(a: RatMatrix, variant: Variant) -> list[Conclusion]:
     """Auxiliary checks on the order-(n-1) principal blocks.
 
@@ -142,14 +153,7 @@ def audit_thm_3x3_structure(a: RatMatrix, variant: Variant = Variant.E0) -> Audi
     conclusions: list[Conclusion] = []
     if met:
         structure = check_3x3_structure(a, variant)
-        diag_req = ">= 0" if variant is Variant.E0 else "> 0"
-        conclusions.append(
-            Conclusion(
-                f"diagonal entries {diag_req}",
-                structure.diagonal_ok,
-                f"diagonal = {[str(a[i, i]) for i in range(3)]}",
-            )
-        )
+        conclusions.append(_diagonal_conclusion(a, variant))
         conclusions.append(
             Conclusion(
                 "off-diagonal entries < 0 (Z-matrix form)",
@@ -228,19 +232,7 @@ def audit_prop_4_10(a: RatMatrix, variant: Variant = Variant.E0) -> AuditReport:
     note = f"classified as {result.describe()}; requires exact order 2"
     conclusions: list[Conclusion] = []
     if met:
-        if variant is Variant.E0:
-            diag_ok = all(a[i, i] >= 0 for i in range(n))
-            diag_req = ">= 0"
-        else:
-            diag_ok = all(a[i, i] > 0 for i in range(n))
-            diag_req = "> 0"
-        conclusions.append(
-            Conclusion(
-                f"diagonal entries {diag_req}",
-                diag_ok,
-                f"diagonal = {[str(a[i, i]) for i in range(n)]}",
-            )
-        )
+        conclusions.append(_diagonal_conclusion(a, variant))
         profile = negative_entry_profile(a)
         conclusions.append(
             Conclusion(
@@ -378,20 +370,8 @@ def audit_n_eq_k_plus_1(a: RatMatrix, variant: Variant = Variant.E0) -> AuditRep
     note = f"classified as {result.describe()}; requires exact order n-1 = {n - 1} and n >= 3"
     conclusions: list[Conclusion] = []
     if met:
-        if variant is Variant.E0:
-            diag_ok = all(a[i, i] >= 0 for i in range(n))
-            diag_req = ">= 0"
-        else:
-            diag_ok = all(a[i, i] > 0 for i in range(n))
-            diag_req = "> 0"
         off_ok = all(a[i, j] < 0 for i in range(n) for j in range(n) if i != j)
-        conclusions.append(
-            Conclusion(
-                f"diagonal entries {diag_req}",
-                diag_ok,
-                f"diagonal = {[str(a[i, i]) for i in range(n)]}",
-            )
-        )
+        conclusions.append(_diagonal_conclusion(a, variant))
         conclusions.append(
             Conclusion("all off-diagonal entries negative (Z form)", off_ok, "entrywise scan")
         )

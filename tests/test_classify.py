@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +26,7 @@ from semimono.classify import (
     is_strictly_semimonotone,
     negative_entry_profile,
 )
-from semimono.feasibility import fm_feasible
+from semimono.feasibility import feasible_semistrict, feasible_strict, fm_feasible
 from semimono.ratcore import RatMatrix, all_supports, det, principal_submatrix
 
 from matrices import (
@@ -256,6 +257,35 @@ def test_pruned_sweep_matches_unpruned_reference():
                 assert not almost.member and witness_support(almost) == first
             else:
                 assert almost.witness is None or len(almost.witness.support) == n
+
+
+def test_witness_is_the_public_oracles_certificate():
+    # off-diagonal entries near -1 and diagonal entries in [0, 5n/4]: the
+    # first failing support has any size from 1 to 5, so its certificate
+    # comes from the shortcuts, the order-2 closed form and the simplex
+    rng = random.Random(61)
+    sizes = Counter()
+    for n in range(2, 7):
+        for _ in range(10):
+            m = RatMatrix(
+                [
+                    [F(rng.randint(0, 5 * n) if i == j else -rng.randint(3, 5), 4)
+                     for j in range(n)]
+                    for i in range(n)
+                ]
+            )
+            for a in (m, m.symmetric_part()):
+                for variant, oracle in (
+                    (Variant.E0, feasible_strict),
+                    (Variant.E, feasible_semistrict),
+                ):
+                    witness = exact_order(a, variant).witness
+                    if witness is None:
+                        continue
+                    sizes[len(witness.support)] += 1
+                    out = oracle(principal_submatrix(a, witness.support))
+                    assert out.feasible and witness.vector == out.certificate
+    assert {1, 2, 3, 4, 5} <= set(sizes)
 
 
 def test_heredity_of_membership():

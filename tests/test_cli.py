@@ -112,12 +112,14 @@ def test_classify_reports_deterministic_modulo_timing(tmp_path, capsys):
 
 
 def test_classify_sweeps_each_support_table_once(tmp_path, capsys, monkeypatch):
-    # four (matrix, variant) tables of 31 supports, plus one full-matrix
-    # call per almost variant
+    # four (matrix, variant) tables of 31 supports decided by the sweep,
+    # plus one full-matrix public oracle call per almost variant
     calls = []
-    for name in ("feasible_strict", "feasible_semistrict"):
+    for name in ("_witness", "feasible_strict", "feasible_semistrict"):
         oracle = getattr(classify, name)
-        monkeypatch.setattr(classify, name, lambda m, oracle=oracle: calls.append(m) or oracle(m))
+        monkeypatch.setattr(
+            classify, name, lambda *args, oracle=oracle: calls.append(args) or oracle(*args)
+        )
     classify.exact_order.cache_clear()
     path = write_matrix(tmp_path, "m5.txt", M5_ORDER2)
     assert main(["classify", path]) == 0
@@ -286,8 +288,9 @@ def test_explore_exact_order_requires_k(capsys):
         ["--target", "exact-order", "--n", "3", "--k", "2", "--attempts", "0"],
         ["--target", "neg-entries", "--n", "3", "--k", "3"],
         ["--target", "conjecture1", "--n", "0"],
+        ["--target", "exact-order", "--n", "3", "--k", "2", "--hits", "0"],
     ],
-    ids=["k-above-n", "zero-attempts", "neg-entries-k-equals-n", "order-zero"],
+    ids=["k-above-n", "zero-attempts", "neg-entries-k-equals-n", "order-zero", "zero-hits"],
 )
 def test_explore_usage_errors_exit_2(extra, capsys):
     assert main(["explore", "--seed", "1", *extra]) == 2
@@ -400,6 +403,18 @@ def test_lcp_q0_violation_exit_1(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["q0"]["violations"]
     assert "falsify" in report["results"]["q0"]["note"]
+
+
+def test_lcp_negative_q0_trials_exit_2(tmp_path, capsys):
+    q = write_vector(tmp_path, "q.txt", [1, 1])
+    a = write_matrix(tmp_path, "a.txt", RatMatrix.identity(2))
+    assert main(["lcp", q, a, "--q0-trials", "-3", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: lcp") and "Traceback" not in captured.err
+    # zero trials still means "skip the sampling"
+    assert main(["lcp", q, a, "--q0-trials", "0", "--json"]) == 0
+    assert "q0" not in json.loads(capsys.readouterr().out)["results"]
 
 
 def test_cli_entry_module_runs(tmp_path, capsys):

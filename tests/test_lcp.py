@@ -111,6 +111,12 @@ def test_q0_falsify_identity_clean():
     assert "falsify" in report.note
 
 
+def test_q0_falsify_rejects_negative_trials():
+    with pytest.raises(ValueError, match="trials"):
+        q0_falsify(RatMatrix.identity(2), trials=-1, seed=1)
+    assert q0_falsify(RatMatrix.identity(2), trials=0, seed=1).trials == 0
+
+
 def test_q0_falsify_fixture_clean():
     report = q0_falsify(M3_ORDER2_E0, trials=200, seed=2)
     assert not report.violated

@@ -80,9 +80,3 @@ def test_root_counts_mixed_complex():
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         poly.real_root_sign_counts(())
-
-
-def test_evaluate():
-    q = p(1, -2, 1)  # (x-1)^2
-    assert poly.evaluate(q, F(1)) == 0
-    assert poly.evaluate(q, F(3)) == 4
