@@ -16,7 +16,6 @@ from .classify import (
     OrderStatus,
     SupportWitness,
     Variant,
-    check_3x3_structure,
     copositive_exact_order,
     exact_order,
     has_exact_order,
@@ -37,16 +36,13 @@ from .feasibility import (
     Strictness,
     feasible_semistrict,
     feasible_strict,
-    fm_feasible,
 )
 from .lcp import LcpInstance, LcpSolution, lcp_feasible, lcp_solve_enum, q0_falsify
 from .ratcore import (
-    CharPoly,
     IndexSet,
     RatMatrix,
     SingularBlockError,
     SingularMatrixError,
-    adjugate,
     char_poly,
     count_negative_eigenvalues,
     det,

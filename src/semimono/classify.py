@@ -338,46 +338,6 @@ def is_inverse_Z(a: RatMatrix) -> ClassVerdict:
 
 
 @dataclass(frozen=True)
-class Structure3x3Report:
-    """Sign-pattern and order-2-minor audit data for a 3x3 matrix.
-
-    ``pattern_ok`` demands nonnegative (variant E0) or positive (variant E)
-    diagonal entries and strictly negative off-diagonal entries;
-    ``minors_ok`` demands negative (E0) or nonpositive (E) order-2 principal
-    minors.  The checks are independent of whether the matrix actually has
-    exact order two, so they can audit that implication.
-    """
-
-    variant: Variant
-    diagonal_ok: bool
-    off_diagonal_ok: bool
-    minors: tuple[Fraction, Fraction, Fraction]
-    minors_ok: bool
-
-    @property
-    def pattern_ok(self) -> bool:
-        return self.diagonal_ok and self.off_diagonal_ok
-
-
-def check_3x3_structure(a: RatMatrix, variant: Variant = Variant.E0) -> Structure3x3Report:
-    if not a.is_square or a.order != 3:
-        raise WrongOrderError("structure check is specific to 3x3 matrices")
-    diag_ok = all(
-        (a[i, i] >= 0 if variant is Variant.E0 else a[i, i] > 0) for i in range(3)
-    )
-    off_ok = all(a[i, j] < 0 for i in range(3) for j in range(3) if i != j)
-    minors = tuple(
-        det(principal_submatrix(a, IndexSet(3, combo)))
-        for combo in ((1, 2), (1, 3), (2, 3))
-    )
-    if variant is Variant.E0:
-        minors_ok = all(m < 0 for m in minors)
-    else:
-        minors_ok = all(m <= 0 for m in minors)
-    return Structure3x3Report(variant, diag_ok, off_ok, minors, minors_ok)
-
-
-@dataclass(frozen=True)
 class NegativeEntryProfile:
     row_counts: tuple[int, ...]
     column_counts: tuple[int, ...]

@@ -18,8 +18,7 @@ exact kernel that ``det`` and ``inverse`` use too.  ``_normalize_certificate``
 scales a raw witness onto the closed system above; it runs only where a
 certificate is read: behind the public oracles, and for the first failing
 support of an exact-order sweep, whose other supports need only the
-decision.  A Fourier-Motzkin eliminator provides an independent second
-route for small orders.
+decision.
 
 Everything here is pure and stateless; callers may evaluate many systems
 concurrently.
@@ -35,13 +34,7 @@ from typing import Optional, Sequence
 
 from .ratcore import RatMatrix, RatVector, _cleared, _pivot
 
-FM_MAX_ORDER = 5
-
 _Rows = Sequence[Sequence[Fraction]]
-
-
-class OrderTooLargeError(ValueError):
-    """Fourier-Motzkin refuses orders whose elimination blows up."""
 
 
 class Strictness(Enum):
@@ -230,101 +223,3 @@ def feasible_strict(m: RatMatrix) -> FeasibilityOutcome:
 def feasible_semistrict(m: RatMatrix) -> FeasibilityOutcome:
     """Is there y > 0 with My <= 0?  Certificate satisfies y >= 1, My <= 0."""
     return _decide(m, Strictness.SEMISTRICT)
-
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin oracle
-
-_Row = tuple[tuple[Fraction, ...], Fraction]  # coeffs . y <= rhs
-
-
-def _canonical(rows: list[_Row]) -> tuple[list[_Row], bool]:
-    """Deduplicate, keep tightest rhs per direction, detect 0 <= negative."""
-    best: dict[tuple[Fraction, ...], Fraction] = {}
-    contradiction = False
-    for coeffs, rhs in rows:
-        scale = next((abs(c) for c in coeffs if c != 0), None)
-        if scale is None:
-            if rhs < 0:
-                contradiction = True
-            continue
-        key = tuple(c / scale for c in coeffs)
-        val = rhs / scale
-        if key not in best or val < best[key]:
-            best[key] = val
-    return [(k, v) for k, v in best.items()], contradiction
-
-
-def _eliminate(rows: list[_Row], k: int) -> list[_Row]:
-    keep: list[_Row] = []
-    uppers: list[_Row] = []
-    lowers: list[_Row] = []
-    for coeffs, rhs in rows:
-        c = coeffs[k]
-        if c == 0:
-            keep.append((coeffs, rhs))
-        else:
-            scaled = tuple(v / abs(c) for v in coeffs), rhs / abs(c)
-            (uppers if c > 0 else lowers).append(scaled)
-    for ucoeffs, urhs in uppers:
-        for lcoeffs, lrhs in lowers:
-            combo = tuple(u + l for u, l in zip(ucoeffs, lcoeffs))
-            keep.append((combo, urhs + lrhs))
-    return keep
-
-
-def fm_feasible(m: RatMatrix, strictness: Strictness) -> FeasibilityOutcome:
-    """Independent Fourier-Motzkin decision of the same compiled system.
-
-    Restricted to order <= FM_MAX_ORDER: variable elimination is doubly
-    exponential beyond desk scale.
-    """
-    m._require_square()
-    n = m.order
-    if n > FM_MAX_ORDER:
-        raise OrderTooLargeError(f"order {n} exceeds the Fourier-Motzkin cap {FM_MAX_ORDER}")
-
-    rhs_shift = Fraction(-1) if strictness is Strictness.STRICT else Fraction(0)
-    rows: list[_Row] = []
-    for i in range(n):
-        coeffs = [Fraction(0)] * n
-        coeffs[i] = Fraction(-1)
-        rows.append((tuple(coeffs), Fraction(-1)))  # y_i >= 1
-    for i in range(n):
-        rows.append((tuple(m[i, j] for j in range(n)), rhs_shift))
-
-    stages: list[list[_Row]] = []
-    contradiction = False
-    for k in range(n - 1, -1, -1):
-        rows, bad = _canonical(rows)
-        contradiction = contradiction or bad
-        stages.append(rows)
-        rows = _eliminate(rows, k)
-    rows, bad = _canonical(rows)
-    contradiction = contradiction or bad
-    if contradiction:
-        return FeasibilityOutcome(False)
-
-    y: list[Optional[Fraction]] = [None] * n
-    for k in range(n):
-        stage = stages[n - 1 - k]
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for coeffs, rhs in stage:
-            c = coeffs[k]
-            if c == 0:
-                continue
-            residual = rhs - sum(
-                (coeffs[j] * y[j] for j in range(k) if coeffs[j] != 0), Fraction(0)
-            )
-            bound = residual / c
-            if c > 0:
-                hi = bound if hi is None else min(hi, bound)
-            else:
-                lo = bound if lo is None else max(lo, bound)
-        if lo is None:
-            lo = Fraction(1)
-        if hi is not None and hi < lo:
-            raise AssertionError("back-substitution broke; elimination is unsound")
-        y[k] = lo if hi is None else (lo + hi) / 2
-    return FeasibilityOutcome(True, tuple(v for v in y if v is not None))

@@ -2,11 +2,11 @@
 a sampling falsifier for the Q0 property.
 
 LCP(q, A) asks for z >= 0 with w = q + Az >= 0 and z^T w = 0.  The solver
-enumerates the 2^n complementary supports: for each alpha it solves
-A_aa z_a = -q_a exactly, pads with zeros, and keeps the candidates whose z
-and w come out nonnegative.  Complete for nondegenerate instances at desk
-scale; supports with singular A_aa are skipped and reported, which can lose
-solutions only on degenerate instances.
+enumerates the 2^n complementary supports: for each alpha one exact
+phase-1 LP decides the polyhedron {z_a >= 0 : A_aa z_a = -q_a,
+q_b + A_ba z_a >= 0} and its point, padded with zeros, is a solution.
+Every solution has w = 0 on some support alpha with z = 0 off it, so the
+sweep finds a solution iff one exists, singular blocks A_aa included.
 """
 
 from __future__ import annotations
@@ -15,15 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from .feasibility import FeasibilityOutcome, phase1_feasible
-from .ratcore import (
-    IndexSet,
-    RatMatrix,
-    RatVector,
-    SingularMatrixError,
-    all_supports,
-    inverse,
-    principal_submatrix,
-)
+from .ratcore import IndexSet, RatMatrix, RatVector, all_supports
 
 
 @dataclass(frozen=True)
@@ -62,8 +54,15 @@ class LcpSolution:
 
 @dataclass(frozen=True)
 class LcpEnumeration:
+    """The solutions of one instance, deduplicated by z.
+
+    ``singular_supports`` is always empty: singular blocks go to the LP like
+    every other support, so none is skipped.  The field stays because
+    benchmark tracing reads it.
+    """
+
     solutions: tuple[LcpSolution, ...]
-    singular_supports: tuple[IndexSet, ...]
+    singular_supports: tuple[IndexSet, ...] = ()
 
 
 def lcp_feasible(inst: LcpInstance) -> FeasibilityOutcome:
@@ -77,42 +76,41 @@ def lcp_feasible(inst: LcpInstance) -> FeasibilityOutcome:
 
 
 def lcp_solve_enum(inst: LcpInstance) -> LcpEnumeration:
-    """All complementary-support solutions, deduplicated.
+    """All complementary-support solutions, deduplicated by z, in the
+    (size, lex) order of their first support.
 
-    alpha = {} contributes z = 0 whenever q >= 0.  For nonempty alpha the
-    candidate solves A_aa z_a = -q_a with z outside alpha fixed to zero, and
-    survives iff z_a >= 0 and w = q + Az >= 0.
+    alpha = {} contributes z = 0 whenever q >= 0.  For nonempty alpha,
+    ``phase1_feasible`` decides z_a >= 0 with A_aa z_a <= -q_a and
+    -A_ia z_a <= q_i for every i (the reverse half of the equality on
+    alpha, w_b >= 0 off it); z outside alpha is zero.
     """
     n = inst.order
     zero = Fraction(0)
     solutions: list[LcpSolution] = []
-    singular: list[IndexSet] = []
     seen: set[RatVector] = set()
 
     def consider(z: RatVector, support: IndexSet) -> None:
-        w = tuple(qi + wi for qi, wi in zip(inst.q, inst.a @ z))
-        if all(v >= 0 for v in z) and all(v >= 0 for v in w) and z not in seen:
+        if z not in seen:
             seen.add(z)
+            w = tuple(qi + wi for qi, wi in zip(inst.q, inst.a @ z))
             solutions.append(LcpSolution(z, w, support))
 
     if all(qi >= 0 for qi in inst.q):
         consider(tuple([zero] * n), IndexSet.empty(n))
+    rows = inst.a.entries
     for alpha in all_supports(n):
-        block = principal_submatrix(inst.a, alpha)
-        try:
-            block_inv = inverse(block)
-        except SingularMatrixError:
-            singular.append(alpha)
-            continue
-        q_alpha = tuple(inst.q[i] for i in alpha.zero_based())
-        z_alpha = block_inv @ tuple(-v for v in q_alpha)
-        if any(v < 0 for v in z_alpha):
+        idx = alpha.zero_based()
+        a_alpha = [[row[j] for j in idx] for row in rows]  # A_{i,alpha}, every i
+        g = [a_alpha[i] for i in idx] + [[-v for v in row] for row in a_alpha]
+        h = [-inst.q[i] for i in idx] + list(inst.q)
+        ok, z_alpha = phase1_feasible(g, h)
+        if not ok:
             continue
         z = [zero] * n
-        for pos, i in enumerate(alpha.zero_based()):
-            z[i] = z_alpha[pos]
+        for i, v in zip(idx, z_alpha):
+            z[i] = v
         consider(tuple(z), alpha)
-    return LcpEnumeration(tuple(solutions), tuple(singular))
+    return LcpEnumeration(tuple(solutions))
 
 
 @dataclass(frozen=True)

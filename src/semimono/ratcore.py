@@ -138,10 +138,6 @@ class RatMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, m: int, n: int) -> "RatMatrix":
-        return cls([[0] * n for _ in range(m)])
-
-    @classmethod
     def diagonal(cls, values: Iterable[Entry]) -> "RatMatrix":
         vals = [rat(v) for v in values]
         n = len(vals)
@@ -349,29 +345,6 @@ def det(a: RatMatrix) -> Fraction:
     return _gauss_jordan(a, augment=False)[1]
 
 
-def adjugate(a: RatMatrix) -> RatMatrix:
-    """Transpose of the cofactor matrix; satisfies A adj(A) = det(A) I exactly.
-
-    Works for singular input too, which the identity still covers.
-    """
-    a._require_square()
-    n = a.order
-    if n == 1:
-        return RatMatrix([[1]])
-    cof = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = RatMatrix(
-                [
-                    [a[r, c] for c in range(n) if c != j]
-                    for r in range(n)
-                    if r != i
-                ]
-            )
-            cof[i][j] = det(minor) if (i + j) % 2 == 0 else -det(minor)
-    return RatMatrix(cof).transpose()
-
-
 def inverse(a: RatMatrix) -> RatMatrix:
     """Exact inverse: fraction-free pivots turn [D A | D], with D the row
     denominator LCMs, into p [I | A^{-1}]; the right block is divided by the
@@ -428,30 +401,10 @@ def block_inverse_principal(a: RatMatrix, alpha: IndexSet) -> RatMatrix:
     return block_inv + ((block_inv @ a_ab) @ schur_inv) @ left
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic characteristic polynomial det(lambda I - A), exact coefficients.
-
-    ``coefficients[k]`` is the coefficient of lambda^k, so
-    ``coefficients[-1] == 1`` and ``coefficients[0] == (-1)^n det(A)``.
-    """
-
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coefficients or self.coefficients[-1] != 1:
-            raise ValueError("characteristic polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coefficients[k]
-
-
-def char_poly(a: RatMatrix) -> CharPoly:
-    """Characteristic polynomial via the Faddeev-LeVerrier recurrence."""
+def char_poly(a: RatMatrix) -> tuple[Fraction, ...]:
+    """Coefficients of the monic characteristic polynomial det(lambda I - A)
+    via the Faddeev-LeVerrier recurrence: entry k is the coefficient of
+    lambda^k, so the last is 1 and the first is (-1)^n det(A)."""
     a._require_square()
     n = a.order
     coeffs = [Fraction(0)] * (n + 1)
@@ -463,7 +416,7 @@ def char_poly(a: RatMatrix) -> CharPoly:
         coeffs[n - k] = c
         if k < n:
             m = am + RatMatrix.identity(n) * c
-    return CharPoly(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def eigenvalue_sign_counts(a: RatMatrix) -> tuple[int, int, int]:
@@ -473,8 +426,7 @@ def eigenvalue_sign_counts(a: RatMatrix) -> tuple[int, int, int]:
     square-free layers of the characteristic polynomial.  Complex roots are
     the remainder up to n.
     """
-    p = char_poly(a)
-    return poly.real_root_sign_counts(p.coefficients)
+    return poly.real_root_sign_counts(char_poly(a))
 
 
 def count_negative_eigenvalues(a: RatMatrix) -> int:

@@ -21,7 +21,6 @@ from typing import Callable, Optional
 from .classify import (
     Variant,
     WrongOrderError,
-    check_3x3_structure,
     copositive_exact_order,
     exact_order,
     is_Z,
@@ -152,24 +151,25 @@ def audit_thm_3x3_structure(a: RatMatrix, variant: Variant = Variant.E0) -> Audi
     note = f"classified as {result.describe()}; requires exact order 2"
     conclusions: list[Conclusion] = []
     if met:
-        structure = check_3x3_structure(a, variant)
+        n = 3
         conclusions.append(_diagonal_conclusion(a, variant))
         conclusions.append(
             Conclusion(
                 "off-diagonal entries < 0 (Z-matrix form)",
-                structure.off_diagonal_ok,
+                all(a[i, j] < 0 for i in range(n) for j in range(n) if i != j),
                 "off-diagonal signs checked entrywise",
             )
         )
-        minor_req = "negative" if variant is Variant.E0 else "nonpositive"
+        pairs = ((1, 2), (1, 3), (2, 3))
+        minors = [det(principal_submatrix(a, IndexSet(n, pair))) for pair in pairs]
+        negative = variant is Variant.E0
         conclusions.append(
             Conclusion(
-                f"order-2 principal minors {minor_req}",
-                structure.minors_ok,
-                f"minors = {[str(m) for m in structure.minors]}",
+                f"order-2 principal minors {'negative' if negative else 'nonpositive'}",
+                all(m < 0 if negative else m <= 0 for m in minors),
+                f"minors = {[str(m) for m in minors]}",
             )
         )
-        n = 3
         upper = all(a[i, j] == 0 for i in range(n) for j in range(n) if i > j)
         lower = all(a[i, j] == 0 for i in range(n) for j in range(n) if i < j)
         conclusions.append(

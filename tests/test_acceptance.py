@@ -26,7 +26,7 @@ from semimono.explore import (
     template_exact_order_pattern,
     template_z,
 )
-from semimono.feasibility import Strictness, feasible_semistrict, feasible_strict, fm_feasible
+from semimono.feasibility import Strictness, feasible_semistrict, feasible_strict
 from semimono.lcp import q0_falsify
 from semimono.ratcore import (
     RatMatrix,
@@ -56,7 +56,7 @@ from matrices import (
     SHIFT_SUM,
     STRICTLY_COPOSITIVE_ONLY,
 )
-from oracles import random_matrix, random_symmetric, random_z_matrix
+from oracles import fm_feasible, random_matrix, random_symmetric, random_z_matrix
 
 FIXTURES = [
     M3_ORDER2_E0,

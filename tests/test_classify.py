@@ -4,13 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from semimono import verify
 from semimono.classify import (
     ClassLabel,
+    ExactOrderResult,
     OrderStatus,
     SupportWitness,
     Variant,
     WrongOrderError,
-    check_3x3_structure,
     copositive_exact_order,
     exact_order,
     has_exact_order,
@@ -26,8 +27,9 @@ from semimono.classify import (
     is_strictly_semimonotone,
     negative_entry_profile,
 )
-from semimono.feasibility import feasible_semistrict, feasible_strict, fm_feasible
+from semimono.feasibility import feasible_semistrict, feasible_strict
 from semimono.ratcore import RatMatrix, all_supports, det, principal_submatrix
+from semimono.verify import audit_thm_3x3_structure
 
 from matrices import (
     COPOSITIVE_ONLY,
@@ -43,7 +45,7 @@ from matrices import (
     SHIFT_SUM,
     STRICTLY_COPOSITIVE_ONLY,
 )
-from oracles import random_matrix, random_p_matrix, random_psd, random_z_matrix
+from oracles import fm_feasible, random_matrix, random_p_matrix, random_psd, random_z_matrix
 
 
 def members(a, variant):
@@ -72,7 +74,7 @@ def test_exact_order_two_matrix_is_not_semimonotone():
 
 def test_strict_membership():
     assert is_strictly_semimonotone(RatMatrix.identity(3)).member
-    assert not is_strictly_semimonotone(RatMatrix.zeros(2, 2)).member
+    assert not is_strictly_semimonotone(RatMatrix([[0, 0], [0, 0]])).member
     assert not is_strictly_semimonotone(RatMatrix([[1, -2], [-2, 1]])).member
 
 
@@ -122,7 +124,7 @@ def test_almost_requires_order_two():
 
 def test_zero_matrix_is_literal_almost_but_also_semimonotone():
     # the literal definition does not exclude class members
-    z = RatMatrix.zeros(2, 2)
+    z = RatMatrix([[0, 0], [0, 0]])
     assert is_almost_semimonotone(z, Variant.E0).member
     assert is_semimonotone(z).member
 
@@ -329,8 +331,8 @@ def test_p_and_p0_verdicts():
     assert not verdict.member
     assert verdict.witness.minor == -2
     assert verdict.witness.support.members == (1, 2)
-    assert not is_P(RatMatrix.zeros(2, 2)).member
-    assert is_P0(RatMatrix.zeros(2, 2)).member
+    assert not is_P(RatMatrix([[0, 0], [0, 0]])).member
+    assert is_P0(RatMatrix([[0, 0], [0, 0]])).member
 
 
 def test_p_witness_minor_recomputes():
@@ -403,7 +405,7 @@ def test_z_matrices_semimonotone_iff_p0():
 
 
 # ---------------------------------------------------------------------------
-# inverse-Z, 3x3 structure report, negative entries
+# inverse-Z, 3x3 structure audit, negative entries
 
 
 def test_inverse_z_fixtures():
@@ -414,29 +416,47 @@ def test_inverse_z_fixtures():
     assert not is_inverse_Z(RatMatrix([[1, 2], [2, 4]])).member  # singular
 
 
+# The 3x3 structure checks are computed inside the thm3.4 audit.
+
+
+def conclusion(report, prefix):
+    return next(c for c in report.conclusions if c.name.startswith(prefix))
+
+
 def test_structure_report_fixture():
-    report = check_3x3_structure(M3_ORDER2_E0, Variant.E0)
-    assert report.pattern_ok
-    assert report.minors == (F(-2), F(-3), F(-4))
-    assert report.minors_ok
+    report = audit_thm_3x3_structure(M3_ORDER2_E0, Variant.E0)
+    assert report.ok
+    assert conclusion(report, "diagonal").passed
+    assert conclusion(report, "off-diagonal").passed
+    minors = conclusion(report, "order-2 principal minors negative")
+    assert minors.passed and minors.evidence == "minors = ['-2', '-3', '-4']"
 
 
-def test_structure_report_identity_fails_pattern():
-    report = check_3x3_structure(RatMatrix.identity(3), Variant.E0)
-    assert not report.pattern_ok
-    assert not report.off_diagonal_ok
+def test_structure_report_identity_fails_pattern(monkeypatch):
+    # No 3x3 matrix of exact order 2 breaks the pattern, so the audit is
+    # told that the identity has exact order 2 to reach the failing checks.
+    statuses = (OrderStatus.ALL, OrderStatus.NONE, OrderStatus.NONE)
+    monkeypatch.setattr(verify, "exact_order", lambda a, v: ExactOrderResult(v, 2, statuses))
+    report = audit_thm_3x3_structure(RatMatrix.identity(3), Variant.E0)
+    assert conclusion(report, "diagonal").passed
+    assert not conclusion(report, "off-diagonal").passed
+    minors = conclusion(report, "order-2 principal minors negative")
+    assert not minors.passed and minors.evidence == "minors = ['1', '1', '1']"
+    assert report.counterexample == RatMatrix.identity(3)
 
 
 def test_structure_report_strict_variant():
-    report = check_3x3_structure(M3_ORDER2_E, Variant.E)
-    assert report.diagonal_ok and report.off_diagonal_ok
-    assert report.minors == (F(-3), F(-3), F(-3))
-    assert report.minors_ok
+    report = audit_thm_3x3_structure(M3_ORDER2_E, Variant.E)
+    assert report.ok
+    assert conclusion(report, "diagonal entries > 0").passed
+    assert conclusion(report, "off-diagonal").passed
+    minors = conclusion(report, "order-2 principal minors nonpositive")
+    assert minors.passed and minors.evidence == "minors = ['-3', '-3', '-3']"
 
 
 def test_structure_report_wrong_order():
     with pytest.raises(WrongOrderError):
-        check_3x3_structure(RatMatrix.identity(2))
+        audit_thm_3x3_structure(RatMatrix.identity(2))
 
 
 def test_negative_entry_profile():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from semimono import cli
 from semimono.cli import (
     CliError,
     format_matrix,
@@ -405,6 +406,23 @@ def test_lcp_q0_violation_exit_1(tmp_path, capsys):
     assert "falsify" in report["results"]["q0"]["note"]
 
 
+def test_lcp_solves_through_a_singular_block(tmp_path, capsys):
+    # every principal block of A is singular, and z = (1, 0) solves q = (0, -1)
+    a_matrix = RatMatrix([[0, 0], [1, 0]])
+    q = write_vector(tmp_path, "q.txt", [0, -1])
+    a = write_matrix(tmp_path, "a.txt", a_matrix)
+    assert main(["lcp", q, a]) == 0
+    out = capsys.readouterr().out
+    assert "enumeration solutions: 1" in out and "support {1}: z = (1, 0), w = (0, 0)" in out
+    # A is not Q0: q1 > 0 > q2 is feasible, but w2 >= 0 needs z1 > 0 and
+    # w1 = q1 > 0 forbids it.  Every other feasible q (q1 >= 0) is solvable,
+    # so only those may be reported.
+    assert main(["lcp", q, a, "--q0-trials", "60", "--seed", "1", "--json"]) == 1
+    q0 = json.loads(capsys.readouterr().out)["results"]["q0"]
+    assert q0["violations"]
+    assert all(F(v[0]) > 0 > F(v[1]) for v in q0["violations"])
+
+
 def test_lcp_negative_q0_trials_exit_2(tmp_path, capsys):
     q = write_vector(tmp_path, "q.txt", [1, 1])
     a = write_matrix(tmp_path, "a.txt", RatMatrix.identity(2))
@@ -421,3 +439,81 @@ def test_cli_entry_module_runs(tmp_path, capsys):
     path = write_matrix(tmp_path, "a.txt", RatMatrix.identity(2))
     assert main(["classify", path]) == 0
     capsys.readouterr()
+
+
+def _lcp_instances(n, count):
+    # small integers, so that zero entries and singular blocks are common
+    rng = random.Random(f"lcp:{n}")
+    return [
+        (
+            [rng.randint(-3, 3) for _ in range(n)],
+            RatMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]),
+        )
+        for _ in range(count)
+    ]
+
+
+def _lcp_fixture_instances():
+    rng = random.Random("lcp:fixtures")
+    out = []
+    for name in CLASSIFY_FIXTURES:
+        a = getattr(matrices, name)
+        out.append(([rng.randint(-3, 3) for _ in range(a.order)], a))
+    return out
+
+
+# sha256 over the `results` objects of `lcp --json --q0-trials 4`, in order:
+# they pin every solution, its support and the q0 sampling.
+GOLDEN_LCP = {
+    "fixtures": (
+        _lcp_fixture_instances,
+        "738786df69e3c0bb72023c3a969eb631865a204735b89d64285559a461628e24",
+    ),
+    "order-2": (
+        lambda: _lcp_instances(2, 30),
+        "91625d9bb52ab623f0eca400fdd994bf596873d4fcaa4b90470791ee6cb246ab",
+    ),
+    "order-3": (
+        lambda: _lcp_instances(3, 30),
+        "c0a1cd16f119c040bfcc919c155cfa3a3b1acb75dd915967c96f1c184ff8e143",
+    ),
+    "order-4": (
+        lambda: _lcp_instances(4, 20),
+        "fb1dc8d3ed7cbca963692527f2e78d8e1608592a394faa61a8d6b25fc8cb4a47",
+    ),
+    "order-5": (
+        lambda: _lcp_instances(5, 12),
+        "9ea7c320c3507704e390245410f0216458437af538bb4c547259c21ffbd0ee11",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_LCP))
+def test_lcp_results_golden_digest(case, tmp_path, capsys):
+    build, digest = GOLDEN_LCP[case]
+    h = hashlib.sha256()
+    for i, (q, a) in enumerate(build()):
+        q_path = write_vector(tmp_path, f"q{i}.txt", q)
+        a_path = write_matrix(tmp_path, f"a{i}.txt", a)
+        main(["lcp", q_path, a_path, "--q0-trials", "4", "--seed", str(i), "--json"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        h.update(json.dumps(results, sort_keys=True).encode())
+    assert h.hexdigest() == digest
+
+
+def test_orders_over_the_support_budget_exit_2(tmp_path, capsys):
+    n = (cli.SUPPORT_BUDGET + 1).bit_length()
+    a = write_matrix(tmp_path, "a.txt", RatMatrix.identity(n))
+    q = write_vector(tmp_path, "q.txt", [1] * n)
+    for argv in (
+        ["classify", a],
+        ["audit", a, "--theorem", "invariance"],
+        ["lcp", q, a],
+        ["explore", "--target", "conjecture1", "--n", str(n), "--seed", "1"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "SUPPORT_BUDGET" in captured.err and "Traceback" not in captured.err
+    # the largest admitted order still runs
+    assert main(["classify", write_matrix(tmp_path, "b.txt", RatMatrix.identity(n - 1))]) == 0

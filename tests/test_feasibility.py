@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semimono.feasibility import (
-    FM_MAX_ORDER,
     FeasibilityOutcome,
-    OrderTooLargeError,
     Strictness,
     feasible_semistrict,
     feasible_strict,
-    fm_feasible,
     phase1_feasible,
 )
 from semimono.ratcore import RatMatrix
 
-from oracles import random_matrix
+from oracles import FM_MAX_ORDER, OrderTooLargeError, fm_feasible, random_matrix
 
 small_fraction = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
 

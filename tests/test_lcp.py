@@ -10,10 +10,10 @@ from semimono.lcp import (
     lcp_solve_enum,
     q0_falsify,
 )
-from semimono.ratcore import IndexSet, RatMatrix, ratvec
+from semimono.ratcore import IndexSet, RatMatrix, all_supports, ratvec
 
 from matrices import M3_ORDER2_E0, NON_Q0_MATRIX, NON_Q0_Q
-from oracles import random_p_matrix
+from oracles import fm_point, random_p_matrix
 
 
 def inst(q, a):
@@ -86,11 +86,52 @@ def test_solutions_imply_feasibility():
             assert lcp_feasible(instance).feasible
 
 
-def test_singular_supports_are_recorded():
-    a = RatMatrix([[0, 1], [1, 0]])
-    result = lcp_solve_enum(inst([1, 1], a))
-    singular = {s.members for s in result.singular_supports}
-    assert (1,) in singular and (2,) in singular
+def test_enum_solves_through_a_singular_block():
+    # A_aa is singular on every support, and z = (1, 0) solves the instance
+    instance = inst([0, -1], RatMatrix([[0, 0], [1, 0]]))
+    result = lcp_solve_enum(instance)
+    assert [(s.z, s.support.members) for s in result.solutions] == [((F(1), F(0)), (1,))]
+    assert result.solutions[0].satisfies(instance)
+    assert result.singular_supports == ()
+
+
+def fm_support_point(instance, alpha):
+    """Fourier-Motzkin on support alpha's system: z_a >= 0, A_aa z_a = -q_a
+    and q_b + A_ba z_a >= 0.  Some z_a, or None when it is empty."""
+    idx = alpha.zero_based()
+    g = [[-1 if j == p else 0 for j in range(len(idx))] for p in range(len(idx))]
+    h = [0] * len(idx)
+    for i in range(instance.order):
+        row = [instance.a[i, j] for j in idx]
+        if i in idx:
+            g += [row, [-v for v in row]]
+            h += [-instance.q[i], instance.q[i]]
+        else:
+            g.append([-v for v in row])
+            h.append(instance.q[i])
+    return fm_point(g, h)
+
+
+def test_enum_solves_iff_some_support_system_is_feasible():
+    # 7 of these instances are solvable only through a singular block
+    rng = random.Random(11)
+    for _ in range(2000):
+        n = rng.randint(1, 3)
+        a = RatMatrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+        instance = inst([rng.randint(-1, 1) for _ in range(n)], a)
+        solvable = all(qi >= 0 for qi in instance.q)
+        for alpha in all_supports(n):
+            point = fm_support_point(instance, alpha)
+            if point is not None:
+                solvable = True
+                z = [F(0)] * n
+                for i, v in zip(alpha.zero_based(), point):
+                    z[i] = v
+                w = tuple(qi + wi for qi, wi in zip(instance.q, a @ z))
+                assert LcpSolution(tuple(z), w, alpha).satisfies(instance)
+        result = lcp_solve_enum(instance)
+        assert bool(result.solutions) == solvable
+        assert all(sol.satisfies(instance) for sol in result.solutions)
 
 
 def test_p_matrix_unique_solution():

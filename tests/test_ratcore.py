@@ -6,12 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from semimono import explore, ratcore
 from semimono.ratcore import (
-    CharPoly,
     IndexSet,
     RatMatrix,
     SingularBlockError,
     SingularMatrixError,
-    adjugate,
     block_inverse_principal,
     char_poly,
     count_negative_eigenvalues,
@@ -34,7 +32,7 @@ from matrices import (
     M4_ORDER2_NONZ_B_INV,
     M4_ORDER2_NONZ_INV,
 )
-from oracles import det_cofactor, random_invertible, random_matrix, random_symmetric
+from oracles import adjugate, det_cofactor, random_invertible, random_matrix, random_symmetric
 
 small_fraction = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 
@@ -151,7 +149,7 @@ def test_adjugate_equals_det_times_inverse_on_randoms():
 
 def test_adjugate_identity_holds_for_singular():
     m = RatMatrix([[1, 2], [2, 4]])
-    assert m @ adjugate(m) == RatMatrix.zeros(2, 2)
+    assert m @ adjugate(m) == RatMatrix([[0, 0], [0, 0]])
 
 
 def test_inverse_fixtures_bit_exact():
@@ -261,18 +259,11 @@ def test_general_submatrix_blocks():
 
 
 def test_char_poly_identity():
-    cp = char_poly(RatMatrix.identity(3))
-    assert cp.coefficients == (F(-1), F(3), F(-3), F(1))  # (x - 1)^3
+    assert char_poly(RatMatrix.identity(3)) == (F(-1), F(3), F(-3), F(1))  # (x - 1)^3
 
 
 def test_char_poly_2x2():
-    cp = char_poly(RatMatrix([[0, -1], [-2, 0]]))
-    assert cp.coefficients == (F(-2), F(0), F(1))  # x^2 - 2
-
-
-def test_char_poly_monic_invariant():
-    with pytest.raises(ValueError):
-        CharPoly((F(1), F(2)))
+    assert char_poly(RatMatrix([[0, -1], [-2, 0]])) == (F(-2), F(0), F(1))  # x^2 - 2
 
 
 def test_char_poly_trace_and_det_coefficients():
@@ -281,9 +272,9 @@ def test_char_poly_trace_and_det_coefficients():
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, num_bound=4, den_bound=2)
         cp = char_poly(m)
-        assert cp.degree == n
-        assert cp.coefficient(n - 1) == -m.trace()
-        assert cp.coefficient(0) == (-1) ** n * det(m)
+        assert len(cp) == n + 1 and cp[n] == 1
+        assert cp[n - 1] == -m.trace()
+        assert cp[0] == (-1) ** n * det(m)
 
 
 def test_count_negative_eigenvalues_diagonal_cases():
