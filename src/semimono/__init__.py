@@ -41,7 +41,6 @@ from .lcp import LcpInstance, LcpSolution, lcp_feasible, lcp_solve_enum, q0_fals
 from .ratcore import (
     IndexSet,
     RatMatrix,
-    SingularBlockError,
     SingularMatrixError,
     char_poly,
     count_negative_eigenvalues,
@@ -51,7 +50,6 @@ from .ratcore import (
     principal_submatrix,
     rat,
     ratvec,
-    schur_complement,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

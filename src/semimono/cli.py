@@ -64,14 +64,23 @@ def parse_rational_token(token: str, where: str) -> Fraction:
         raise CliError(f"{where}: bad rational token {token!r} ({exc})") from exc
 
 
+def _parse_first_line(line: str, source: str, what: str) -> int:
+    """The order or length line of a matrix or vector file, under the same
+    no-'_' rule as the entries (``int`` would accept digit separators)."""
+    token = line.strip()
+    if "_" in token:
+        raise CliError(f"{source}: first line {token!r} has a digit separator '_', which is not allowed")
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise CliError(f"{source}: first line must be the {what}, got {line!r}") from exc
+
+
 def parse_matrix_text(text: str, source: str) -> RatMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise CliError(f"{source}: empty matrix file")
-    try:
-        n = int(lines[0].strip())
-    except ValueError as exc:
-        raise CliError(f"{source}: first line must be the order, got {lines[0]!r}") from exc
+    n = _parse_first_line(lines[0], source, "order")
     if n < 1:
         raise CliError(f"{source}: order must be >= 1")
     if len(lines) != n + 1:
@@ -91,10 +100,7 @@ def parse_vector_text(text: str, source: str) -> RatVector:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise CliError(f"{source}: empty vector file")
-    try:
-        n = int(lines[0].strip())
-    except ValueError as exc:
-        raise CliError(f"{source}: first line must be the length, got {lines[0]!r}") from exc
+    n = _parse_first_line(lines[0], source, "length")
     tokens = " ".join(lines[1:]).split()
     if len(tokens) != n:
         raise CliError(f"{source}: expected {n} entries, got {len(tokens)}")

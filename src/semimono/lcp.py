@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
+
 from .feasibility import FeasibilityOutcome, phase1_feasible
 from .ratcore import IndexSet, RatMatrix, RatVector, all_supports
 
@@ -75,9 +77,9 @@ def lcp_feasible(inst: LcpInstance) -> FeasibilityOutcome:
     return FeasibilityOutcome(True, tuple(z))
 
 
-def lcp_solve_enum(inst: LcpInstance) -> LcpEnumeration:
-    """All complementary-support solutions, deduplicated by z, in the
-    (size, lex) order of their first support.
+def _support_solutions(inst: LcpInstance) -> Iterator[tuple[RatVector, IndexSet]]:
+    """One solution z per complementary support that has one, with the
+    support, in (size, lex) order.
 
     alpha = {} contributes z = 0 whenever q >= 0.  For nonempty alpha,
     ``phase1_feasible`` decides z_a >= 0 with A_aa z_a <= -q_a and
@@ -86,17 +88,8 @@ def lcp_solve_enum(inst: LcpInstance) -> LcpEnumeration:
     """
     n = inst.order
     zero = Fraction(0)
-    solutions: list[LcpSolution] = []
-    seen: set[RatVector] = set()
-
-    def consider(z: RatVector, support: IndexSet) -> None:
-        if z not in seen:
-            seen.add(z)
-            w = tuple(qi + wi for qi, wi in zip(inst.q, inst.a @ z))
-            solutions.append(LcpSolution(z, w, support))
-
     if all(qi >= 0 for qi in inst.q):
-        consider(tuple([zero] * n), IndexSet.empty(n))
+        yield tuple([zero] * n), IndexSet.empty(n)
     rows = inst.a.entries
     for alpha in all_supports(n):
         idx = alpha.zero_based()
@@ -109,7 +102,19 @@ def lcp_solve_enum(inst: LcpInstance) -> LcpEnumeration:
         z = [zero] * n
         for i, v in zip(idx, z_alpha):
             z[i] = v
-        consider(tuple(z), alpha)
+        yield tuple(z), alpha
+
+
+def lcp_solve_enum(inst: LcpInstance) -> LcpEnumeration:
+    """All complementary-support solutions, deduplicated by z, in the
+    (size, lex) order of their first support."""
+    solutions: list[LcpSolution] = []
+    seen: set[RatVector] = set()
+    for z, support in _support_solutions(inst):
+        if z not in seen:
+            seen.add(z)
+            w = tuple(qi + wi for qi, wi in zip(inst.q, inst.a @ z))
+            solutions.append(LcpSolution(z, w, support))
     return LcpEnumeration(tuple(solutions))
 
 
@@ -132,19 +137,18 @@ class Q0Report:
         return bool(self.violations)
 
 
-def q0_falsify(
-    a: RatMatrix,
-    trials: int,
-    seed: int,
-    numerator_bound: int = 9,
-    denominator_bound: int = 4,
-) -> Q0Report:
+Q0_NUMERATOR_BOUND = 9
+Q0_DENOMINATOR_BOUND = 4
+
+
+def q0_falsify(a: RatMatrix, trials: int, seed: int) -> Q0Report:
     """Sample rational q vectors and demand that feasible instances solve.
 
     The q stream is a deterministic function of the seed: components are
-    p/r with p in [-numerator_bound, numerator_bound] and r in
-    [1, denominator_bound].  A violation is a q with FEA nonempty but no
-    enumerated solution.  Raises ValueError when ``trials`` is negative.
+    p/r with |p| <= Q0_NUMERATOR_BOUND and 1 <= r <= Q0_DENOMINATOR_BOUND.
+    A violation is a q with FEA nonempty but no solution.  A feasible
+    trial stops at its first solving support.  Raises ValueError when
+    ``trials`` is negative.
     """
     a._require_square()
     if trials < 0:
@@ -156,14 +160,17 @@ def q0_falsify(
     violations: list[RatVector] = []
     for _ in range(trials):
         q = tuple(
-            Fraction(rng.randint(-numerator_bound, numerator_bound), rng.randint(1, denominator_bound))
+            Fraction(
+                rng.randint(-Q0_NUMERATOR_BOUND, Q0_NUMERATOR_BOUND),
+                rng.randint(1, Q0_DENOMINATOR_BOUND),
+            )
             for _ in range(n)
         )
         inst = LcpInstance(q, a)
         if not lcp_feasible(inst).feasible:
             continue
         feasible_count += 1
-        if lcp_solve_enum(inst).solutions:
+        if next(_support_solutions(inst), None) is not None:
             solved_count += 1
         else:
             violations.append(q)

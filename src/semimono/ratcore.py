@@ -3,9 +3,12 @@ classifiers are built on.
 
 Every entry is a ``fractions.Fraction``; there is no floating point anywhere.
 All class memberships downstream are strict sign conditions, so determinants,
-inverses, Schur complements, and eigenvalue counts must be certified exactly.
+inverses and eigenvalue counts must be certified exactly.
 Determinants, inverses and the feasibility simplex all eliminate through one
 fraction-free integer pivot step, ``_pivot``, on denominator-cleared copies.
+There is no second elimination route: callers read a principal block of
+A^{-1} from one ``inverse(A)``, and a Schur complement over an order-(n-1)
+block as the scalar det A / det A_aa.
 
 All values here are immutable after construction and safe to share across
 threads.
@@ -28,10 +31,6 @@ Entry = Union[Fraction, int, str]
 
 class SingularMatrixError(ZeroDivisionError):
     """Raised when an inverse of a singular matrix is requested."""
-
-
-class SingularBlockError(SingularMatrixError):
-    """Raised when a Schur complement is taken over a singular block."""
 
 
 def rat(value: Entry) -> Fraction:
@@ -88,10 +87,6 @@ class IndexSet:
     @classmethod
     def empty(cls, n: int) -> "IndexSet":
         return cls(n, ())
-
-    def complement(self) -> "IndexSet":
-        inside = set(self.members)
-        return IndexSet(self.universe, tuple(i for i in range(1, self.universe + 1) if i not in inside))
 
     def zero_based(self) -> tuple[int, ...]:
         return tuple(i - 1 for i in self.members)
@@ -188,15 +183,6 @@ class RatMatrix:
             ]
         )
 
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_same_shape(other)
-        return RatMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._entries, other._entries)
-            ]
-        )
-
     def __neg__(self) -> "RatMatrix":
         return RatMatrix([[-a for a in row] for row in self._entries])
 
@@ -265,18 +251,6 @@ def principal_submatrix(a: RatMatrix, alpha: IndexSet) -> RatMatrix:
         raise ValueError("alpha must be nonempty")
     idx = alpha.zero_based()
     return RatMatrix([[a[i, j] for j in idx] for i in idx])
-
-
-def submatrix(a: RatMatrix, row_set: IndexSet, col_set: IndexSet) -> RatMatrix:
-    """General A_{alpha,beta} block of a square matrix."""
-    a._require_square()
-    if row_set.universe != a.order or col_set.universe != a.order:
-        raise ValueError("index set universe does not match matrix order")
-    if len(row_set) == 0 or len(col_set) == 0:
-        raise ValueError("index sets must be nonempty")
-    ri = row_set.zero_based()
-    ci = col_set.zero_based()
-    return RatMatrix([[a[i, j] for j in ci] for i in ri])
 
 
 def _cleared(values: Iterable[Fraction], scale: int) -> list[int]:
@@ -359,46 +333,6 @@ def inverse(a: RatMatrix) -> RatMatrix:
         raise SingularMatrixError("matrix is singular")
     p = rows[0][0]
     return RatMatrix([[Fraction(v, p) for v in row[n:]] for row in rows])
-
-
-def schur_complement(a: RatMatrix, alpha: IndexSet) -> RatMatrix:
-    """A/A_aa = A_bb - A_ba A_aa^{-1} A_ab for b the complement of alpha.
-
-    Raises :class:`SingularBlockError` when det(A_aa) = 0, and requires a
-    nonempty complement.
-    """
-    a._require_square()
-    comp = alpha.complement()
-    if len(comp) == 0:
-        raise ValueError("alpha must be a proper subset")
-    try:
-        block_inv = inverse(principal_submatrix(a, alpha))
-    except SingularMatrixError as exc:
-        raise SingularBlockError(f"A_{alpha} is singular") from exc
-    a_bb = principal_submatrix(a, comp)
-    a_ba = submatrix(a, comp, alpha)
-    a_ab = submatrix(a, alpha, comp)
-    return a_bb - (a_ba @ block_inv) @ a_ab
-
-
-def block_inverse_principal(a: RatMatrix, alpha: IndexSet) -> RatMatrix:
-    """The alpha-principal block of A^{-1} computed by the partitioned formula
-
-        A_aa^{-1} + A_aa^{-1} A_ab (A/A_aa)^{-1} A_ba A_aa^{-1}.
-
-    Requires both A_aa and the Schur complement A/A_aa to be nonsingular.
-    The result equals principal_submatrix(inverse(A), alpha); the direct
-    formula is exposed because some conjecture checks are stated against it.
-    A_aa is inverted once and serves both terms and the Schur complement.
-    """
-    comp = alpha.complement()
-    block_inv = inverse(principal_submatrix(a, alpha))
-    if len(comp) == 0:
-        raise ValueError("alpha must be a proper subset")
-    a_ab = submatrix(a, alpha, comp)
-    left = submatrix(a, comp, alpha) @ block_inv  # A_ba A_aa^{-1}
-    schur_inv = inverse(principal_submatrix(a, comp) - left @ a_ab)
-    return block_inv + ((block_inv @ a_ab) @ schur_inv) @ left
 
 
 def char_poly(a: RatMatrix) -> tuple[Fraction, ...]:

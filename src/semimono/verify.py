@@ -8,6 +8,11 @@ data, while unmet hypotheses simply skip the conclusions.  The randomized
 searches in ``explore`` run their own conclusion checkers; only the
 Theorem 4.11 minor test is shared, through
 ``classify.z_exact_two_minor_breaks``.
+
+The Schur complements of Theorems 3.5 and 4.11 are taken over order-(n-1)
+blocks, so each is the scalar det A / det A_aa and no partitioned formula
+is evaluated; evidence still prints it as the 1x1 ``RatMatrix[v]`` that
+reports have always carried.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .classify import (
 from .ratcore import (
     IndexSet,
     RatMatrix,
-    SingularBlockError,
     SingularMatrixError,
     count_negative_eigenvalues,
     det,
@@ -38,7 +42,6 @@ from .ratcore import (
     is_irreducible,
     permutation_similarity,
     principal_submatrix,
-    schur_complement,
 )
 
 
@@ -90,6 +93,14 @@ def _diagonal_conclusion(a: RatMatrix, variant: Variant) -> Conclusion:
         all(v > 0 if strict else v >= 0 for v in diagonal),
         f"diagonal = {[str(v) for v in diagonal]}",
     )
+
+
+def _schur_scalar(a: RatMatrix, alpha: IndexSet, det_a: Fraction) -> Optional[Fraction]:
+    """The Schur complement A/A_aa over a size-(n-1) alpha, a 1x1 block,
+    as det A / det A_aa (Schur's determinant identity); None when A_aa is
+    singular.  ``det_a`` is det A, which the callers already hold."""
+    block_det = det(principal_submatrix(a, alpha))
+    return None if block_det == 0 else det_a / block_det
 
 
 def _almost_block_conclusions(a: RatMatrix, variant: Variant) -> list[Conclusion]:
@@ -206,17 +217,14 @@ def audit_thm_3x3_inverse(a: RatMatrix) -> AuditReport:
         conclusions.append(
             Conclusion("exactly one negative eigenvalue", negatives == 1, f"count = {negatives}")
         )
-        alpha = IndexSet(3, (1, 2))
-        try:
-            schur = schur_complement(a, alpha)
-            positive = all(v > 0 for row in schur.entries for v in row)
-            conclusions.append(
-                Conclusion("Schur complement of A_{12,12} positive", positive, f"value = {schur!r}")
+        schur = _schur_scalar(a, IndexSet(3, (1, 2)), d)
+        conclusions.append(
+            Conclusion(
+                "Schur complement of A_{12,12} positive",
+                schur is not None and schur > 0,
+                "leading block singular" if schur is None else f"value = RatMatrix[{schur}]",
             )
-        except SingularBlockError:
-            conclusions.append(
-                Conclusion("Schur complement of A_{12,12} positive", False, "leading block singular")
-            )
+        )
     return _report("thm3.5", a, met, note, conclusions)
 
 
@@ -300,13 +308,11 @@ def audit_thm_4_11(a: RatMatrix) -> AuditReport:
         schur_bad = []
         for combo in itertools.combinations(range(1, n + 1), n - 1):
             alpha = IndexSet(n, combo)
-            try:
-                schur = schur_complement(a, alpha)
-            except SingularBlockError:
+            schur = _schur_scalar(a, alpha, d)
+            if schur is None:
                 schur_bad.append(f"alpha={alpha}: block singular")
-                continue
-            if any(v <= 0 for row in schur.entries for v in row):
-                schur_bad.append(f"alpha={alpha}: A/A_aa = {schur!r}")
+            elif schur <= 0:
+                schur_bad.append(f"alpha={alpha}: A/A_aa = RatMatrix[{schur}]")
         conclusions.append(
             Conclusion(
                 "Schur complement positive for every size-(n-1) alpha",

@@ -5,7 +5,10 @@ to the fraction-free pivoting the package uses for det, inverse and the
 simplex; it is capped at order 5 where its factorial cost is still instant.
 The adjugate is built on it, so A adj(A) = det(A) I checks ``inverse``
 against arithmetic it does not share.  Fourier-Motzkin elimination decides
-linear systems by a route unrelated to the package's simplex.
+linear systems by a route unrelated to the package's simplex.  The
+partitioned inverse and the general Schur complement build principal-block
+quantities from smaller inverses, where the package reads them from one
+inverse of A and from determinants.
 """
 
 import random
@@ -13,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from semimono.feasibility import FeasibilityOutcome, Strictness
-from semimono.ratcore import RatMatrix
+from semimono.ratcore import IndexSet, RatMatrix, inverse, principal_submatrix
 
 
 def det_cofactor(a: RatMatrix) -> Fraction:
@@ -43,6 +46,49 @@ def adjugate(a: RatMatrix) -> RatMatrix:
         return (-1) ** (i + j) * det_cofactor(minor)
 
     return RatMatrix([[cofactor(j, i) for j in range(n)] for i in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# partitioned formulas over a principal block alpha and its complement beta
+
+
+def complement(alpha: IndexSet) -> IndexSet:
+    return IndexSet(alpha.universe, tuple(i for i in range(1, alpha.universe + 1) if i not in alpha))
+
+
+def submatrix(a: RatMatrix, row_set: IndexSet, col_set: IndexSet) -> RatMatrix:
+    """General A_{alpha,beta} block of a square matrix."""
+    if len(row_set) == 0 or len(col_set) == 0:
+        raise ValueError("index sets must be nonempty")
+    return RatMatrix([[a[i, j] for j in col_set.zero_based()] for i in row_set.zero_based()])
+
+
+def schur_complement(a: RatMatrix, alpha: IndexSet) -> RatMatrix:
+    """A/A_aa = A_bb - A_ba A_aa^{-1} A_ab for a proper nonempty alpha.
+
+    Raises SingularMatrixError when A_aa is singular.
+    """
+    beta = complement(alpha)
+    if len(beta) == 0:
+        raise ValueError("alpha must be a proper subset")
+    block_inv = inverse(principal_submatrix(a, alpha))
+    correction = (submatrix(a, beta, alpha) @ block_inv) @ submatrix(a, alpha, beta)
+    return principal_submatrix(a, beta) + -correction
+
+
+def block_inverse_principal(a: RatMatrix, alpha: IndexSet) -> RatMatrix:
+    """The alpha-principal block of A^{-1} by the partitioned formula
+
+        A_aa^{-1} + A_aa^{-1} A_ab (A/A_aa)^{-1} A_ba A_aa^{-1}.
+
+    Raises SingularMatrixError when A_aa or A/A_aa is singular; the latter
+    happens exactly when A is.
+    """
+    beta = complement(alpha)
+    schur_inv = inverse(schur_complement(a, alpha))
+    block_inv = inverse(principal_submatrix(a, alpha))
+    left = submatrix(a, beta, alpha) @ block_inv  # A_ba A_aa^{-1}
+    return block_inv + ((block_inv @ submatrix(a, alpha, beta)) @ schur_inv) @ left
 
 
 # ---------------------------------------------------------------------------

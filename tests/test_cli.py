@@ -17,7 +17,7 @@ from semimono.cli import (
 from semimono.ratcore import RatMatrix
 
 import matrices
-from semimono import classify
+from semimono import classify, explore
 from matrices import M3_ORDER2_E0, M4_ORDER2_NONZ, M5_ORDER2, NONCLOSURE_A, NONCLOSURE_B
 
 
@@ -60,6 +60,19 @@ def test_parse_rejects_bad_shape():
         parse_matrix_text("2\n1 2 3\n4 5 6\n", "m.txt")
     with pytest.raises(CliError):
         parse_matrix_text("x\n", "m.txt")
+
+
+def test_first_line_rejects_digit_separator(tmp_path, capsys):
+    # int() reads "0_2" as 2; the order and length lines follow the entries' rule
+    a = tmp_path / "a.txt"
+    a.write_text("0_2\n1 0\n0 1\n")
+    assert main(["classify", str(a)]) == 2
+    q = tmp_path / "q.txt"
+    q.write_text("0_2\n1 1\n")
+    assert main(["lcp", str(q), write_matrix(tmp_path, "i.txt", RatMatrix.identity(2))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("digit separator '_'") == 2 and "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +253,40 @@ def test_audit_unknown_theorem_exit_2(tmp_path):
 def test_audit_invariance_with_seed(tmp_path, capsys):
     path = write_matrix(tmp_path, "a.txt", M3_ORDER2_E0)
     assert main(["audit", path, "--theorem", "invariance", "--seed", "3"]) == 0
+
+
+def _audit_matrices():
+    """The fixtures plus seeded conjecture-1 hits of orders 3 and 4: Z
+    matrices of E0 exact order 2, so both audits reach their Schur checks."""
+    out = [getattr(matrices, name) for name in CLASSIFY_FIXTURES]
+    for n, seed in ((3, 31), (4, 32)):
+        config = explore.GeneratorConfig(
+            order=n, template=explore.template_z(n), numerator_bound=4, denominator_bound=2,
+            diagonal_numerator_bound=8, seed=seed, max_attempts=4000,
+        )
+        out.extend(explore.search_conjecture_1(config, target_hits=4).hits)
+    return out
+
+
+# sha256 over the `results` objects of `audit --json`, in order, computed
+# while Schur complements still came from the partitioned formula: they pin
+# every conclusion and its evidence text.
+GOLDEN_AUDIT = {
+    "thm3.5": ((3,), "d76bec85ce964004faabdc3bb511f11c819ea8247f4afcf85b024a42a9eef37e"),
+    "thm4.11": ((2, 3, 4, 5), "6217c978054e00353dbaf5d8c4bf9e6ab2bb9bb0fd00e071e1e26dbf6f3038a2"),
+}
+
+
+@pytest.mark.parametrize("theorem", list(GOLDEN_AUDIT))
+def test_audit_results_golden_digest(theorem, tmp_path, capsys):
+    orders, digest = GOLDEN_AUDIT[theorem]
+    h = hashlib.sha256()
+    for i, m in enumerate(m for m in _audit_matrices() if m.order in orders):
+        path = write_matrix(tmp_path, f"m{i}.txt", m)
+        assert main(["audit", path, "--theorem", theorem, "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        h.update(json.dumps(results, sort_keys=True).encode())
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

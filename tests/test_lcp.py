@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from semimono import lcp
 from semimono.lcp import (
     LcpInstance,
     LcpSolution,
@@ -173,6 +174,19 @@ def test_q0_falsify_catches_non_q0_matrix():
         bad = LcpInstance(q, NON_Q0_MATRIX)
         assert lcp_feasible(bad).feasible
         assert not lcp_solve_enum(bad).solutions
+
+
+def test_q0_falsify_stops_at_the_first_solving_support(monkeypatch):
+    # every q is feasible for this matrix: each of the 30 trials costs one
+    # lcp_feasible LP, then its supports up to the first solving one (all 7
+    # for the 10 violations, 23 in total for the 20 solved trials)
+    calls = []
+    real = lcp.phase1_feasible
+    monkeypatch.setattr(lcp, "phase1_feasible", lambda g, h: calls.append(1) or real(g, h))
+    a = RatMatrix([[1, -1, 2], [2, 1, -3], [1, -2, 1]])
+    report = q0_falsify(a, trials=30, seed=4)
+    assert (report.feasible_count, report.solved_count, len(report.violations)) == (30, 20, 10)
+    assert len(calls) == 30 + 7 * 10 + 23
 
 
 def test_solution_satisfies_rejects_wrong_data():

@@ -1,16 +1,16 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from semimono import explore, ratcore
+from semimono import explore, ratcore, verify
+from semimono.classify import is_Z
 from semimono.ratcore import (
     IndexSet,
     RatMatrix,
-    SingularBlockError,
     SingularMatrixError,
-    block_inverse_principal,
     char_poly,
     count_negative_eigenvalues,
     det,
@@ -20,8 +20,6 @@ from semimono.ratcore import (
     permutation_similarity,
     principal_submatrix,
     rat,
-    schur_complement,
-    submatrix,
 )
 
 from matrices import (
@@ -32,7 +30,17 @@ from matrices import (
     M4_ORDER2_NONZ_B_INV,
     M4_ORDER2_NONZ_INV,
 )
-from oracles import adjugate, det_cofactor, random_invertible, random_matrix, random_symmetric
+from oracles import (
+    adjugate,
+    block_inverse_principal,
+    complement,
+    det_cofactor,
+    random_invertible,
+    random_matrix,
+    random_symmetric,
+    schur_complement,
+    submatrix,
+)
 
 small_fraction = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 
@@ -83,7 +91,7 @@ def test_index_set_validation_and_complement():
         IndexSet(3, (0, 1))
     with pytest.raises(ValueError):
         IndexSet(3, (2, 2))
-    assert IndexSet(5, (1, 4)).complement().members == (2, 3, 5)
+    assert complement(IndexSet(5, (1, 4))).members == (2, 3, 5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -198,24 +206,78 @@ def test_block_inverse_formula_matches_inverse_block():
         alpha = IndexSet(4, (1, 2, 3))
         try:
             block = block_inverse_principal(m, alpha)
-        except (SingularMatrixError, SingularBlockError):
+        except SingularMatrixError:
             continue
         assert block == principal_submatrix(inverse(m), alpha)
         done += 1
 
 
 def test_block_inverse_inverts_each_block_once(monkeypatch):
-    # conjecture 1 on a 4x4 matrix: per alpha of size 3, one inverse of
-    # A_aa and one of the 1x1 Schur complement
+    # conjecture 1 on a 4x4 matrix reads all four size-3 blocks from one
+    # inverse of A, not from an inverse of each block and its complement
     orders = []
     real_inverse = ratcore.inverse
-    monkeypatch.setattr(ratcore, "inverse", lambda m: orders.append(m.order) or real_inverse(m))
+
+    def counting(m):
+        orders.append(m.order)
+        return real_inverse(m)
+
+    monkeypatch.setattr(ratcore, "inverse", counting)
+    monkeypatch.setattr(explore, "inverse", counting)
     assert explore.conjecture_1_violations(M4_ORDER2_NONZ) == []
-    assert sorted(orders) == [1, 1, 1, 1, 3, 3, 3, 3]
+    assert orders == [4]
 
 
-# ---------------------------------------------------------------------------
-# Schur complements
+_SMALL_ENTRIES = (F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-3, 2), F(3))
+
+
+def _small_entry_matrices(seed, count):
+    # a few values drawn often, so singular blocks and singular A both occur
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        yield RatMatrix([[rng.choice(_SMALL_ENTRIES) for _ in range(n)] for _ in range(n)])
+
+
+def _size_n_minus_1_supports(n):
+    return [IndexSet(n, combo) for combo in itertools.combinations(range(1, n + 1), n - 1)]
+
+
+def test_conjecture_1_blocks_match_partitioned_formula():
+    undefined = 0
+    for m in _small_entry_matrices(41, 150):
+        expected = []
+        for alpha in _size_n_minus_1_supports(m.order):
+            try:
+                block = block_inverse_principal(m, alpha)
+            except SingularMatrixError as exc:
+                expected.append((f"inverse block formula undefined for alpha={alpha}", str(exc)))
+                undefined += 1
+                continue
+            if not is_Z(block):
+                expected.append((f"inverse principal block for alpha={alpha} is not Z", repr(block)))
+        negatives = count_negative_eigenvalues(m)
+        if negatives != 1:
+            expected.append(("negative eigenvalue count != 1", f"count = {negatives}"))
+        assert explore.conjecture_1_violations(m) == expected
+    assert undefined > 0
+
+
+def test_schur_scalar_matches_schur_complement():
+    singular_blocks = singular_a = 0
+    for m in _small_entry_matrices(43, 150):
+        d = det(m)
+        singular_a += d == 0
+        for alpha in _size_n_minus_1_supports(m.order):
+            value = verify._schur_scalar(m, alpha, d)
+            try:
+                expected = schur_complement(m, alpha)
+            except SingularMatrixError:
+                assert value is None
+                singular_blocks += 1
+                continue
+            assert expected == RatMatrix([[value]])
+    assert singular_blocks > 0 and singular_a > 0
 
 
 def test_schur_identity():
@@ -223,14 +285,17 @@ def test_schur_identity():
 
 
 def test_schur_fixture_closed_form():
-    # i - (g(ce+bf) + h(cd+af)) / (ae-bd) at the fixture values gives 11/2
+    # i - (g(ce+bf) + h(cd+af)) / (ae-bd) at the fixture values gives 11/2,
+    # both by the partitioned formula and in the Theorem 3.5 audit evidence
     value = schur_complement(M3_ORDER2_E0, IndexSet(3, (1, 2)))
     assert value == RatMatrix([[F(11, 2)]])
+    evidence = {c.name: c.evidence for c in verify.audit_thm_3x3_inverse(M3_ORDER2_E0).conclusions}
+    assert evidence["Schur complement of A_{12,12} positive"] == "value = RatMatrix[11/2]"
 
 
 def test_schur_singular_block_raises():
     m = RatMatrix([[0, 0, 1], [0, 0, 1], [1, 1, 1]])
-    with pytest.raises(SingularBlockError):
+    with pytest.raises(SingularMatrixError):
         schur_complement(m, IndexSet(3, (1, 2)))
 
 
@@ -249,8 +314,7 @@ def test_schur_determinant_identity_on_randoms():
 
 def test_general_submatrix_blocks():
     alpha = IndexSet(3, (1, 2))
-    comp = alpha.complement()
-    block = submatrix(M3_ORDER2_E0, comp, alpha)
+    block = submatrix(M3_ORDER2_E0, complement(alpha), alpha)
     assert block == RatMatrix([[-3, -4]])
 
 
