@@ -7,10 +7,14 @@ zeros to recover the failing x), and fails to be strictly semimonotone when
 some support admits y > 0 with A_aa y <= 0.  One lazy sweep, ``_sweep``,
 decides the 2^n - 1 supports with the exact feasibility oracle's decision
 step in a fixed (size, lex) order, skipping any support whose sub-support
-already fails (membership is hereditary).  The memoized exact-order profile
-drains it and normalizes the certificate of the first failing support
-only; the semimonotone, copositive and almost verdicts read that witness
-off the profile, and ``has_exact_order`` stops the sweep early and reads no
+already fails (membership is hereditary).  It takes its blocks from a block
+source.  The memoized exact-order profile gives it the Fraction blocks of
+``principal_submatrix``, drains it and computes and normalizes the
+certificate of the first failing support only; the semimonotone,
+copositive and almost verdicts read that witness off the profile.
+``has_exact_order``, the explorer's filter, gives it blocks sliced from the
+row-cleared integer matrix D A, whose supports fail exactly where A's do
+((D A)_aa = D_a A_aa with D_a positive), stops it early and reads no
 witness at all.
 
 All procedures are pure; the fixed order makes the first witness
@@ -23,10 +27,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .feasibility import (
     Strictness,
+    _AnyRows,
+    _feasible,
     _normalize_certificate,
     _witness,
     feasible_semistrict,
@@ -37,6 +43,8 @@ from .ratcore import (
     RatMatrix,
     RatVector,
     SingularMatrixError,
+    _integer_rows,
+    _support_members,
     all_supports,
     det,
     inverse,
@@ -136,30 +144,42 @@ class ExactOrderResult:
         return f"{self.variant.value} exact order {self.k}"
 
 
-def _sweep(
-    a: RatMatrix, variant: Variant
-) -> Iterator[tuple[IndexSet, bool, Optional[RatVector]]]:
-    """The one support sweep: every support in (size, lex) order, whether
-    it fails, and the oracle's raw witness y when its system was solved.
+_Members = tuple[int, ...]
 
-    Membership is hereditary, so a support with a failing sub-support fails
-    too; it is yielded with y None and its system is never solved.  The
-    first failing support therefore always carries a witness.  The sweep
-    only decides; a caller that reports a witness normalizes it.  It is
-    lazy: callers stop as soon as they know their answer.
+
+def _int_block(rows: Sequence[Sequence[int]], members: _Members) -> list[list[int]]:
+    """The principal block on the 1-based ``members`` of integer rows, as
+    fresh lists."""
+    picked = [rows[i - 1] for i in members]
+    return [[row[j - 1] for j in members] for row in picked]
+
+
+def _sweep(
+    n: int, block: Callable[[_Members], _AnyRows], variant: Variant
+) -> Iterator[tuple[_Members, bool]]:
+    """The one support sweep: the members of every support of an order-n
+    matrix in (size, lex) order, and whether it fails, deciding the rows
+    that ``block`` gives for them.
+
+    The block source may give rational rows or the row-cleared integer ones:
+    D_a A_aa y has the signs of A_aa y.  Membership is hereditary, so a
+    support with a failing sub-support fails too, and its system is never
+    solved; a solved support therefore always has passing 1x1 blocks, which
+    the order-2 sign test relies on.  The sweep only decides; a caller that
+    reports a witness computes it.  It is lazy: callers stop as soon as they
+    know their answer.
     """
     strict = variant.failing_system is Strictness.STRICT
-    failing: set[tuple[int, ...]] = set()
-    for alpha in all_supports(a.order):
-        key = alpha.members
+    failing: set[_Members] = set()
+    for key in _support_members(n):
         if failing and any(key[:i] + key[i + 1:] in failing for i in range(len(key))):
             failing.add(key)
-            yield alpha, True, None
+            yield key, True
             continue
-        y = _witness(principal_submatrix(a, alpha).entries, strict)
-        if y is not None:
+        fails = _feasible(block(key), strict)
+        if fails:
             failing.add(key)
-        yield alpha, y is not None, y
+        yield key, fails
 
 
 # One classify call or audit reuses at most a few dozen (matrix, variant)
@@ -179,13 +199,18 @@ def exact_order(a: RatMatrix, variant: Variant) -> ExactOrderResult:
     n = a.order
     members_per_order: list[list[bool]] = [[] for _ in range(n)]
     witness: Optional[SupportWitness] = None
-    for alpha, failing, y in _sweep(a, variant):
+    for key, failing in _sweep(
+        n, lambda key: principal_submatrix(a, IndexSet(n, key)).entries, variant
+    ):
         if failing and witness is None:
-            assert y is not None
+            # the first failing support was solved, so it has a witness
+            alpha = IndexSet(n, key)
             rows = principal_submatrix(a, alpha).entries
             strict = variant.failing_system is Strictness.STRICT
+            y = _witness(rows, strict)
+            assert y is not None
             witness = SupportWitness(alpha, _normalize_certificate(rows, y, strict))
-        members_per_order[len(alpha) - 1].append(not failing)
+        members_per_order[len(key) - 1].append(not failing)
 
     statuses = tuple(
         OrderStatus.ALL if all(members) else OrderStatus.MIXED if any(members) else OrderStatus.NONE
@@ -218,13 +243,20 @@ def has_exact_order(a: RatMatrix, k: int, variant: Variant) -> bool:
 
     Equivalent to ``exact_order(a, variant).k == k``: the orders up to n-k
     must show no failing support, and every support of size n-k+1 must fail
-    (heredity settles all larger orders).
+    (heredity settles all larger orders).  The sweep runs on the row-cleared
+    integer matrix D A and reads no witness.
     """
-    n = a.order
+    a._require_square()
+    return _has_exact_order(_integer_rows(a)[1], k, variant)
+
+
+def _has_exact_order(rows: Sequence[Sequence[int]], k: int, variant: Variant) -> bool:
+    """``has_exact_order`` on row-cleared integer rows."""
+    n = len(rows)
     if not 0 <= k <= n:
         raise ValueError(f"exact order must lie in 0..{n}")
-    for alpha, failing, _ in _sweep(a, variant):
-        size = len(alpha.members)
+    for key, failing in _sweep(n, lambda key: _int_block(rows, key), variant):
+        size = len(key)
         if size > n - k + 1:
             break
         if failing != (size == n - k + 1):
@@ -277,19 +309,28 @@ def _minor_verdict(a: RatMatrix, strict: bool) -> ClassVerdict:
     return ClassVerdict(label, True)
 
 
+def _minor_breaks(
+    n: int, minor: Callable[[_Members], Union[Fraction, int]]
+) -> Iterator[tuple[IndexSet, Union[Fraction, int]]]:
+    """The supports of sizes below n whose ``minor`` (given the members)
+    breaks the minor condition of Theorem 4.11, with that minor, in (size,
+    lex) order; only the minors' signs are tested."""
+    for key in _support_members(n):
+        size = len(key)
+        if size == n:
+            return
+        m = minor(key)
+        if size <= n - 2 and m < 0 or size == n - 1 and m >= 0:
+            yield IndexSet(n, key), m
+
+
 def z_exact_two_minor_breaks(a: RatMatrix) -> Iterator[tuple[IndexSet, Fraction]]:
     """The principal minors that break the minor condition of Theorem 4.11
     (a Z-matrix has E0 exact order 2 iff its minors of order <= n-2 are
     nonnegative and those of order n-1 negative), yielded lazily as
     (alpha, minor) in (size, lex) order."""
     n = a.order
-    for alpha in all_supports(n):
-        size = len(alpha)
-        if size == n:
-            return
-        minor = det(principal_submatrix(a, alpha))
-        if size <= n - 2 and minor < 0 or size == n - 1 and minor >= 0:
-            yield alpha, minor
+    yield from _minor_breaks(n, lambda key: det(principal_submatrix(a, IndexSet(n, key))))
 
 
 def is_P0(a: RatMatrix) -> ClassVerdict:

@@ -8,7 +8,8 @@ are rejected on sight.
 
 Exit codes: 0 = ran and every asserted property passed; 1 = a validated
 counterexample or violation was found; 2 = usage or parse error, including
-an order whose 2^n - 1 supports exceed SUPPORT_BUDGET.
+an order whose 2^n - 1 supports exceed SUPPORT_BUDGET; 141 = stdout was
+closed before the report was written (a broken pipe).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -54,6 +56,9 @@ def _check_budget(n: int) -> None:
 
 
 def parse_rational_token(token: str, where: str) -> Fraction:
+    # Fraction and int read any Unicode decimal digit; the format is ASCII
+    if not token.isascii():
+        raise CliError(f"{where}: token {token!r} is not ASCII; only 0-9, '-', '+' and '/' are allowed")
     if any(ch in token for ch in ".eE"):
         raise CliError(f"{where}: token {token!r} is not an exact rational (floats are rejected)")
     if "_" in token:
@@ -68,6 +73,8 @@ def _parse_first_line(line: str, source: str, what: str) -> int:
     """The order or length line of a matrix or vector file, under the same
     no-'_' rule as the entries (``int`` would accept digit separators)."""
     token = line.strip()
+    if not token.isascii():
+        raise CliError(f"{source}: first line {token!r} is not ASCII; the {what} must be written in 0-9")
     if "_" in token:
         raise CliError(f"{source}: first line {token!r} has a digit separator '_', which is not allowed")
     try:
@@ -550,15 +557,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "classify":
-            return _cmd_classify(args, argv)
-        if args.command == "audit":
-            return _cmd_audit(args, argv)
-        if args.command == "explore":
-            return _cmd_explore(args, argv)
-        return _cmd_lcp(args, argv)
+            rc = _cmd_classify(args, argv)
+        elif args.command == "audit":
+            rc = _cmd_audit(args, argv)
+        elif args.command == "explore":
+            rc = _cmd_explore(args, argv)
+        else:
+            rc = _cmd_lcp(args, argv)
+        sys.stdout.flush()
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (`semimono ... | head`).  Point
+        # stdout at the null device so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process killed by it
+    return rc
 
 
 if __name__ == "__main__":

@@ -8,8 +8,13 @@ conjecture or accumulate evidence for it, never prove it; reports carry that
 caveat.
 
 Every public search is a thin caller of one loop, ``_search``: a cheap
-screen, then ``has_exact_order``, then the full classifier must agree on
-each hit.  A conclusion checker runs once per hit, and a hit it fails is
+screen, then the ``has_exact_order`` sweep, then the full classifier must
+agree on each hit.  The candidate stream is drawn as integer (numerator,
+denominator) pairs, and the screen and the sweep run on the row-cleared
+integer matrix D A, which has the exact order and principal-minor signs of
+A.  Only a candidate that passes both becomes a ``RatMatrix``, entry by
+entry as drawn, and the ``Fraction`` classifier ``exact_order`` re-checks
+it, so every hit is decided by two kinds of arithmetic.  A conclusion checker runs once per hit, and a hit it fails is
 reported as a counterexample only after a triple check: the classifier
 agreed, the checker reproduces the failure, and an independent second route
 (A A^{-1} = I by substitution for the inverse conjectures, the transpose's
@@ -34,16 +39,19 @@ from typing import Callable, Iterator, Optional
 
 from .classify import (
     Variant,
+    _has_exact_order,
+    _int_block,
+    _minor_breaks,
     exact_order,
-    has_exact_order,
     is_Z,
     negative_entry_profile,
-    z_exact_two_minor_breaks,
 )
 from .ratcore import (
     IndexSet,
     RatMatrix,
     SingularMatrixError,
+    _cleared_rows,
+    _int_det,
     count_negative_eigenvalues,
     det,
     inverse,
@@ -137,50 +145,64 @@ class GeneratorConfig:
             raise ValueError("free weights must be nonnegative and not all zero")
 
 
-def _sample_entry(
-    sign: EntrySign, rng: random.Random, cfg: GeneratorConfig, diagonal: bool
-) -> Fraction:
-    nb = cfg.numerator_bound
-    if diagonal and cfg.diagonal_numerator_bound is not None:
-        nb = cfg.diagonal_numerator_bound
-    if sign is EntrySign.ZERO:
-        return Fraction(0)
-    if sign is EntrySign.NEG:
-        num = -rng.randint(1, nb)
-    elif sign is EntrySign.POS:
-        num = rng.randint(1, nb)
-    elif sign is EntrySign.NONNEG:
-        num = rng.randint(0, nb)
-    elif sign is EntrySign.NONPOS:
-        num = -rng.randint(0, nb)
-    else:
-        wn, wz, wp = cfg.free_weights
-        r = rng.randrange(wn + wz + wp)
-        if r < wn:
-            num = -rng.randint(1, nb)
-        elif r < wn + wz:
-            num = 0
-        else:
-            num = rng.randint(1, nb)
-    if num == 0:
-        return Fraction(0)
-    return Fraction(num, rng.randint(1, cfg.denominator_bound))
+_Draw = list[list[tuple[int, int]]]
+
+
+def _draws(cfg: GeneratorConfig) -> Iterator[_Draw]:
+    """The candidate stream as rows of (numerator, denominator) pairs; a 0
+    entry is (0, 1).
+
+    Per entry: a FREE position first draws its sign class from
+    ``randrange(wn + wz + wp)``; a nonzero class draws the numerator
+    magnitude, and a nonzero numerator draws its denominator.  Each draw
+    from [lo, lo + w) is ``lo + randrange(w)``, the value and the generator
+    state that ``randint(lo, lo + w - 1)`` gives.
+    """
+    neg, pos, zero, nonneg, free = (
+        EntrySign.NEG, EntrySign.POS, EntrySign.ZERO, EntrySign.NONNEG, EntrySign.FREE
+    )
+    randrange = random.Random(cfg.seed).randrange
+    db = cfg.denominator_bound
+    wn, wz, wp = cfg.free_weights
+    nb_off = cfg.numerator_bound
+    nb_diag = nb_off if cfg.diagonal_numerator_bound is None else cfg.diagonal_numerator_bound
+    cells = [
+        [(sign, nb_diag if i == j else nb_off) for j, sign in enumerate(signs)]
+        for i, signs in enumerate(cfg.template)
+    ]
+    for _ in range(cfg.max_attempts):
+        rows = []
+        for cell_row in cells:
+            row = []
+            for sign, nb in cell_row:
+                if sign is free:
+                    r = randrange(wn + wz + wp)
+                    sign = neg if r < wn else zero if r < wn + wz else pos
+                if sign is zero:
+                    num = 0
+                elif sign is neg:
+                    num = -1 - randrange(nb)
+                elif sign is pos:
+                    num = 1 + randrange(nb)
+                elif sign is nonneg:
+                    num = randrange(nb + 1)
+                else:  # NONPOS
+                    num = -randrange(nb + 1)
+                row.append((num, 1 + randrange(db)) if num else (0, 1))
+            rows.append(row)
+        yield rows
+
+
+def _rat_matrix(draw: _Draw) -> RatMatrix:
+    """The candidate as drawn, entry by entry (not row-scaled)."""
+    return RatMatrix([[Fraction(p, q) for p, q in row] for row in draw])
 
 
 def generate(cfg: GeneratorConfig) -> Iterator[RatMatrix]:
     """Deterministic seeded stream of template-conforming matrices; yields at
     most ``max_attempts`` of them."""
-    rng = random.Random(cfg.seed)
-    for _ in range(cfg.max_attempts):
-        yield RatMatrix(
-            [
-                [
-                    _sample_entry(cfg.template[i][j], rng, cfg, i == j)
-                    for j in range(cfg.order)
-                ]
-                for i in range(cfg.order)
-            ]
-        )
+    for draw in _draws(cfg):
+        yield _rat_matrix(draw)
 
 
 @dataclass(frozen=True)
@@ -210,23 +232,30 @@ _EVIDENCE_NOTE = "randomized search accumulates evidence or counterexamples; it 
 # fast necessary-condition screens (hits are always re-verified exactly)
 
 
-def _z_exact_two_minor_screen(a: RatMatrix) -> bool:
+_IntRows = list[list[int]]
+
+
+def _z_exact_two_minor_screen(rows: _IntRows) -> bool:
     """For Z-matrices, E0 exact order 2 is equivalent to: principal minors of
     order <= n-2 nonnegative and of order n-1 negative.  Used as a cheap
     determinant-only screen that stops at the first breaking minor;
-    survivors still face the support-LP classifier."""
-    return next(z_exact_two_minor_breaks(a), None) is None
+    survivors still face the support-LP classifier.  It runs on the
+    row-cleared integer rows D A, whose minors det(D_a A_aa) have the signs
+    of A's, each from the kernel's integer pivots."""
+    minors = _minor_breaks(len(rows), lambda key: _int_det(_int_block(rows, key)))
+    return next(minors, None) is None
 
 
-def _diag_nonneg(a: RatMatrix) -> bool:
-    return all(a[i, i] >= 0 for i in range(a.order))
+def _diag_nonneg(rows: _IntRows) -> bool:
+    return all(row[i] >= 0 for i, row in enumerate(rows))
 
 
-def _conjecture_1_screen(a: RatMatrix) -> bool:
-    return is_Z(a) and _diag_nonneg(a) and _z_exact_two_minor_screen(a)
+def _conjecture_1_screen(rows: _IntRows) -> bool:
+    is_z = all(v <= 0 for i, row in enumerate(rows) for j, v in enumerate(row) if i != j)
+    return is_z and _diag_nonneg(rows) and _z_exact_two_minor_screen(rows)
 
 
-def _pass(a: RatMatrix) -> bool:
+def _pass(a: object) -> bool:
     return True
 
 
@@ -325,7 +354,7 @@ def _search(
     k: int,
     variant: Variant,
     target_hits: Optional[int],
-    screen: Callable[[RatMatrix], bool],
+    screen: Callable[[_IntRows], bool],
     violations: Callable[[RatMatrix], list[tuple[str, str]]],
     second_route: Callable[[RatMatrix], bool],
 ) -> tuple[int, tuple[RatMatrix, ...], tuple[Counterexample, ...]]:
@@ -336,10 +365,12 @@ def _search(
     hits: list[RatMatrix] = []
     counterexamples: list[Counterexample] = []
     attempts = 0
-    for m in generate(config):
+    for draw in _draws(config):
         attempts += 1
-        if not screen(m) or not has_exact_order(m, k, variant):
+        rows = _cleared_rows(draw)[1]
+        if not screen(rows) or not _has_exact_order(rows, k, variant):
             continue
+        m = _rat_matrix(draw)
         if exact_order(m, variant).k != k:
             raise AssertionError("screener and full classifier disagree")
         hits.append(m)

@@ -14,11 +14,15 @@ order first tries O(n^2) sign shortcuts, which settle every order-1 system,
 and then a phase-1 simplex with Bland's pivoting rule (termination under
 degeneracy, no tolerances anywhere) on the closed system.  The simplex
 pivots an integer tableau fraction-free through ``ratcore._pivot``, the one
-exact kernel that ``det`` and ``inverse`` use too.  ``_normalize_certificate``
-scales a raw witness onto the closed system above; it runs only where a
-certificate is read: behind the public oracles, and for the first failing
-support of an exact-order sweep, whose other supports need only the
-decision.
+exact kernel that ``det`` and ``inverse`` use too.  ``_feasible`` is the
+support sweep's decision, on rational or row-cleared integer rows alike (a
+positive row scaling changes no sign of My): sign tests at orders 1 and 2,
+the order-2 one valid where both 1x1 blocks pass, which heredity
+guarantees in the sweep, and ``_witness``'s route above.
+``_normalize_certificate`` scales a raw witness onto the closed system
+above; it runs only where a certificate is read: behind the public oracles,
+and for the first failing support of an exact-order sweep, whose other
+supports need only the decision.
 
 Everything here is pure and stateless; callers may evaluate many systems
 concurrently.
@@ -30,11 +34,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .ratcore import RatMatrix, RatVector, _cleared, _pivot
 
 _Rows = Sequence[Sequence[Fraction]]
+# the sweep's blocks: rational, or row-cleared integer rows
+_AnyRows = Sequence[Sequence[Union[Fraction, int]]]
 
 
 class Strictness(Enum):
@@ -166,7 +172,8 @@ def _witness(rows: _Rows, strict: bool) -> Optional[RatVector]:
     """Decide the system of a square block given by its rows: some raw
     y > 0 with My < 0 (``strict``) or My <= 0, or None when there is none.
 
-    Order 2 has a closed form.  Otherwise two exact O(n^2) shortcuts come
+    Order 2 has a closed form, which needs Fraction rows (it divides).
+    Otherwise, on rational or integer rows, two exact O(n^2) shortcuts come
     first, and one of them always applies at order 1: a row with no negative
     entry pins (My)_i >= 0 for y > 0 (> 0 when the row is nonzero), settling
     infeasibility, and the all-ones vector is a witness whenever the row
@@ -180,12 +187,34 @@ def _witness(rows: _Rows, strict: bool) -> Optional[RatVector]:
     for row in rows:
         if all(v >= 0 for v in row) and (strict or any(v > 0 for v in row)):
             return None
-    sums = [sum(row, Fraction(0)) for row in rows]
+    sums = [sum(row) for row in rows]
     if all(s < 0 for s in sums) if strict else all(s <= 0 for s in sums):
         return (Fraction(1),) * n
     shift = -1 if strict else 0
     ok, u = phase1_feasible(rows, [shift - s for s in sums])
     return tuple(ui + 1 for ui in u) if ok else None
+
+
+def _feasible(rows: _AnyRows, strict: bool) -> bool:
+    """Decision only: does the system of a square block have a solution?
+
+    The rows may be rational or integer (a positive row scaling changes no
+    sign here).  Orders 1 and 2 are sign tests.  A 1x1 block fails iff
+    a11 < 0 (<= 0 when not ``strict``).  The order-2 test holds only when
+    both 1x1 blocks pass, which heredity guarantees wherever the support
+    sweep asks: with a11, a22 >= 0 (> 0 when not ``strict``), the block
+    fails iff a12 < 0, a21 < 0 and a11 a22 < a12 a21 (<= when not
+    ``strict``).  Every other order is ``_witness``'s shortcuts and simplex.
+    """
+    n = len(rows)
+    if n == 1:
+        return rows[0][0] < 0 if strict else rows[0][0] <= 0
+    if n == 2:
+        (a11, a12), (a21, a22) = rows
+        if a12 >= 0 or a21 >= 0:
+            return False
+        return a11 * a22 < a12 * a21 if strict else a11 * a22 <= a12 * a21
+    return _witness(rows, strict) is not None
 
 
 def _normalize_certificate(rows: _Rows, y: RatVector, strict: bool) -> RatVector:

@@ -10,6 +10,13 @@ There is no second elimination route: callers read a principal block of
 A^{-1} from one ``inverse(A)``, and a Schur complement over an order-(n-1)
 block as the scalar det A / det A_aa.
 
+``_cleared_rows`` gives the row-cleared integer matrix D A, each row times
+the LCM of its denominators.  ``det`` and ``inverse`` pivot it, and since D
+is positive, exact order and the sign of every principal minor can be read
+from it too: the conjecture searches decide candidates on these integer rows
+(``_gauss_jordan`` through ``_int_det`` for the minor screen) and build
+Fractions only for hits.
+
 All values here are immutable after construction and safe to share across
 threads.
 """
@@ -19,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import poly
@@ -104,11 +111,16 @@ class IndexSet:
         return "{" + ",".join(str(i) for i in self.members) + "}"
 
 
+def _support_members(n: int) -> Iterator[tuple[int, ...]]:
+    """The members of every nonempty subset of {1..n} in (size, lex) order."""
+    for size in range(1, n + 1):
+        yield from itertools.combinations(range(1, n + 1), size)
+
+
 def all_supports(n: int) -> Iterator[IndexSet]:
     """All nonempty subsets of {1..n} in deterministic (size, lex) order."""
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            yield IndexSet(n, combo)
+    for members in _support_members(n):
+        yield IndexSet(n, members)
 
 
 class RatMatrix:
@@ -258,6 +270,29 @@ def _cleared(values: Iterable[Fraction], scale: int) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
+def _cleared_rows(
+    rows: Iterable[Sequence[tuple[int, int]]],
+) -> tuple[list[int], list[list[int]]]:
+    """The row-cleared integer matrix D A of rows of (numerator, denominator)
+    pairs, and D: each row times the LCM of its denominators.
+
+    D is positive, so every sign condition of exact order and the sign of
+    every principal minor are those of A: (D A)_aa = D_a A_aa.
+    """
+    scales: list[int] = []
+    out: list[list[int]] = []
+    for row in rows:
+        d = lcm(*[q for _, q in row])
+        scales.append(d)
+        out.append([p * (d // q) for p, q in row])
+    return scales, out
+
+
+def _integer_rows(a: RatMatrix) -> tuple[list[int], list[list[int]]]:
+    """``_cleared_rows`` of a matrix's entries."""
+    return _cleared_rows([v.as_integer_ratio() for v in row] for row in a.entries)
+
+
 def _pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
     """One fraction-free Gauss-Jordan step on an integer array, in place.
 
@@ -276,47 +311,47 @@ def _pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
     return p
 
 
-def _gauss_jordan(a: RatMatrix, augment: bool) -> tuple[list[list[int]], Fraction]:
-    """Fraction-free pivots down the diagonal of D A, or of [D A | D] when
-    ``augment``, with D the row denominator LCMs; a lower row is swapped in
-    where a pivot is 0.
+def _gauss_jordan(rows: list[list[int]]) -> int:
+    """Fraction-free pivots, in place, down the diagonal of an integer array
+    with one row per column of its square left part; a lower row is swapped
+    in where a pivot is 0.
 
-    Returns the integer rows and det(A), which is 0 when A is singular (the
-    rows are then left part-way).  A full pass leaves the last pivot p on the
-    whole diagonal, so the right block of [D A | D] is then p A^{-1}.
+    Returns the determinant of the left part, which is 0 when it is singular
+    (the rows are then left part-way).  A full pass leaves the last pivot p
+    on the whole diagonal, so [D A | D] becomes p [I | A^{-1}].
     """
-    n = a.order
-    rows: list[list[int]] = []
-    scale = 1
-    for i, row in enumerate(a.entries):
-        d = lcm(*(v.denominator for v in row))
-        scale *= d
-        rows.append(_cleared(row, d))
-        if augment:
-            rows[i] += [d if j == i else 0 for j in range(n)]
+    n = len(rows)
     sign = 1
     prev = 1
     for k in range(n):
         if rows[k][k] == 0:
             swap = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
             if swap is None:
-                return rows, Fraction(0)
+                return 0
             rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
         prev = _pivot(rows, k, k, prev)
-    return rows, Fraction(sign * prev, scale)
+    return sign * prev
+
+
+def _int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer array: closed forms for orders 1 and
+    2, fraction-free pivots (in place) above."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    return _gauss_jordan(rows)
 
 
 def det(a: RatMatrix) -> Fraction:
-    """Exact determinant by fraction-free pivots on the denominator-cleared
-    integer copy D A; closed forms for orders 1 and 2."""
+    """Exact determinant: that of the row-cleared integer matrix D A, over
+    the product of D."""
     a._require_square()
-    n = a.order
-    if n == 1:
-        return a[0, 0]
-    if n == 2:
-        return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    return _gauss_jordan(a, augment=False)[1]
+    scales, rows = _integer_rows(a)
+    return Fraction(_int_det(rows), prod(scales))
 
 
 def inverse(a: RatMatrix) -> RatMatrix:
@@ -328,8 +363,10 @@ def inverse(a: RatMatrix) -> RatMatrix:
     """
     a._require_square()
     n = a.order
-    rows, d = _gauss_jordan(a, augment=True)
-    if d == 0:
+    scales, rows = _integer_rows(a)
+    for i, d in enumerate(scales):
+        rows[i] += [d if j == i else 0 for j in range(n)]
+    if _gauss_jordan(rows) == 0:
         raise SingularMatrixError("matrix is singular")
     p = rows[0][0]
     return RatMatrix([[Fraction(v, p) for v in row[n:]] for row in rows])

@@ -198,14 +198,35 @@ def test_exact_order_evidence_monotone():
 
 
 def test_has_exact_order_matches_full_classifier():
+    # has_exact_order sweeps the row-cleared integer matrix, exact_order the
+    # Fraction blocks.  Orders 1-5 with fractional entries: half of them
+    # random, half with a nonnegative diagonal over mostly negative
+    # off-diagonal entries (the shape of the exact-order classes); some with
+    # a zero row, and each again with its rows scaled by positive rationals.
     rng = random.Random(43)
-    for _ in range(60):
-        n = rng.randint(2, 4)
-        m = random_matrix(rng, n, num_bound=3, den_bound=2)
+    seen = Counter()
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [list(row) for row in random_matrix(rng, n, num_bound=3, den_bound=3).entries]
+        if rng.randrange(2):
+            rows = [
+                [F(rng.randint(0, 4) if i == j else rng.choice((-4, -3, -2, -1, 1)),
+                   rng.randint(1, 3)) for j in range(n)]
+                for i in range(n)
+            ]
+        if rng.randrange(4) == 0:
+            rows[rng.randrange(n)] = [F(0)] * n
+        m = RatMatrix(rows)
+        scales = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+        scaled = RatMatrix([[d * v for v in row] for d, row in zip(scales, rows)])
         for variant in (Variant.E0, Variant.E):
             k_full = exact_order(m, variant).k
+            seen[k_full is not None and 0 < k_full < n] += 1
             for k in range(n + 1):
                 assert has_exact_order(m, k, variant) == (k_full == k)
+                assert has_exact_order(scaled, k, variant) == (k_full == k)
+    # the corpus reaches exact orders strictly between 0 and n
+    assert seen[True] >= 10
 
 
 def witness_support(result):

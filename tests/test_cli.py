@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -48,8 +52,9 @@ def test_vector_round_trip():
 
 
 def test_parse_rejects_floats_with_position():
-    # "1_0" would parse as 10 through Fraction's digit separators
-    for token in ("0.5", "1_0"):
+    # "1_0" would parse as 10 through Fraction's digit separators, and the
+    # Arabic-Indic digits U+0660 and U+0662 as 0 and 2
+    for token in ("0.5", "1_0", "\u0660", "1/\u0662"):
         with pytest.raises(CliError) as err:
             parse_matrix_text(f"2\n1 {token}\n0 1\n", "m.txt")
         assert "row 1" in str(err.value) and "column 2" in str(err.value)
@@ -73,6 +78,34 @@ def test_first_line_rejects_digit_separator(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("digit separator '_'") == 2 and "Traceback" not in captured.err
+    # int() reads the Arabic-Indic digit two (U+0662) as 2
+    a.write_text("\u0662\n1 \u0660\n0 1\n", encoding="utf-8")
+    assert main(["classify", str(a)]) == 2
+    q.write_text("\u0662\n1 1\n", encoding="utf-8")
+    assert main(["lcp", str(q), write_matrix(tmp_path, "i.txt", RatMatrix.identity(2))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("first line '\u0662' is not ASCII") == 2
+    assert "Traceback" not in captured.err
+
+
+def test_broken_pipe_exits_141_without_traceback(tmp_path):
+    # stdout is a pipe whose reader is gone before the report is written
+    path = write_matrix(tmp_path, "m5.txt", M5_ORDER2)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for extra in ([], ["--json"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "semimono", "classify", path, *extra],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +159,11 @@ def test_classify_reports_deterministic_modulo_timing(tmp_path, capsys):
 
 
 def test_classify_sweeps_each_support_table_once(tmp_path, capsys, monkeypatch):
-    # four (matrix, variant) tables of 31 supports decided by the sweep,
-    # plus one full-matrix public oracle call per almost variant
+    # four (matrix, variant) tables of 31 supports decided by the sweep, one
+    # witness for the first failing support of each, plus one full-matrix
+    # public oracle call per almost variant
     calls = []
-    for name in ("_witness", "feasible_strict", "feasible_semistrict"):
+    for name in ("_feasible", "_witness", "feasible_strict", "feasible_semistrict"):
         oracle = getattr(classify, name)
         monkeypatch.setattr(
             classify, name, lambda *args, oracle=oracle: calls.append(args) or oracle(*args)
@@ -137,7 +171,7 @@ def test_classify_sweeps_each_support_table_once(tmp_path, capsys, monkeypatch):
     classify.exact_order.cache_clear()
     path = write_matrix(tmp_path, "m5.txt", M5_ORDER2)
     assert main(["classify", path]) == 0
-    assert 0 < len(calls) <= 4 * 31 + 2
+    assert 0 < len(calls) <= 4 * 31 + 4 + 2
 
 
 def _nonneg_diagonal_matrices(n, count):

@@ -1,10 +1,13 @@
+import hashlib
+
 import pytest
 
 from semimono import explore
 from semimono.classify import Variant, exact_order, is_Z
-from semimono.cli import main, parse_matrix_text
+from semimono.cli import _TEMPLATES, main, parse_matrix_text
 from semimono.explore import (
     Counterexample,
+    EntrySign,
     GeneratorConfig,
     SearchReport,
     _z_exact_two_minor_screen,
@@ -21,7 +24,7 @@ from semimono.explore import (
     template_nonneg,
     template_z,
 )
-from semimono.ratcore import RatMatrix
+from semimono.ratcore import RatMatrix, _integer_rows
 
 from matrices import (
     M3_ORDER2_E0,
@@ -98,6 +101,41 @@ def test_generate_diagonal_bound_knob():
     assert saw_large_diag
 
 
+# sha256 over the reprs of the first 500 matrices of eight configurations
+# (n = 3, 4; free weights (4,1,4), (12,1,2); diagonal bound unset, 7) per
+# CLI --template, plus one template that holds every EntrySign.  Frozen from
+# the stream of Fraction entries that each drew through random.Random.
+STREAM_DIGESTS = {
+    "pattern": "391e9ebecef24b3b24a40613949af7aa96c173cbcf244244704023032066d595",
+    "z": "955b66944697e9d47c9f149af95e1f48d9dad3f81e755e64c20e8c93ea09e5fe",
+    "free": "3dcef4e766b74dc6485f2341f629d4708051854a4508e0323f6c5f0d42f981ea",
+    "diag-free": "d955deffe6e161a8f009f9b0b7ef69c90cd54aa45a1d846bf9c3b0421808baf2",
+    "nonneg": "a3cf6032d4c71bff7fe1c51d8fbb567cf3d4590a127da0e62bf94f652e53e897",
+    "every-sign": "e29d8ca521cc302d20119a25967227262e3d324e26abb2548a9be42f13fd51af",
+}
+
+
+def test_generate_stream_golden_digest():
+    signs = tuple(EntrySign)
+    templates = dict(_TEMPLATES)
+    templates["every-sign"] = lambda n, variant: tuple(
+        tuple(signs[(i * n + j) % len(signs)] for j in range(n)) for i in range(n)
+    )
+    digests = {}
+    for name, make in templates.items():
+        h = hashlib.sha256()
+        for n in (3, 4):
+            for weights in ((4, 1, 4), (12, 1, 2)):
+                for diag in (None, 7):
+                    c = GeneratorConfig(order=n, template=make(n, Variant.E0), seed=8,
+                                        max_attempts=500, free_weights=weights,
+                                        diagonal_numerator_bound=diag)
+                    for m in generate(c):
+                        h.update(repr(m).encode() + b"\n")
+        digests[name] = h.hexdigest()
+    assert digests == STREAM_DIGESTS
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(order=0, template=())
@@ -114,12 +152,13 @@ def test_config_validation():
 
 
 def test_z_minor_screen_agrees_with_classifier():
+    # the screen reads the row-cleared integer rows D A, as the search feeds it
     rng = random.Random(3)
     for _ in range(150):
         n = rng.randint(3, 4)
         m = random_z_matrix(rng, n, num_bound=4, den_bound=2)
         expected = exact_order(m, Variant.E0).k == 2
-        assert _z_exact_two_minor_screen(m) == expected
+        assert _z_exact_two_minor_screen(_integer_rows(m)[1]) == expected
 
 
 # ---------------------------------------------------------------------------

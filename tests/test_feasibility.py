@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from semimono.feasibility import (
     FeasibilityOutcome,
     Strictness,
+    _feasible,
+    _order2,
+    _witness,
     feasible_semistrict,
     feasible_strict,
     phase1_feasible,
@@ -59,6 +63,25 @@ def test_strict_order2_example():
     out = feasible_strict(m)
     assert out.certificate == (F(1), F(1))
     assert_certificate(m, out, Strictness.STRICT)
+
+
+def test_order1_and_order2_sign_tests_match_the_witness_route():
+    # The support sweep decides 1x1 blocks, and 2x2 blocks whose 1x1 blocks
+    # pass, by signs alone: every such block with entries in -3..3, for both
+    # strictnesses, integer rows against the witness route on Fractions.
+    values = range(-3, 4)
+    checked = 0
+    for strict in (True, False):
+        for a in values:
+            assert _feasible([[a]], strict) == (_witness([[F(a)]], strict) is not None)
+        passing = [a for a in values if (a >= 0 if strict else a > 0)]
+        for a11, a22 in itertools.product(passing, repeat=2):
+            for a12, a21 in itertools.product(values, repeat=2):
+                rows = [[a11, a12], [a21, a22]]
+                expected = _order2([[F(v) for v in row] for row in rows], strict) is not None
+                assert _feasible(rows, strict) == expected
+                checked += 1
+    assert checked == 16 * 49 + 9 * 49
 
 
 def test_semistrict_examples():
