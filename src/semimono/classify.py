@@ -156,17 +156,19 @@ def _int_block(rows: Sequence[Sequence[int]], members: _Members) -> list[list[in
 
 def _sweep(
     n: int, block: Callable[[_Members], _AnyRows], variant: Variant
-) -> Iterator[tuple[_Members, bool]]:
+) -> Iterator[tuple[_Members, Union[bool, RatVector]]]:
     """The one support sweep: the members of every support of an order-n
     matrix in (size, lex) order, and whether it fails, deciding the rows
-    that ``block`` gives for them.
+    that ``block`` gives for them.  A failing support solved above order 2
+    comes with the raw witness ``_feasible`` found in place of True.
 
     The block source may give rational rows or the row-cleared integer ones:
     D_a A_aa y has the signs of A_aa y.  Membership is hereditary, so a
     support with a failing sub-support fails too, and its system is never
     solved; a solved support therefore always has passing 1x1 blocks, which
     the order-2 sign test relies on.  The sweep only decides; a caller that
-    reports a witness computes it.  It is lazy: callers stop as soon as they
+    reports a certificate normalizes the raw witness, or computes one for
+    a support of order 1 or 2.  It is lazy: callers stop as soon as they
     know their answer.
     """
     strict = variant.failing_system is Strictness.STRICT
@@ -203,11 +205,12 @@ def exact_order(a: RatMatrix, variant: Variant) -> ExactOrderResult:
         n, lambda key: principal_submatrix(a, IndexSet(n, key)).entries, variant
     ):
         if failing and witness is None:
-            # the first failing support was solved, so it has a witness
+            # the first failing support was solved, so it has a witness: the
+            # sweep's own above order 2, a closed form or shortcut below
             alpha = IndexSet(n, key)
             rows = principal_submatrix(a, alpha).entries
             strict = variant.failing_system is Strictness.STRICT
-            y = _witness(rows, strict)
+            y = _witness(rows, strict) if failing is True else failing
             assert y is not None
             witness = SupportWitness(alpha, _normalize_certificate(rows, y, strict))
         members_per_order[len(key) - 1].append(not failing)
@@ -259,7 +262,7 @@ def _has_exact_order(rows: Sequence[Sequence[int]], k: int, variant: Variant) ->
         size = len(key)
         if size > n - k + 1:
             break
-        if failing != (size == n - k + 1):
+        if bool(failing) != (size == n - k + 1):
             return False
     return True
 

@@ -18,11 +18,13 @@ exact kernel that ``det`` and ``inverse`` use too.  ``_feasible`` is the
 support sweep's decision, on rational or row-cleared integer rows alike (a
 positive row scaling changes no sign of My): sign tests at orders 1 and 2,
 the order-2 one valid where both 1x1 blocks pass, which heredity
-guarantees in the sweep, and ``_witness``'s route above.
+guarantees in the sweep, and ``_witness``'s route above, whose raw witness
+it hands back.
 ``_normalize_certificate`` scales a raw witness onto the closed system
 above; it runs only where a certificate is read: behind the public oracles,
 and for the first failing support of an exact-order sweep, whose other
-supports need only the decision.
+supports need only the decision, and which reuses the sweep's witness
+where the sweep computed one.
 
 Everything here is pure and stateless; callers may evaluate many systems
 concurrently.
@@ -195,9 +197,12 @@ def _witness(rows: _Rows, strict: bool) -> Optional[RatVector]:
     return tuple(ui + 1 for ui in u) if ok else None
 
 
-def _feasible(rows: _AnyRows, strict: bool) -> bool:
-    """Decision only: does the system of a square block have a solution?
+def _feasible(rows: _AnyRows, strict: bool) -> Union[bool, RatVector]:
+    """Decision: does the system of a square block have a solution?
 
+    False when it has none.  When it has one: True at orders 1 and 2, and
+    above the raw witness that ``_witness`` found, which a caller that
+    reports a certificate normalizes instead of solving the block again.
     The rows may be rational or integer (a positive row scaling changes no
     sign here).  Orders 1 and 2 are sign tests.  A 1x1 block fails iff
     a11 < 0 (<= 0 when not ``strict``).  The order-2 test holds only when
@@ -214,7 +219,7 @@ def _feasible(rows: _AnyRows, strict: bool) -> bool:
         if a12 >= 0 or a21 >= 0:
             return False
         return a11 * a22 < a12 * a21 if strict else a11 * a22 <= a12 * a21
-    return _witness(rows, strict) is not None
+    return _witness(rows, strict) or False
 
 
 def _normalize_certificate(rows: _Rows, y: RatVector, strict: bool) -> RatVector:

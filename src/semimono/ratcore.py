@@ -17,6 +17,12 @@ from it too: the conjecture searches decide candidates on these integer rows
 (``_gauss_jordan`` through ``_int_det`` for the minor screen) and build
 Fractions only for hits.
 
+The spectrum is the one thing a row scaling does not keep.  Eigenvalue
+counts and the characteristic polynomial use ``_scalar_cleared`` instead,
+L A for one positive scalar L, whose roots are L times A's, and run
+Berkowitz's division-free recurrence on it; ``poly`` counts the roots in
+integers too.
+
 All values here are immutable after construction and safe to share across
 threads.
 """
@@ -372,32 +378,69 @@ def inverse(a: RatMatrix) -> RatMatrix:
     return RatMatrix([[Fraction(v, p) for v in row[n:]] for row in rows])
 
 
+def _scalar_cleared(a: RatMatrix) -> tuple[int, list[list[int]]]:
+    """The integer matrix L A and L, the LCM of all of A's denominators.
+
+    One positive scalar, never the row scaling D of ``_cleared_rows``: that
+    keeps signs and exact order but moves the spectrum, while the roots of
+    L A are those of A times L, with their signs and multiplicities.
+    """
+    scale = lcm(*(v.denominator for row in a.entries for v in row))
+    return scale, [_cleared(row, scale) for row in a.entries]
+
+
+def _berkowitz(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Ascending coefficients of det(x I - B) for a square integer array B,
+    by Berkowitz's division-free recurrence (Berkowitz 1984).
+
+    B = [[a, r], [c, B1]] has char poly T p1, with p1 that of B1 and T the
+    lower-triangular Toeplitz matrix of the column 1, -a, -r c, -r B1 c,
+    ..., -r B1^(m-1) c (m the order of B1), so the trailing blocks are
+    folded in from the last diagonal entry up.  Only products and sums of
+    integers are formed.
+    """
+    n = len(rows)
+    desc = [1, -rows[n - 1][n - 1]]  # descending coefficients of the trailing block
+    for k in range(n - 2, -1, -1):
+        r = rows[k][k + 1:]
+        tail = [row[k + 1:] for row in rows[k + 1:]]
+        v = [row[k] for row in rows[k + 1:]]
+        col = [1, -rows[k][k]]
+        for j in range(n - k - 1):
+            col.append(-sum(x * y for x, y in zip(r, v)))
+            if j < n - k - 2:
+                v = [sum(x * y for x, y in zip(row, v)) for row in tail]
+        desc = [
+            sum(col[i - j] * desc[j] for j in range(min(i + 1, len(desc))))
+            for i in range(len(desc) + 1)
+        ]
+    return desc[::-1]
+
+
 def char_poly(a: RatMatrix) -> tuple[Fraction, ...]:
-    """Coefficients of the monic characteristic polynomial det(lambda I - A)
-    via the Faddeev-LeVerrier recurrence: entry k is the coefficient of
-    lambda^k, so the last is 1 and the first is (-1)^n det(A)."""
+    """Coefficients of the monic characteristic polynomial det(lambda I - A):
+    entry k is the coefficient of lambda^k, so the last is 1 and the first
+    is (-1)^n det(A).
+
+    Berkowitz's recurrence runs on the integer matrix L A of
+    ``_scalar_cleared``; its coefficient k is L^(n-k) times A's.
+    """
     a._require_square()
     n = a.order
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = RatMatrix.identity(n)
-    for k in range(1, n + 1):
-        am = a @ m
-        c = -am.trace() / k
-        coeffs[n - k] = c
-        if k < n:
-            m = am + RatMatrix.identity(n) * c
-    return tuple(coeffs)
+    scale, rows = _scalar_cleared(a)
+    return tuple(Fraction(c, scale ** (n - k)) for k, c in enumerate(_berkowitz(rows)))
 
 
 def eigenvalue_sign_counts(a: RatMatrix) -> tuple[int, int, int]:
     """Counts of real characteristic roots in (-inf,0), {0}, (0,inf).
 
     Roots are counted with multiplicity, exactly, by Sturm sequences on the
-    square-free layers of the characteristic polynomial.  Complex roots are
-    the remainder up to n.
+    square-free layers of the integer characteristic polynomial of L A
+    (``_scalar_cleared``), whose roots are L > 0 times A's.  Complex roots
+    are the remainder up to n.
     """
-    return poly.real_root_sign_counts(char_poly(a))
+    a._require_square()
+    return poly.real_root_sign_counts(_berkowitz(_scalar_cleared(a)[1]))
 
 
 def count_negative_eigenvalues(a: RatMatrix) -> int:

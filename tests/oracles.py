@@ -8,7 +8,11 @@ against arithmetic it does not share.  Fourier-Motzkin elimination decides
 linear systems by a route unrelated to the package's simplex.  The
 partitioned inverse and the general Schur complement build principal-block
 quantities from smaller inverses, where the package reads them from one
-inverse of A and from determinants.
+inverse of A and from determinants.  The characteristic polynomial oracle
+is Faddeev-LeVerrier over Fraction matrices, and its root counts run
+Euclid's algorithm and Sturm chains on Fraction polynomials, where the
+package uses Berkowitz's division-free recurrence and integer
+pseudo-remainders.
 """
 
 import random
@@ -46,6 +50,109 @@ def adjugate(a: RatMatrix) -> RatMatrix:
         return (-1) ** (i + j) * det_cofactor(minor)
 
     return RatMatrix([[cofactor(j, i) for j in range(n)] for i in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomial and real root counts over the rationals
+
+
+def char_poly_leverrier(a: RatMatrix) -> tuple[Fraction, ...]:
+    """Ascending coefficients of det(lambda I - A) by the Faddeev-LeVerrier
+    recurrence: M_1 = I, c_(n-k) = -tr(A M_k) / k, M_(k+1) = A M_k + c_(n-k) I,
+    on rows of Fractions."""
+    n = a.order
+    rows = a.entries
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*m))
+        am = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows]
+        c = -sum(am[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+        for i in range(n):
+            am[i][i] += c
+        m = am
+    return tuple(coeffs)
+
+
+def _trim(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    out = [Fraction(c) for c in p]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _rem(num: tuple[Fraction, ...], den: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Remainder of Fraction polynomial division."""
+    rem = list(num)
+    while len(rem) >= len(den):
+        f = rem[-1] / den[-1]
+        shift = len(rem) - len(den)
+        for i, c in enumerate(den):
+            rem[shift + i] -= f * c
+        rem = list(_trim(rem[:-1]))
+    return tuple(rem)
+
+
+def _quot(num: tuple[Fraction, ...], den: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Quotient of an exact Fraction polynomial division."""
+    rem = list(num)
+    quot = [Fraction(0)] * (len(num) - len(den) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        f = rem[shift + len(den) - 1] / den[-1]
+        quot[shift] = f
+        for i, c in enumerate(den):
+            rem[shift + i] -= f * c
+    assert not any(rem), "division was not exact"
+    return _trim(quot)
+
+
+def _derivative(p: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    return _trim(p[k] * k for k in range(1, len(p)))
+
+
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _monic_gcd(p: tuple[Fraction, ...], q: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    while q:
+        p, q = q, _rem(p, q)
+    return tuple(c / p[-1] for c in p)
+
+
+def has_repeated_root(coeffs: Sequence[Fraction]) -> bool:
+    """Does a nonzero polynomial share a root with its derivative?"""
+    p = _trim(coeffs)
+    return len(_monic_gcd(p, _derivative(p))) > 1
+
+
+def real_root_sign_counts_fraction(coeffs: Sequence[Fraction]) -> tuple[int, int, int]:
+    """Real roots in (-inf,0), {0}, (0,inf) with multiplicity, from Sturm
+    chains of remainders over the rationals on the square-free layers of
+    the monic-gcd chain p, gcd(p, p'), ..."""
+    p = _trim(coeffs)
+    if not p:
+        raise ValueError("zero polynomial")
+    zeros = next(i for i, c in enumerate(p) if c != 0)
+    layer = p[zeros:]
+    negatives = positives = 0
+    while len(layer) > 1:
+        below = _monic_gcd(layer, _derivative(layer))
+        distinct = _quot(layer, below)
+        chain = [distinct, _derivative(distinct)]
+        while len(chain[-1]) > 1:
+            r = _rem(chain[-2], chain[-1])
+            if not r:
+                break
+            chain.append(tuple(-c for c in r))
+        v_zero = _sign_changes(q[0] for q in chain)
+        negatives += _sign_changes(q[-1] * (-1) ** (len(q) - 1) for q in chain) - v_zero
+        positives += v_zero - _sign_changes(q[-1] for q in chain)
+        layer = below
+    return negatives, zeros, positives
 
 
 # ---------------------------------------------------------------------------

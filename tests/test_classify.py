@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from semimono import verify
+from semimono import classify, feasibility, verify
 from semimono.classify import (
     ClassLabel,
     ExactOrderResult,
@@ -28,7 +28,7 @@ from semimono.classify import (
     negative_entry_profile,
 )
 from semimono.feasibility import feasible_semistrict, feasible_strict
-from semimono.ratcore import RatMatrix, all_supports, det, principal_submatrix
+from semimono.ratcore import IndexSet, RatMatrix, all_supports, det, principal_submatrix
 from semimono.verify import audit_thm_3x3_structure
 
 from matrices import (
@@ -309,6 +309,28 @@ def test_witness_is_the_public_oracles_certificate():
                     out = oracle(principal_submatrix(a, witness.support))
                     assert out.feasible and witness.vector == out.certificate
     assert {1, 2, 3, 4, 5} <= set(sizes)
+
+
+def test_first_failing_support_is_solved_once(monkeypatch):
+    # every 1x1 and 2x2 block passes and the whole matrix needs the simplex:
+    # the sweep's witness becomes the certificate, so one exact_order call
+    # solves the block once
+    m = RatMatrix([[4, -3, 0], [3, 4, -4], [-4, -2, 2]])
+    calls = Counter()
+    for module, name in (
+        (feasibility, "_witness"),
+        (classify, "_witness"),
+        (feasibility, "phase1_feasible"),
+    ):
+        real = getattr(feasibility, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args)
+        )
+    exact_order.cache_clear()
+    result = exact_order(m, Variant.E0)
+    assert result.witness.support == IndexSet.full(3)
+    assert calls == Counter({"_witness": 1, "phase1_feasible": 1})
+    assert result.witness.vector == feasible_strict(m).certificate
 
 
 def test_heredity_of_membership():

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,11 +34,14 @@ from matrices import (
 from oracles import (
     adjugate,
     block_inverse_principal,
+    char_poly_leverrier,
     complement,
     det_cofactor,
+    has_repeated_root,
     random_invertible,
     random_matrix,
     random_symmetric,
+    real_root_sign_counts_fraction,
     schur_complement,
     submatrix,
 )
@@ -367,6 +371,64 @@ def test_eigen_counts_sum_on_symmetric():
 def test_eigen_count_matches_fixture_pair():
     assert count_negative_eigenvalues(M3_ORDER2_E) == 1
     assert count_negative_eigenvalues(M4_ORDER2_NONZ) == 1
+
+
+def test_eigen_counts_use_one_scalar_not_row_scaling():
+    # Row scaling by D = diag(6, 2) keeps exact order but moves the spectrum:
+    # A has a complex pair, D A two negative eigenvalues.
+    a = RatMatrix([[F(-3, 2), F(2, 3)], [-3, F(1, 2)]])
+    assert eigenvalue_sign_counts(a) == (0, 0, 0)
+    assert eigenvalue_sign_counts(RatMatrix([[-9, 4], [-6, 1]])) == (2, 0, 0)
+
+
+def _spectral_case(rng, n):
+    """A random order-n matrix of one of four kinds, drawn at random: dense, with
+    each row over its own denominator; entries in {-1, 0, 1} over small
+    denominators, often singular or with repeated roots; and a triangular
+    matrix with repeated and zero diagonal entries, once plain and once
+    with a rotation block (a complex pair), under an integer unimodular
+    similarity and then a rational diagonal one, which gives its rows
+    unequal denominators."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        dens = [rng.randint(1, 6) for _ in range(n)]
+        return RatMatrix([[F(rng.randint(-9, 9), d * rng.randint(1, 2)) for _ in range(n)] for d in dens])
+    if kind == 1:
+        return RatMatrix([[F(rng.randint(-1, 1), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
+    diag = [F(rng.choice([-2, -1, 0, 0, 1, 3]), rng.randint(1, 2)) for _ in range(n)]
+    t = [
+        [diag[i] if i == j else F(rng.randint(-3, 3), rng.randint(1, 3)) if j > i else F(0) for j in range(n)]
+        for i in range(n)
+    ]
+    if kind == 3 and n >= 2:
+        t[0][0], t[0][1], t[1][0], t[1][1] = F(1), F(-2), F(2), F(1)  # roots 1 +- 2i
+    u = [[1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+    u_inv = [[int(v) for v in row] for row in inverse(RatMatrix(u)).entries]
+    ut = [[sum(u[i][k] * t[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    m = [[sum(ut[i][k] * u_inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    d = [F(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(n)]
+    return RatMatrix([[d[i] * m[i][j] / d[j] for j in range(n)] for i in range(n)])
+
+
+# orders 1-7, weighted to the small ones: Faddeev-LeVerrier costs n^4
+# Fraction products
+_SPECTRAL_ORDERS = (1,) * 6 + (2,) * 7 + (3,) * 8 + (4,) * 8 + (5,) * 6 + (6,) * 3 + (7,) * 2
+
+
+def test_char_poly_and_counts_match_rational_oracles():
+    rng = random.Random(2024)
+    seen = {"repeated": 0, "zero": 0, "complex": 0, "unequal rows": 0}
+    for case in range(2000):
+        m = _spectral_case(rng, _SPECTRAL_ORDERS[case % len(_SPECTRAL_ORDERS)])
+        cp = char_poly(m)
+        assert cp == char_poly_leverrier(m)
+        counts = eigenvalue_sign_counts(m)
+        assert counts == real_root_sign_counts_fraction(cp)
+        seen["repeated"] += has_repeated_root(cp)
+        seen["zero"] += counts[1] > 0
+        seen["complex"] += sum(counts) < m.order
+        seen["unequal rows"] += len({lcm(*(v.denominator for v in row)) for row in m.entries}) > 1
+    assert min(seen.values()) >= 100, seen
 
 
 # ---------------------------------------------------------------------------
