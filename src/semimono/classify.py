@@ -7,15 +7,16 @@ zeros to recover the failing x), and fails to be strictly semimonotone when
 some support admits y > 0 with A_aa y <= 0.  One lazy sweep, ``_sweep``,
 decides the 2^n - 1 supports with the exact feasibility oracle's decision
 step in a fixed (size, lex) order, skipping any support whose sub-support
-already fails (membership is hereditary).  It takes its blocks from a block
-source.  The memoized exact-order profile gives it the Fraction blocks of
-``principal_submatrix``, drains it and computes and normalizes the
-certificate of the first failing support only; the semimonotone,
-copositive and almost verdicts read that witness off the profile.
-``has_exact_order``, the explorer's filter, gives it blocks sliced from the
-row-cleared integer matrix D A, whose supports fail exactly where A's do
-((D A)_aa = D_a A_aa with D_a positive), stops it early and reads no
-witness at all.
+already fails (membership is hereditary).  It walks the rows of the matrix
+itself: 1x1 and 2x2 supports are sign tests on entries in place, and only
+larger blocks are sliced out.  The memoized exact-order profile sweeps the
+Fraction rows of A, drains the sweep and computes and normalizes the
+certificate of the first failing support only, the one support it takes a
+``principal_submatrix`` of; the semimonotone, copositive and almost
+verdicts read that witness off the profile.  ``has_exact_order``, the
+explorer's filter, sweeps the row-cleared integer matrix D A, whose
+supports fail exactly where A's do ((D A)_aa = D_a A_aa with D_a
+positive), stops early and reads no witness at all.
 
 All procedures are pure; the fixed order makes the first witness
 deterministic.
@@ -147,38 +148,29 @@ class ExactOrderResult:
 _Members = tuple[int, ...]
 
 
-def _int_block(rows: Sequence[Sequence[int]], members: _Members) -> list[list[int]]:
-    """The principal block on the 1-based ``members`` of integer rows, as
-    fresh lists."""
-    picked = [rows[i - 1] for i in members]
-    return [[row[j - 1] for j in members] for row in picked]
+def _sweep(rows: _AnyRows, variant: Variant) -> Iterator[tuple[_Members, Union[bool, RatVector]]]:
+    """The one support sweep: the members of every support of the square
+    ``rows`` in (size, lex) order, and whether it fails.  A failing support
+    solved above order 2 comes with the raw witness ``_feasible`` found in
+    place of True.
 
-
-def _sweep(
-    n: int, block: Callable[[_Members], _AnyRows], variant: Variant
-) -> Iterator[tuple[_Members, Union[bool, RatVector]]]:
-    """The one support sweep: the members of every support of an order-n
-    matrix in (size, lex) order, and whether it fails, deciding the rows
-    that ``block`` gives for them.  A failing support solved above order 2
-    comes with the raw witness ``_feasible`` found in place of True.
-
-    The block source may give rational rows or the row-cleared integer ones:
-    D_a A_aa y has the signs of A_aa y.  Membership is hereditary, so a
-    support with a failing sub-support fails too, and its system is never
-    solved; a solved support therefore always has passing 1x1 blocks, which
-    the order-2 sign test relies on.  The sweep only decides; a caller that
-    reports a certificate normalizes the raw witness, or computes one for
-    a support of order 1 or 2.  It is lazy: callers stop as soon as they
-    know their answer.
+    The rows may be rational or the row-cleared integer ones: D_a A_aa y
+    has the signs of A_aa y.  Membership is hereditary, so a support with a
+    failing sub-support fails too, and its system is never solved; a solved
+    support therefore always has passing 1x1 blocks, which the order-2 sign
+    test relies on.  The sweep only decides; a caller that reports a
+    certificate normalizes the raw witness, or computes one for a support of
+    order 1 or 2.  It is lazy: callers stop as soon as they know their
+    answer.
     """
     strict = variant.failing_system is Strictness.STRICT
     failing: set[_Members] = set()
-    for key in _support_members(n):
+    for key in _support_members(len(rows)):
         if failing and any(key[:i] + key[i + 1:] in failing for i in range(len(key))):
             failing.add(key)
             yield key, True
             continue
-        fails = _feasible(block(key), strict)
+        fails = _feasible(rows, key, strict)
         if fails:
             failing.add(key)
         yield key, fails
@@ -201,9 +193,7 @@ def exact_order(a: RatMatrix, variant: Variant) -> ExactOrderResult:
     n = a.order
     members_per_order: list[list[bool]] = [[] for _ in range(n)]
     witness: Optional[SupportWitness] = None
-    for key, failing in _sweep(
-        n, lambda key: principal_submatrix(a, IndexSet(n, key)).entries, variant
-    ):
+    for key, failing in _sweep(a.entries, variant):
         if failing and witness is None:
             # the first failing support was solved, so it has a witness: the
             # sweep's own above order 2, a closed form or shortcut below
@@ -258,7 +248,7 @@ def _has_exact_order(rows: Sequence[Sequence[int]], k: int, variant: Variant) ->
     n = len(rows)
     if not 0 <= k <= n:
         raise ValueError(f"exact order must lie in 0..{n}")
-    for key, failing in _sweep(n, lambda key: _int_block(rows, key), variant):
+    for key, failing in _sweep(rows, variant):
         size = len(key)
         if size > n - k + 1:
             break

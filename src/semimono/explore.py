@@ -10,15 +10,18 @@ caveat.
 Every public search is a thin caller of one loop, ``_search``: a cheap
 screen, then the ``has_exact_order`` sweep, then the full classifier must
 agree on each hit.  The candidate stream is drawn as integer (numerator,
-denominator) pairs, and the screen and the sweep run on the row-cleared
-integer matrix D A, which has the exact order and principal-minor signs of
-A.  Only a candidate that passes both becomes a ``RatMatrix``, entry by
-entry as drawn, and the ``Fraction`` classifier ``exact_order`` re-checks
-it, so every hit is decided by two kinds of arithmetic.  A conclusion checker runs once per hit, and a hit it fails is
-reported as a counterexample only after a triple check: the classifier
-agreed, the checker reproduces the failure, and an independent second route
-(A A^{-1} = I by substitution for the inverse conjectures, the transpose's
-profile for the negative-entry counts) agrees.
+denominator) pairs, each value the one ``random.Random(seed).randrange``
+would give, read from bulk 32-bit generator outputs (Mersenne Twister;
+Matsumoto and Nishimura 1998) instead of one ``randrange`` call per value.
+The screen and the sweep run on the row-cleared integer matrix D A, which
+has the exact order and principal-minor signs of A.  Only a candidate that
+passes both becomes a ``RatMatrix``, entry by entry as drawn, and the
+``Fraction`` classifier ``exact_order`` re-checks it, so every hit is
+decided by two kinds of arithmetic.  A conclusion checker runs once per
+hit, and a hit it fails is reported as a counterexample only after a triple
+check: the classifier agreed, the checker reproduces the failure, and an
+independent second route (A A^{-1} = I by substitution for the inverse
+conjectures, the transpose's profile for the negative-entry counts) agrees.
 
 Conjecture 1 is stated with the partitioned inverse formula; its checker
 reads the blocks of one ``inverse(A)`` instead, which agrees wherever the
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -40,7 +44,6 @@ from typing import Callable, Iterator, Optional
 from .classify import (
     Variant,
     _has_exact_order,
-    _int_block,
     _minor_breaks,
     exact_order,
     is_Z,
@@ -50,6 +53,7 @@ from .ratcore import (
     IndexSet,
     RatMatrix,
     SingularMatrixError,
+    _block,
     _cleared_rows,
     _int_det,
     count_negative_eigenvalues,
@@ -109,6 +113,11 @@ def template_diag_nonneg_off_free(n: int) -> Template:
     return _grid(n, EntrySign.NONNEG, EntrySign.FREE)
 
 
+# The widest draw that one 32-bit generator output can reproduce: NONNEG and
+# NONPOS cells draw from bound + 1 values, still below 2^32.
+_MAX_WIDTH = 2**31
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Deterministic rejection-sampling stream specification.
@@ -143,9 +152,32 @@ class GeneratorConfig:
             raise ValueError("template shape must match the order")
         if any(w < 0 for w in self.free_weights) or sum(self.free_weights) == 0:
             raise ValueError("free weights must be nonnegative and not all zero")
+        widths = (self.numerator_bound, self.diagonal_numerator_bound or 1,
+                  self.denominator_bound, sum(self.free_weights))
+        if max(widths) > _MAX_WIDTH:
+            raise ValueError("bounds and the free-weight sum must be <= 2**31")
 
 
 _Draw = list[list[tuple[int, int]]]
+
+# 32-bit generator outputs per bulk refill of ``_words``
+_REFILL = 512
+
+
+def _words(seed: int) -> Iterator[int]:
+    """The 32-bit outputs of ``random.Random(seed)``, in order.
+
+    ``getrandbits(32 m)`` concatenates m consecutive outputs, the first one
+    least significant, so each refill is m outputs read off as little-endian
+    32-bit words.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    unpack = struct.Struct(f"<{_REFILL}I").unpack
+    refills = (
+        unpack(getrandbits(32 * _REFILL).to_bytes(4 * _REFILL, "little"))
+        for _ in itertools.repeat(None)
+    )
+    return itertools.chain.from_iterable(refills)
 
 
 def _draws(cfg: GeneratorConfig) -> Iterator[_Draw]:
@@ -155,40 +187,72 @@ def _draws(cfg: GeneratorConfig) -> Iterator[_Draw]:
     Per entry: a FREE position first draws its sign class from
     ``randrange(wn + wz + wp)``; a nonzero class draws the numerator
     magnitude, and a nonzero numerator draws its denominator.  Each draw
-    from [lo, lo + w) is ``lo + randrange(w)``, the value and the generator
-    state that ``randint(lo, lo + w - 1)`` gives.
+    from [lo, lo + w) is ``lo + randrange(w)`` on ``random.Random(seed)``,
+    read from ``_words``.  CPython's ``randrange(w)`` takes k =
+    ``w.bit_length()`` bits from ``getrandbits(k)``, redrawing while the
+    result is >= w, and for k <= 32 ``getrandbits(k)`` is the top k bits of
+    one 32-bit output.  So each draw here is ``word >> (32 - k)``, redrawn
+    while >= w, with the shift precomputed per width: the same values as
+    ``randrange``, and the same ones ``randint(lo, lo + w - 1)`` gives.
+    ``GeneratorConfig`` keeps every width below 2^32.  Words drawn past the
+    last candidate are discarded.
     """
     neg, pos, zero, nonneg, free = (
         EntrySign.NEG, EntrySign.POS, EntrySign.ZERO, EntrySign.NONNEG, EntrySign.FREE
     )
-    randrange = random.Random(cfg.seed).randrange
+    word = _words(cfg.seed).__next__
     db = cfg.denominator_bound
+    d_shift = 32 - db.bit_length()
     wn, wz, wp = cfg.free_weights
+    wnz = wn + wz
+    ws = wnz + wp
+    s_shift = 32 - ws.bit_length()
     nb_off = cfg.numerator_bound
     nb_diag = nb_off if cfg.diagonal_numerator_bound is None else cfg.diagonal_numerator_bound
-    cells = [
-        [(sign, nb_diag if i == j else nb_off) for j, sign in enumerate(signs)]
-        for i, signs in enumerate(cfg.template)
-    ]
+    # per cell (is FREE, numerator sign, offset, width, shift): the numerator
+    # is sign * (offset + r) for r drawn from [0, width); width 0 draws none.
+    # A FREE cell's sign class picks the numerator sign (or zero) first.
+    cells = []
+    for i, signs in enumerate(cfg.template):
+        cell_row = []
+        for j, sign in enumerate(signs):
+            nb = nb_diag if i == j else nb_off
+            if sign is zero:
+                sgn, off, w = 1, 0, 0
+            elif sign in (neg, pos, free):
+                sgn, off, w = -1 if sign is neg else 1, 1, nb
+            else:
+                sgn, off, w = 1 if sign is nonneg else -1, 0, nb + 1
+            cell_row.append((sign is free, sgn, off, w, 32 - w.bit_length()))
+        cells.append(cell_row)
     for _ in range(cfg.max_attempts):
         rows = []
         for cell_row in cells:
             row = []
-            for sign, nb in cell_row:
-                if sign is free:
-                    r = randrange(wn + wz + wp)
-                    sign = neg if r < wn else zero if r < wn + wz else pos
-                if sign is zero:
-                    num = 0
-                elif sign is neg:
-                    num = -1 - randrange(nb)
-                elif sign is pos:
-                    num = 1 + randrange(nb)
-                elif sign is nonneg:
-                    num = randrange(nb + 1)
-                else:  # NONPOS
-                    num = -randrange(nb + 1)
-                row.append((num, 1 + randrange(db)) if num else (0, 1))
+            for is_free, sgn, off, w, shift in cell_row:
+                if is_free:
+                    r = word() >> s_shift
+                    while r >= ws:
+                        r = word() >> s_shift
+                    if r < wn:
+                        sgn = -1
+                    elif r < wnz:
+                        row.append((0, 1))
+                        continue
+                elif not w:
+                    row.append((0, 1))
+                    continue
+                r = word() >> shift
+                while r >= w:
+                    r = word() >> shift
+                num = sgn * (off + r)
+                if num:
+                    r = word() >> d_shift
+                    while r >= db:
+                        r = word() >> d_shift
+                    row.append((num, 1 + r))
+                else:
+                    row.append((0, 1))
             rows.append(row)
         yield rows
 
@@ -242,7 +306,7 @@ def _z_exact_two_minor_screen(rows: _IntRows) -> bool:
     survivors still face the support-LP classifier.  It runs on the
     row-cleared integer rows D A, whose minors det(D_a A_aa) have the signs
     of A's, each from the kernel's integer pivots."""
-    minors = _minor_breaks(len(rows), lambda key: _int_det(_int_block(rows, key)))
+    minors = _minor_breaks(len(rows), lambda key: _int_det(_block(rows, key)))
     return next(minors, None) is None
 
 

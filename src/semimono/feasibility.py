@@ -15,11 +15,12 @@ and then a phase-1 simplex with Bland's pivoting rule (termination under
 degeneracy, no tolerances anywhere) on the closed system.  The simplex
 pivots an integer tableau fraction-free through ``ratcore._pivot``, the one
 exact kernel that ``det`` and ``inverse`` use too.  ``_feasible`` is the
-support sweep's decision, on rational or row-cleared integer rows alike (a
-positive row scaling changes no sign of My): sign tests at orders 1 and 2,
-the order-2 one valid where both 1x1 blocks pass, which heredity
-guarantees in the sweep, and ``_witness``'s route above, whose raw witness
-it hands back.
+support sweep's decision on one principal block of a matrix's rows,
+rational or row-cleared integer alike (a positive row scaling changes no
+sign of My).  Orders 1 and 2 are sign tests on the entries where they
+stand, the order-2 one valid where both 1x1 blocks pass, which heredity
+guarantees in the sweep.  Above, it slices the block (``ratcore._block``)
+and takes ``_witness``'s route, whose raw witness it hands back.
 ``_normalize_certificate`` scales a raw witness onto the closed system
 above; it runs only where a certificate is read: behind the public oracles,
 and for the first failing support of an exact-order sweep, whose other
@@ -38,10 +39,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from .ratcore import RatMatrix, RatVector, _cleared, _pivot
+from .ratcore import RatMatrix, RatVector, _block, _cleared, _pivot
 
 _Rows = Sequence[Sequence[Fraction]]
-# the sweep's blocks: rational, or row-cleared integer rows
+# the sweep's rows: rational, or row-cleared integer
 _AnyRows = Sequence[Sequence[Union[Fraction, int]]]
 
 
@@ -197,29 +198,34 @@ def _witness(rows: _Rows, strict: bool) -> Optional[RatVector]:
     return tuple(ui + 1 for ui in u) if ok else None
 
 
-def _feasible(rows: _AnyRows, strict: bool) -> Union[bool, RatVector]:
-    """Decision: does the system of a square block have a solution?
+def _feasible(rows: _AnyRows, members: tuple[int, ...], strict: bool) -> Union[bool, RatVector]:
+    """Decision: does the system of the principal block of square ``rows``
+    on the 1-based ``members`` have a solution?
 
     False when it has none.  When it has one: True at orders 1 and 2, and
     above the raw witness that ``_witness`` found, which a caller that
     reports a certificate normalizes instead of solving the block again.
     The rows may be rational or integer (a positive row scaling changes no
-    sign here).  Orders 1 and 2 are sign tests.  A 1x1 block fails iff
-    a11 < 0 (<= 0 when not ``strict``).  The order-2 test holds only when
-    both 1x1 blocks pass, which heredity guarantees wherever the support
-    sweep asks: with a11, a22 >= 0 (> 0 when not ``strict``), the block
-    fails iff a12 < 0, a21 < 0 and a11 a22 < a12 a21 (<= when not
-    ``strict``).  Every other order is ``_witness``'s shortcuts and simplex.
+    sign here).  Orders 1 and 2 are sign tests on the entries in place.  A
+    1x1 block fails iff a11 < 0 (<= 0 when not ``strict``).  The order-2
+    test holds only when both 1x1 blocks pass, which heredity guarantees
+    wherever the support sweep asks: with a11, a22 >= 0 (> 0 when not
+    ``strict``), the block fails iff a12 < 0, a21 < 0 and a11 a22 < a12 a21
+    (<= when not ``strict``).  Every other order slices the block and runs
+    ``_witness``'s shortcuts and simplex.
     """
-    n = len(rows)
-    if n == 1:
-        return rows[0][0] < 0 if strict else rows[0][0] <= 0
-    if n == 2:
-        (a11, a12), (a21, a22) = rows
+    if len(members) == 1:
+        i = members[0] - 1
+        return rows[i][i] < 0 if strict else rows[i][i] <= 0
+    if len(members) == 2:
+        i, j = members[0] - 1, members[1] - 1
+        row_i, row_j = rows[i], rows[j]
+        a12, a21 = row_i[j], row_j[i]
         if a12 >= 0 or a21 >= 0:
             return False
-        return a11 * a22 < a12 * a21 if strict else a11 * a22 <= a12 * a21
-    return _witness(rows, strict) or False
+        diag, off = row_i[i] * row_j[j], a12 * a21
+        return diag < off if strict else diag <= off
+    return _witness(_block(rows, members), strict) or False
 
 
 def _normalize_certificate(rows: _Rows, y: RatVector, strict: bool) -> RatVector:

@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, TypeVar, Union
 
 from . import poly
 
@@ -121,6 +121,16 @@ def _support_members(n: int) -> Iterator[tuple[int, ...]]:
     """The members of every nonempty subset of {1..n} in (size, lex) order."""
     for size in range(1, n + 1):
         yield from itertools.combinations(range(1, n + 1), size)
+
+
+_T = TypeVar("_T")
+
+
+def _block(rows: Sequence[Sequence[_T]], members: tuple[int, ...]) -> list[list[_T]]:
+    """The principal block of square rows on the 1-based ``members``, as
+    fresh lists."""
+    picked = [rows[i - 1] for i in members]
+    return [[row[j - 1] for j in members] for row in picked]
 
 
 def all_supports(n: int) -> Iterator[IndexSet]:

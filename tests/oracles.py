@@ -12,13 +12,16 @@ inverse of A and from determinants.  The characteristic polynomial oracle
 is Faddeev-LeVerrier over Fraction matrices, and its root counts run
 Euclid's algorithm and Sturm chains on Fraction polynomials, where the
 package uses Berkowitz's division-free recurrence and integer
-pseudo-remainders.
+pseudo-remainders.  The candidate stream oracle draws every value with
+``random.Random.randrange``, where the package reads bulk 32-bit generator
+outputs.
 """
 
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
+from semimono.explore import EntrySign, GeneratorConfig
 from semimono.feasibility import FeasibilityOutcome, Strictness
 from semimono.ratcore import IndexSet, RatMatrix, inverse, principal_submatrix
 
@@ -304,6 +307,45 @@ def fm_feasible(m: RatMatrix, strictness: Strictness) -> FeasibilityOutcome:
     g = [[-1 if j == i else 0 for j in range(n)] for i in range(n)] + list(m.entries)
     y = fm_point(g, [-1] * n + [shift] * n)
     return FeasibilityOutcome(False) if y is None else FeasibilityOutcome(True, y)
+
+
+def draws_randrange(cfg: GeneratorConfig) -> Iterator[list[list[tuple[int, int]]]]:
+    """The explorer's candidate stream, each value drawn by ``randrange``:
+    per entry a FREE sign class from ``randrange(wn + wz + wp)``, then the
+    numerator magnitude, then, for a nonzero numerator, its denominator."""
+    neg, pos, zero, nonneg, free = (
+        EntrySign.NEG, EntrySign.POS, EntrySign.ZERO, EntrySign.NONNEG, EntrySign.FREE
+    )
+    randrange = random.Random(cfg.seed).randrange
+    db = cfg.denominator_bound
+    wn, wz, wp = cfg.free_weights
+    nb_off = cfg.numerator_bound
+    nb_diag = nb_off if cfg.diagonal_numerator_bound is None else cfg.diagonal_numerator_bound
+    cells = [
+        [(sign, nb_diag if i == j else nb_off) for j, sign in enumerate(signs)]
+        for i, signs in enumerate(cfg.template)
+    ]
+    for _ in range(cfg.max_attempts):
+        rows = []
+        for cell_row in cells:
+            row = []
+            for sign, nb in cell_row:
+                if sign is free:
+                    r = randrange(wn + wz + wp)
+                    sign = neg if r < wn else zero if r < wn + wz else pos
+                if sign is zero:
+                    num = 0
+                elif sign is neg:
+                    num = -1 - randrange(nb)
+                elif sign is pos:
+                    num = 1 + randrange(nb)
+                elif sign is nonneg:
+                    num = randrange(nb + 1)
+                else:  # NONPOS
+                    num = -randrange(nb + 1)
+                row.append((num, 1 + randrange(db)) if num else (0, 1))
+            rows.append(row)
+        yield rows
 
 
 def random_fraction(rng: random.Random, num_bound: int = 9, den_bound: int = 4) -> Fraction:

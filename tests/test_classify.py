@@ -333,6 +333,21 @@ def test_first_failing_support_is_solved_once(monkeypatch):
     assert result.witness.vector == feasible_strict(m).certificate
 
 
+def test_exact_order_slices_at_most_the_witness_block(monkeypatch):
+    # the sweep reads the matrix's rows in place; only the certificate of
+    # the first failing support takes a principal submatrix
+    calls = []
+    real = classify.principal_submatrix
+    monkeypatch.setattr(
+        classify, "principal_submatrix", lambda *args: calls.append(args) or real(*args)
+    )
+    exact_order.cache_clear()
+    result = exact_order(M5_ORDER2, Variant.E0)
+    assert result.k == 2
+    assert len(calls) <= 1
+    assert [alpha for _, alpha in calls] == [result.witness.support]
+
+
 def test_heredity_of_membership():
     rng = random.Random(47)
     checked = 0

@@ -380,6 +380,15 @@ def test_explore_usage_errors_exit_2(extra, capsys):
     assert err.startswith("error: explore") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--num-bound", "--den-bound", "--diag-bound"])
+def test_explore_bounds_past_2_31_exit_2(flag, capsys):
+    argv = ["explore", "--target", "conjecture2", "--n", "3", "--seed", "1",
+            "--attempts", "5", flag, str(2**31 + 1)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: explore") and "2**31" in err and "Traceback" not in err
+
+
 def test_explore_nonneg_template_all_hits(capsys):
     code = main(
         [

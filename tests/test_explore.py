@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -32,7 +33,7 @@ from matrices import (
     M4_ORDER2_NONZ_B,
     M4_ORDER3,
 )
-from oracles import random_z_matrix
+from oracles import draws_randrange, random_z_matrix
 import random
 
 
@@ -145,6 +146,67 @@ def test_config_validation():
         GeneratorConfig(order=2, template=template_free(2), numerator_bound=0)
     with pytest.raises(ValueError):
         GeneratorConfig(order=2, template=template_free(2), free_weights=(0, 0, 0))
+
+
+def test_config_refuses_widths_one_generator_word_cannot_draw():
+    # every width must stay below 2^32 for a draw to take one 32-bit output
+    top = 2**31
+    for field in ("numerator_bound", "denominator_bound", "diagonal_numerator_bound"):
+        GeneratorConfig(order=2, template=template_free(2), **{field: top})
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            GeneratorConfig(order=2, template=template_free(2), **{field: top + 1})
+    GeneratorConfig(order=2, template=template_free(2), free_weights=(top - 2, 1, 1))
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        GeneratorConfig(order=2, template=template_free(2), free_weights=(top - 1, 1, 1))
+
+
+def _stream_configs():
+    # seeded configs over orders 1-5 and every EntrySign, with zero weights,
+    # bounds of 1, powers of two and their neighbours, and 2^31
+    rng = random.Random(2024)
+    signs = tuple(EntrySign)
+    bounds = (1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 2**16 - 1, 2**16, 2**16 + 1,
+              2**30 - 1, 2**30, 2**30 + 1, 2**31 - 1, 2**31)
+    weights = ((4, 1, 4), (12, 1, 2), (0, 0, 1), (1, 0, 0), (0, 3, 0), (2, 0, 5),
+               (0, 7, 9), (2**31 - 2, 1, 1), (2**30, 0, 2**30), (1, 2**31 - 2, 0))
+    configs = []
+    for index in range(360):
+        n = index % 5 + 1
+        if index < 6 * 5:
+            # each order with one sign everywhere, then random mixes of signs
+            template = tuple(tuple(signs[index % 6] for _ in range(n)) for _ in range(n))
+        else:
+            template = tuple(tuple(rng.choice(signs) for _ in range(n)) for _ in range(n))
+        configs.append(GeneratorConfig(
+            order=n,
+            template=template,
+            numerator_bound=rng.choice(bounds),
+            denominator_bound=rng.choice(bounds),
+            diagonal_numerator_bound=rng.choice((None, *bounds)),
+            free_weights=weights[index % len(weights)],
+            seed=rng.randrange(2**40),
+            max_attempts=rng.randint(1, 12),
+        ))
+    return configs
+
+
+def test_draws_match_the_randrange_stream():
+    configs = _stream_configs()
+    assert {c.order for c in configs} == {1, 2, 3, 4, 5}
+    assert {s for c in configs for row in c.template for s in row} == set(EntrySign)
+    assert any(c.numerator_bound == 1 for c in configs)
+    assert any(c.denominator_bound == 2**31 for c in configs)
+    for c in configs:
+        assert list(explore._draws(c)) == list(draws_randrange(c)), c
+
+
+def test_words_are_the_generator_outputs_in_order():
+    # across two refill boundaries
+    count = 2 * explore._REFILL + 7
+    expected = random.Random(99).getrandbits
+    assert list(itertools.islice(explore._words(99), count)) == [
+        expected(32) for _ in range(count)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -67,21 +67,39 @@ def test_strict_order2_example():
 
 def test_order1_and_order2_sign_tests_match_the_witness_route():
     # The support sweep decides 1x1 blocks, and 2x2 blocks whose 1x1 blocks
-    # pass, by signs alone: every such block with entries in -3..3, for both
-    # strictnesses, integer rows against the witness route on Fractions.
+    # pass, by signs alone, read in place from the rows: every such block
+    # with entries in -3..3, for both strictnesses, integer rows against the
+    # witness route on Fractions.  Each block is also embedded at members
+    # (1, 3) and (2, 4) of 4x4 rows (1x1 blocks at member 3) whose other
+    # entries are noise the decision must not read.
     values = range(-3, 4)
-    checked = 0
+    noise = random.Random(10)
+
+    def embedded(block, members):
+        rows = [[noise.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+        for bi, i in enumerate(members):
+            for bj, j in enumerate(members):
+                rows[i - 1][j - 1] = block[bi][bj]
+        return rows
+
+    checked = embedded_checked = 0
     for strict in (True, False):
         for a in values:
-            assert _feasible([[a]], strict) == (_witness([[F(a)]], strict) is not None)
+            expected = _witness([[F(a)]], strict) is not None
+            assert _feasible([[a]], (1,), strict) == expected
+            assert _feasible(embedded([[a]], (3,)), (3,), strict) == expected
         passing = [a for a in values if (a >= 0 if strict else a > 0)]
         for a11, a22 in itertools.product(passing, repeat=2):
             for a12, a21 in itertools.product(values, repeat=2):
                 rows = [[a11, a12], [a21, a22]]
                 expected = _order2([[F(v) for v in row] for row in rows], strict) is not None
-                assert _feasible(rows, strict) == expected
+                assert _feasible(rows, (1, 2), strict) == expected
                 checked += 1
+                for members in ((1, 3), (2, 4)):
+                    assert _feasible(embedded(rows, members), members, strict) == expected
+                    embedded_checked += 1
     assert checked == 16 * 49 + 9 * 49
+    assert embedded_checked == 2 * checked
 
 
 def test_semistrict_examples():
