@@ -5,18 +5,22 @@ The central reduction: a square matrix A fails to be semimonotone exactly
 when some nonempty support alpha admits y > 0 with A_aa y < 0 (pad y with
 zeros to recover the failing x), and fails to be strictly semimonotone when
 some support admits y > 0 with A_aa y <= 0.  One lazy sweep, ``_sweep``,
-decides the 2^n - 1 supports with the exact feasibility oracle's decision
-step in a fixed (size, lex) order, skipping any support whose sub-support
-already fails (membership is hereditary).  It walks the rows of the matrix
-itself: 1x1 and 2x2 supports are sign tests on entries in place, and only
-larger blocks are sliced out.  The memoized exact-order profile sweeps the
-Fraction rows of A, drains the sweep and computes and normalizes the
-certificate of the first failing support only, the one support it takes a
+decides the 2^n - 1 supports with a decision it is handed, in a fixed
+(size, lex) order, skipping any support whose sub-support already fails
+(membership is hereditary), so every support it solves is minimal.  It
+walks the rows of the matrix itself: 1x1 and 2x2 supports are sign tests on
+entries in place.  The memoized exact-order profile sweeps the Fraction
+rows of A with ``feasibility._feasible`` (shortcuts and the simplex above
+order 2), drains the sweep and computes and normalizes the certificate of
+the first failing support only, the one support it takes a
 ``principal_submatrix`` of; the semimonotone, copositive and almost
 verdicts read that witness off the profile.  ``has_exact_order``, the
 explorer's filter, sweeps the row-cleared integer matrix D A, whose
 supports fail exactly where A's do ((D A)_aa = D_a A_aa with D_a
-positive), stops early and reads no witness at all.
+positive), with ``feasibility._minimal_feasible``, which decides a minimal
+block by the sign of -B^{-1} 1 and calls no simplex; it stops early and
+reads no witness at all.  The two decisions share no code above order 2,
+so the searches' ``exact_order`` re-check of a hit is a second route.
 
 All procedures are pure; the fixed order makes the first witness
 deterministic.
@@ -34,6 +38,7 @@ from .feasibility import (
     Strictness,
     _AnyRows,
     _feasible,
+    _minimal_feasible,
     _normalize_certificate,
     _witness,
     feasible_semistrict,
@@ -148,20 +153,27 @@ class ExactOrderResult:
 _Members = tuple[int, ...]
 
 
-def _sweep(rows: _AnyRows, variant: Variant) -> Iterator[tuple[_Members, Union[bool, RatVector]]]:
+_Decision = Callable[[_AnyRows, _Members, bool], Union[bool, RatVector]]
+
+
+def _sweep(
+    rows: _AnyRows, variant: Variant, decide: _Decision
+) -> Iterator[tuple[_Members, Union[bool, RatVector]]]:
     """The one support sweep: the members of every support of the square
-    ``rows`` in (size, lex) order, and whether it fails.  A failing support
-    solved above order 2 comes with the raw witness ``_feasible`` found in
-    place of True.
+    ``rows`` in (size, lex) order, and whether it fails.  ``decide(rows,
+    members, strict)`` solves a support's system; whatever truthy value it
+    returns for a failing support (``_feasible``'s raw witness above order
+    2) is yielded in place of True.
 
     The rows may be rational or the row-cleared integer ones: D_a A_aa y
     has the signs of A_aa y.  Membership is hereditary, so a support with a
     failing sub-support fails too, and its system is never solved; a solved
-    support therefore always has passing 1x1 blocks, which the order-2 sign
-    test relies on.  The sweep only decides; a caller that reports a
-    certificate normalizes the raw witness, or computes one for a support of
-    order 1 or 2.  It is lazy: callers stop as soon as they know their
-    answer.
+    support is therefore minimal, with no failing proper sub-support.  The
+    order-2 sign test relies on its passing 1x1 blocks, and
+    ``_minimal_feasible`` on all of them.  The sweep only decides; a caller
+    that reports a certificate normalizes the raw witness, or computes one
+    for a support of order 1 or 2.  It is lazy: callers stop as soon as
+    they know their answer.
     """
     strict = variant.failing_system is Strictness.STRICT
     failing: set[_Members] = set()
@@ -170,7 +182,7 @@ def _sweep(rows: _AnyRows, variant: Variant) -> Iterator[tuple[_Members, Union[b
             failing.add(key)
             yield key, True
             continue
-        fails = _feasible(rows, key, strict)
+        fails = decide(rows, key, strict)
         if fails:
             failing.add(key)
         yield key, fails
@@ -193,7 +205,7 @@ def exact_order(a: RatMatrix, variant: Variant) -> ExactOrderResult:
     n = a.order
     members_per_order: list[list[bool]] = [[] for _ in range(n)]
     witness: Optional[SupportWitness] = None
-    for key, failing in _sweep(a.entries, variant):
+    for key, failing in _sweep(a.entries, variant, _feasible):
         if failing and witness is None:
             # the first failing support was solved, so it has a witness: the
             # sweep's own above order 2, a closed form or shortcut below
@@ -237,7 +249,8 @@ def has_exact_order(a: RatMatrix, k: int, variant: Variant) -> bool:
     Equivalent to ``exact_order(a, variant).k == k``: the orders up to n-k
     must show no failing support, and every support of size n-k+1 must fail
     (heredity settles all larger orders).  The sweep runs on the row-cleared
-    integer matrix D A and reads no witness.
+    integer matrix D A with ``_minimal_feasible``, solves no LP and reads no
+    witness.
     """
     a._require_square()
     return _has_exact_order(_integer_rows(a)[1], k, variant)
@@ -248,7 +261,7 @@ def _has_exact_order(rows: Sequence[Sequence[int]], k: int, variant: Variant) ->
     n = len(rows)
     if not 0 <= k <= n:
         raise ValueError(f"exact order must lie in 0..{n}")
-    for key, failing in _sweep(rows, variant):
+    for key, failing in _sweep(rows, variant, _minimal_feasible):
         size = len(key)
         if size > n - k + 1:
             break

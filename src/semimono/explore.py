@@ -7,21 +7,26 @@ conjectured conclusions on every verified hit.  Searches can only falsify a
 conjecture or accumulate evidence for it, never prove it; reports carry that
 caveat.
 
-Every public search is a thin caller of one loop, ``_search``: a cheap
-screen, then the ``has_exact_order`` sweep, then the full classifier must
-agree on each hit.  The candidate stream is drawn as integer (numerator,
-denominator) pairs, each value the one ``random.Random(seed).randrange``
-would give, read from bulk 32-bit generator outputs (Mersenne Twister;
-Matsumoto and Nishimura 1998) instead of one ``randrange`` call per value.
-The screen and the sweep run on the row-cleared integer matrix D A, which
-has the exact order and principal-minor signs of A.  Only a candidate that
-passes both becomes a ``RatMatrix``, entry by entry as drawn, and the
-``Fraction`` classifier ``exact_order`` re-checks it, so every hit is
-decided by two kinds of arithmetic.  A conclusion checker runs once per
-hit, and a hit it fails is reported as a counterexample only after a triple
-check: the classifier agreed, the checker reproduces the failure, and an
-independent second route (A A^{-1} = I by substitution for the inverse
-conjectures, the transpose's profile for the negative-entry counts) agrees.
+Every public search is a thin caller of one loop, ``_search``: a screen
+that decides the target exact order, then the full classifier must agree on
+every candidate the screen passes, or the search raises.  For conjecture 1
+the screen is the Theorem 4.11 minor test, which decides E0 exact order 2
+for Z-matrices; every other search's screen is the ``has_exact_order``
+sweep, which calls no simplex.  The candidate stream is drawn as integer
+(numerator, denominator) pairs, each value the one
+``random.Random(seed).randrange`` would give, read from bulk 32-bit
+generator outputs (Mersenne Twister; Matsumoto and Nishimura 1998) instead
+of one ``randrange`` call per value.  The screen runs on the row-cleared
+integer matrix D A, which has the exact order and principal-minor signs of
+A.  Only a candidate that passes it becomes a ``RatMatrix``, entry by entry
+as drawn, and the ``Fraction`` classifier ``exact_order``, whose sweep
+solves its larger supports by the simplex, re-checks it, so every hit is
+decided by two routes in two kinds of arithmetic.  A conclusion checker
+runs once per hit, and a hit it fails is reported as a counterexample only
+after a triple check: the classifier agreed, the checker reproduces the
+failure, and an independent second route (A A^{-1} = I by substitution for
+the inverse conjectures, the transpose's profile for the negative-entry
+counts) agrees.
 
 Conjecture 1 is stated with the partitioned inverse formula; its checker
 reads the blocks of one ``inverse(A)`` instead, which agrees wherever the
@@ -293,7 +298,7 @@ _EVIDENCE_NOTE = "randomized search accumulates evidence or counterexamples; it 
 
 
 # ---------------------------------------------------------------------------
-# fast necessary-condition screens (hits are always re-verified exactly)
+# screens on the integer rows (every pass is re-verified exactly)
 
 
 _IntRows = list[list[int]]
@@ -303,24 +308,17 @@ def _z_exact_two_minor_screen(rows: _IntRows) -> bool:
     """For Z-matrices, E0 exact order 2 is equivalent to: principal minors of
     order <= n-2 nonnegative and of order n-1 negative.  Used as a cheap
     determinant-only screen that stops at the first breaking minor;
-    survivors still face the support-LP classifier.  It runs on the
+    survivors still face the full classifier.  It runs on the
     row-cleared integer rows D A, whose minors det(D_a A_aa) have the signs
     of A's, each from the kernel's integer pivots."""
     minors = _minor_breaks(len(rows), lambda key: _int_det(_block(rows, key)))
     return next(minors, None) is None
 
 
-def _diag_nonneg(rows: _IntRows) -> bool:
-    return all(row[i] >= 0 for i, row in enumerate(rows))
-
-
 def _conjecture_1_screen(rows: _IntRows) -> bool:
     is_z = all(v <= 0 for i, row in enumerate(rows) for j, v in enumerate(row) if i != j)
-    return is_z and _diag_nonneg(rows) and _z_exact_two_minor_screen(rows)
-
-
-def _pass(a: object) -> bool:
-    return True
+    diag_nonneg = all(row[i] >= 0 for i, row in enumerate(rows))
+    return is_z and diag_nonneg and _z_exact_two_minor_screen(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +424,18 @@ def _search(
     (attempts, hits, counterexamples)."""
     if target_hits is not None and target_hits < 1:
         raise ValueError("target_hits must be >= 1")
+    if not 0 <= k <= config.order:
+        raise ValueError(f"exact order must lie in 0..{config.order}")
     hits: list[RatMatrix] = []
     counterexamples: list[Counterexample] = []
     attempts = 0
     for draw in _draws(config):
         attempts += 1
-        rows = _cleared_rows(draw)[1]
-        if not screen(rows) or not _has_exact_order(rows, k, variant):
+        if not screen(_cleared_rows(draw)[1]):
             continue
         m = _rat_matrix(draw)
         if exact_order(m, variant).k != k:
-            raise AssertionError("screener and full classifier disagree")
+            raise AssertionError("screen and full classifier disagree")
         hits.append(m)
         found = violations(m)
         # triple check: the classifier agreed above, the checker must
@@ -459,9 +458,10 @@ def search_exact_order(
     """Filter the generator stream through the exact-order classifier."""
     if config.order != n:
         raise ValueError("config order must match n")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..{n}")
-    attempts, hits, _ = _search(config, k, variant, target_hits, _pass, lambda m: [], _pass)
+    attempts, hits, _ = _search(
+        config, k, variant, target_hits,
+        lambda rows: _has_exact_order(rows, k, variant), lambda m: [], lambda m: True,
+    )
     return SearchReport(
         f"exact-order k={k} ({variant.value})", attempts, hits, (), (_EVIDENCE_NOTE,)
     )
@@ -493,7 +493,8 @@ def search_conjecture_2(
     Z class, since those are the informative ones."""
     attempts, hits, counterexamples = _search(
         config, 2, Variant.E0, target_hits,
-        _diag_nonneg, conjecture_2_violations, _independent_inverse_check,
+        lambda rows: _has_exact_order(rows, 2, Variant.E0),
+        conjecture_2_violations, _independent_inverse_check,
     )
     non_z_hits = sum(1 for m in hits if not is_Z(m))
     return SearchReport(
@@ -519,7 +520,8 @@ def search_negative_entries_question(
         raise ValueError("k must satisfy 1 <= k < n")
     attempts, hits, counterexamples = _search(
         config, k, variant, target_hits,
-        _pass, lambda m: _negative_entry_violations(m, k), _transpose_profile_agrees,
+        lambda rows: _has_exact_order(rows, k, variant),
+        lambda m: _negative_entry_violations(m, k), _transpose_profile_agrees,
     )
     return SearchReport(
         f"negative-entries question (exact order k={k}, {variant.value})",

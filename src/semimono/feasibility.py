@@ -14,13 +14,25 @@ order first tries O(n^2) sign shortcuts, which settle every order-1 system,
 and then a phase-1 simplex with Bland's pivoting rule (termination under
 degeneracy, no tolerances anywhere) on the closed system.  The simplex
 pivots an integer tableau fraction-free through ``ratcore._pivot``, the one
-exact kernel that ``det`` and ``inverse`` use too.  ``_feasible`` is the
-support sweep's decision on one principal block of a matrix's rows,
-rational or row-cleared integer alike (a positive row scaling changes no
-sign of My).  Orders 1 and 2 are sign tests on the entries where they
-stand, the order-2 one valid where both 1x1 blocks pass, which heredity
-guarantees in the sweep.  Above, it slices the block (``ratcore._block``)
-and takes ``_witness``'s route, whose raw witness it hands back.
+exact kernel that ``det`` and ``inverse`` use too.
+
+The support sweep has two decisions on one principal block of a matrix's
+rows, and both take orders 1 and 2 to ``_sign_test``, sign tests on the
+entries where they stand, the order-2 one valid where both 1x1 blocks pass,
+which heredity guarantees in the sweep (a positive row scaling changes no
+sign of My, so rational and row-cleared integer rows decide alike).
+
+- ``_feasible``, on rational or integer rows, slices larger blocks
+  (``ratcore._block``) and takes ``_witness``'s route, whose raw witness
+  it hands back.  ``exact_order`` sweeps with it.
+- ``_minimal_feasible``, on integer rows, decides larger blocks without a
+  simplex.  Every block the sweep solves is minimal, with no failing proper
+  principal block, and there a nonsingular B fails iff -B^{-1} 1 > 0 (the
+  proof is in its docstring): a closed-form adjugate at order 3, one
+  fraction-free solve of [B | -1] above.  A singular block fails only for
+  the semistrict system, and then iff its kernel is spanned by a positive
+  vector.  The searches and ``has_exact_order`` sweep with it.
+
 ``_normalize_certificate`` scales a raw witness onto the closed system
 above; it runs only where a certificate is read: behind the public oracles,
 and for the first failing support of an exact-order sweep, whose other
@@ -37,9 +49,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .ratcore import RatMatrix, RatVector, _block, _cleared, _pivot
+from .ratcore import RatMatrix, RatVector, _block, _cleared, _gauss_jordan, _int_det, _pivot
 
 _Rows = Sequence[Sequence[Fraction]]
 # the sweep's rows: rational, or row-cleared integer
@@ -198,6 +210,27 @@ def _witness(rows: _Rows, strict: bool) -> Optional[RatVector]:
     return tuple(ui + 1 for ui in u) if ok else None
 
 
+def _sign_test(rows: _AnyRows, members: tuple[int, ...], strict: bool) -> bool:
+    """Does the system of a 1x1 or 2x2 principal block fail, read in place?
+
+    A 1x1 block fails iff a11 < 0 (<= 0 when not ``strict``).  The order-2
+    test holds only when both 1x1 blocks pass, which heredity guarantees
+    wherever the support sweep asks: with a11, a22 >= 0 (> 0 when not
+    ``strict``), the block fails iff a12 < 0, a21 < 0 and a11 a22 < a12 a21
+    (<= when not ``strict``).
+    """
+    if len(members) == 1:
+        i = members[0] - 1
+        return rows[i][i] < 0 if strict else rows[i][i] <= 0
+    i, j = members[0] - 1, members[1] - 1
+    row_i, row_j = rows[i], rows[j]
+    a12, a21 = row_i[j], row_j[i]
+    if a12 >= 0 or a21 >= 0:
+        return False
+    diag, off = row_i[i] * row_j[j], a12 * a21
+    return diag < off if strict else diag <= off
+
+
 def _feasible(rows: _AnyRows, members: tuple[int, ...], strict: bool) -> Union[bool, RatVector]:
     """Decision: does the system of the principal block of square ``rows``
     on the 1-based ``members`` have a solution?
@@ -206,26 +239,102 @@ def _feasible(rows: _AnyRows, members: tuple[int, ...], strict: bool) -> Union[b
     above the raw witness that ``_witness`` found, which a caller that
     reports a certificate normalizes instead of solving the block again.
     The rows may be rational or integer (a positive row scaling changes no
-    sign here).  Orders 1 and 2 are sign tests on the entries in place.  A
-    1x1 block fails iff a11 < 0 (<= 0 when not ``strict``).  The order-2
-    test holds only when both 1x1 blocks pass, which heredity guarantees
-    wherever the support sweep asks: with a11, a22 >= 0 (> 0 when not
-    ``strict``), the block fails iff a12 < 0, a21 < 0 and a11 a22 < a12 a21
-    (<= when not ``strict``).  Every other order slices the block and runs
-    ``_witness``'s shortcuts and simplex.
+    sign here).  Orders 1 and 2 are ``_sign_test``; every other order slices
+    the block and runs ``_witness``'s shortcuts and simplex.
     """
-    if len(members) == 1:
-        i = members[0] - 1
-        return rows[i][i] < 0 if strict else rows[i][i] <= 0
-    if len(members) == 2:
-        i, j = members[0] - 1, members[1] - 1
-        row_i, row_j = rows[i], rows[j]
-        a12, a21 = row_i[j], row_j[i]
-        if a12 >= 0 or a21 >= 0:
-            return False
-        diag, off = row_i[i] * row_j[j], a12 * a21
-        return diag < off if strict else diag <= off
+    if len(members) < 3:
+        return _sign_test(rows, members, strict)
     return _witness(_block(rows, members), strict) or False
+
+
+def _kernel_positive(columns: Iterable[Sequence[int]]) -> bool:
+    """For the columns of adj(B), B singular: is ker B one-dimensional and
+    spanned by a vector y > 0?
+
+    B adj(B) = det(B) I = 0, and adj(B) is nonzero iff B has rank n - 1, so
+    ker B is one-dimensional exactly when some column is nonzero, and then
+    that column spans it.
+    """
+    for col in columns:
+        if any(col):
+            return all(v > 0 for v in col) or all(v < 0 for v in col)
+    return False
+
+
+def _adjugate_column(rows: Sequence[Sequence[int]], j: int) -> list[int]:
+    """Column j of the adjugate of a square integer array: the cofactors
+    (-1)^(i+j) det(B without row j and column i)."""
+    others = [row for k, row in enumerate(rows) if k != j]
+    return [
+        (-1) ** (i + j) * _int_det([row[:i] + row[i + 1:] for row in others])
+        for i in range(len(rows))
+    ]
+
+
+def _minimal_feasible(rows: Sequence[Sequence[int]], members: tuple[int, ...], strict: bool) -> bool:
+    """The search sweep's decision, on integer rows, at a *minimal* support:
+    does the system of the principal block B on ``members`` have a
+    solution, given that every proper principal block of B has none?
+
+    The support sweep asks only such blocks: a support with a failing
+    sub-support fails by heredity and is never solved.  There the system
+    needs no simplex.
+
+    *Lemma.*  Let B be nonsingular with no proper principal block failing.
+    Then B fails iff x = -B^{-1} 1 > 0.  If x > 0, it is a witness, since
+    Bx = -1.  Conversely, take a witness y > 0 (By < 0 when ``strict``,
+    By <= 0 otherwise), any b >= 0 with b != 0, and x_b = -B^{-1} b.
+    Suppose x_b has a negative entry, and follow z = y + t x_b from t = 0
+    until a coordinate first reaches 0.  Bz = By - t b keeps the failing
+    sign, z >= 0, and z != 0, since z = 0 would give By = t b >= 0 with
+    t b != 0.  So z on its support solves the system of a proper principal
+    block, against minimality.  Hence -B^{-1} >= 0, and as B^{-1} has no
+    zero row, x = -B^{-1} 1 > 0.  This is the almost-semimonotone inverse
+    property (Tsatsomeros and Wendler, Linear Algebra Appl. 2019).
+
+    *Singular B, strict system (E0).*  It has no solution: a witness y and
+    a kernel vector v with a negative entry give z = y + t v, as above,
+    with Bz = By < 0, so z != 0 and a proper block fails.
+
+    *Singular B, semistrict system (E).*  It has a solution iff ker B is
+    one-dimensional and spanned by a vector y > 0, which is then the
+    witness (By = 0).  Conversely, for a witness y, a kernel vector v not
+    parallel to y would make a proper block fail along y + t v, so
+    ker B = span(y) and By = 0.
+
+    Orders 1 and 2 are ``_sign_test``.  At order 3, x = -adj(B) 1 / det B
+    in closed form: B fails iff det B != 0 and every row sum of adj(B) has
+    the sign opposite to det B.  Above, one fraction-free solve of
+    [B | -1] (``ratcore._gauss_jordan``) leaves p [I | x] with p on the
+    diagonal; its return value is det B, which is p up to the sign of the
+    row swaps, so the signs of x are read against the diagonal.  A
+    singular semistrict block takes the columns of adj(B) to
+    ``_kernel_positive``.
+    """
+    n = len(members)
+    if n < 3:
+        return _sign_test(rows, members, strict)
+    if n == 3:
+        i, j, k = members[0] - 1, members[1] - 1, members[2] - 1
+        ri, rj, rk = rows[i], rows[j], rows[k]
+        a, b, c = ri[i], ri[j], ri[k]
+        d, e, f = rj[i], rj[j], rj[k]
+        g, h, m = rk[i], rk[j], rk[k]
+        adj = (
+            (e * m - f * h, c * h - b * m, b * f - c * e),
+            (f * g - d * m, a * m - c * g, c * d - a * f),
+            (d * h - e * g, b * g - a * h, a * e - b * d),
+        )
+        det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+        if det:
+            return all(sum(row) * det < 0 for row in adj)
+        return not strict and _kernel_positive(zip(*adj))
+    block = _block(rows, members)
+    solve = [row + [-1] for row in block]
+    if _gauss_jordan(solve):
+        p = solve[0][0]
+        return all(row[n] * p > 0 for row in solve)
+    return not strict and _kernel_positive(_adjugate_column(block, j) for j in range(n))
 
 
 def _normalize_certificate(rows: _Rows, y: RatVector, strict: bool) -> RatVector:

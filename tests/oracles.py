@@ -408,3 +408,52 @@ def random_psd(rng: random.Random, n: int) -> RatMatrix:
     """B^T B: positive semidefinite, hence copositive."""
     b = random_matrix(rng, n, num_bound=3, den_bound=2)
     return b.transpose() @ b
+
+
+def _gram_kernel(v: Sequence[Sequence[int]]) -> list[int]:
+    """The generalized cross product of the n-1 rows of v: the cofactors
+    (-1)^j det(v without column j), by cofactor expansion.  It spans the
+    kernel of v when v has rank n - 1, and is 0 otherwise."""
+    n = len(v) + 1
+    return [
+        (-1) ** j * det_cofactor(RatMatrix([row[:j] + row[j + 1:] for row in v]))
+        for j in range(n)
+    ]
+
+
+PLANTED_KINDS = ("positive kernel", "mixed kernel", "rank <= n-2")
+
+
+def planted_singular(rng: random.Random, n: int, kind: str) -> list[list[int]]:
+    """A singular integer matrix D1 V^T V D2 of order n >= 3 (D1, D2
+    positive diagonal), one of ``PLANTED_KINDS``.
+
+    With V of shape (n-1) x n and a kernel vector k with no zero entry,
+    every proper principal block of V^T V is positive definite, hence in
+    E, and the whole matrix has rank n - 1 and kernel D2^{-1} span(k),
+    positive or of mixed signs as asked.  With V of shape (n-2) x n and a
+    positive first row, no nonzero y >= 0 has V y = 0, so every principal
+    block is strictly copositive, hence in E, while the rank is at most
+    n - 2.  Positive diagonal scalings change neither class membership nor
+    the signs of kernel vectors.
+    """
+    if kind == "rank <= n-2":
+        v = [[rng.randint(1, 3) for _ in range(n)]]
+        v += [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 3)]
+    else:
+        while True:
+            v = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
+            k = _gram_kernel(v)
+            if all(k):
+                break
+        # flip columns of v, which flips the matching kernel entries
+        flips = [1 if kj > 0 else -1 for kj in k]
+        if kind == "mixed kernel":
+            flips[rng.randrange(n)] *= -1
+        v = [[x * s for x, s in zip(row, flips)] for row in v]
+    d1 = [rng.randint(1, 3) for _ in range(n)]
+    d2 = [rng.randint(1, 3) for _ in range(n)]
+    return [
+        [d1[i] * sum(row[i] * row[j] for row in v) * d2[j] for j in range(n)]
+        for i in range(n)
+    ]

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from semimono import classify, feasibility, verify
+from semimono import classify, explore, feasibility, verify
 from semimono.classify import (
     ClassLabel,
     ExactOrderResult,
@@ -45,7 +45,15 @@ from matrices import (
     SHIFT_SUM,
     STRICTLY_COPOSITIVE_ONLY,
 )
-from oracles import fm_feasible, random_matrix, random_p_matrix, random_psd, random_z_matrix
+from oracles import (
+    PLANTED_KINDS,
+    fm_feasible,
+    planted_singular,
+    random_matrix,
+    random_p_matrix,
+    random_psd,
+    random_z_matrix,
+)
 
 
 def members(a, variant):
@@ -331,6 +339,70 @@ def test_first_failing_support_is_solved_once(monkeypatch):
     assert result.witness.support == IndexSet.full(3)
     assert calls == Counter({"_witness": 1, "phase1_feasible": 1})
     assert result.witness.vector == feasible_strict(m).certificate
+
+
+def test_search_sweep_solves_no_lp(monkeypatch):
+    # _has_exact_order, the sweep behind has_exact_order and the searches,
+    # decides every support by sign tests and one integer solve: no simplex
+    # and no _witness while it runs.  The exact_order re-check of each hit
+    # still runs them, which shows that the counters are live.
+    inside = []
+    calls = Counter()
+    for module, name in (
+        (feasibility, "phase1_feasible"),
+        (feasibility, "_witness"),
+        (classify, "_witness"),
+    ):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name,
+            lambda *args, real=real, name=name:
+                calls.update([(name, bool(inside))]) or real(*args),
+        )
+    real_decide = classify._minimal_feasible
+    monkeypatch.setattr(
+        classify, "_minimal_feasible",
+        lambda rows, members, strict:
+            calls.update([("order >= 3", len(members) >= 3)]) or real_decide(rows, members, strict),
+    )
+    real_sweep = classify._has_exact_order
+
+    def sweep(*args):
+        inside.append(True)
+        calls.update(["sweeps"])
+        try:
+            return real_sweep(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(classify, "_has_exact_order", sweep)
+    monkeypatch.setattr(explore, "_has_exact_order", sweep)
+    exact_order.cache_clear()
+
+    conj2 = explore.search_conjecture_2(explore.GeneratorConfig(
+        order=4, template=explore.template_diag_nonneg_off_free(4), numerator_bound=4,
+        denominator_bound=2, diagonal_numerator_bound=8, free_weights=(12, 1, 2),
+        seed=7, max_attempts=400,
+    ))
+    assert conj2.attempts == calls["sweeps"] == 400 and conj2.hit_count > 0
+    conj1 = explore.search_conjecture_1(explore.GeneratorConfig(
+        order=4, template=explore.template_z(4), numerator_bound=4, denominator_bound=2,
+        diagonal_numerator_bound=8, seed=7, max_attempts=400,
+    ))
+    # the Theorem 4.11 minor screen decides conjecture 1's candidates
+    assert conj1.hit_count > 0 and calls["sweeps"] == 400
+    rng = random.Random(131)
+    sweeps = 400
+    for n in (3, 4, 5):
+        for kind in PLANTED_KINDS:
+            a = RatMatrix(planted_singular(rng, n, kind))
+            for k in range(n + 1):
+                has_exact_order(a, k, Variant.E)
+                sweeps += 1
+    assert calls["sweeps"] == sweeps
+    assert calls["phase1_feasible", True] == calls["_witness", True] == 0
+    assert calls["order >= 3", True] > 300
+    assert calls["phase1_feasible", False] > 0 and calls["_witness", False] > 0
 
 
 def test_exact_order_slices_at_most_the_witness_block(monkeypatch):

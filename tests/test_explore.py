@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import itertools
 
 import pytest
 
 from semimono import explore
+from semimono import classify
 from semimono.classify import Variant, exact_order, is_Z
 from semimono.cli import _TEMPLATES, main, parse_matrix_text
 from semimono.explore import (
@@ -403,3 +405,75 @@ def test_search_counterexample_path(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(explore, "_independent_inverse_check", lambda a: False)
     with pytest.raises(AssertionError, match="refusing to report it"):
         search_conjecture_2(c, target_hits=2)
+
+
+CONJ1_CONFIG = GeneratorConfig(
+    order=4, template=template_z(4), numerator_bound=4, denominator_bound=2,
+    diagonal_numerator_bound=8, seed=12, max_attempts=4000,
+)
+CONJ2_CONFIG = GeneratorConfig(
+    order=4, template=template_diag_nonneg_off_free(4), numerator_bound=4,
+    denominator_bound=2, diagonal_numerator_bound=8, free_weights=(12, 1, 2),
+    seed=12, max_attempts=8000,
+)
+
+
+@pytest.mark.parametrize(
+    "search, config",
+    [(search_conjecture_1, CONJ1_CONFIG), (search_conjecture_2, CONJ2_CONFIG)],
+    ids=["conjecture1", "conjecture2"],
+)
+def test_a_screen_pass_the_classifier_rejects_raises(monkeypatch, search, config):
+    # Each search's screen decides exact order 2 on the integer rows (the
+    # Theorem 4.11 minor test for conjecture 1, the sweep for conjecture 2),
+    # and every pass goes to exact_order.  A wrong verdict on one pass must
+    # stop the search, not drop the candidate.
+    real = explore.exact_order
+    seen = []
+
+    def wrong_once(m, variant):
+        result = real(m, variant)
+        seen.append(m)
+        return dataclasses.replace(result, k=None) if len(seen) == 3 else result
+
+    monkeypatch.setattr(explore, "exact_order", wrong_once)
+    with pytest.raises(AssertionError, match="screen and full classifier disagree"):
+        search(config, target_hits=5)
+    assert len(seen) == 3
+
+
+def test_a_wrong_sweep_verdict_raises(monkeypatch):
+    # the sweep passes one candidate it should reject: the exact_order
+    # re-check catches it
+    real = classify._has_exact_order
+    flipped = []
+
+    def wrong_once(rows, k, variant):
+        verdict = real(rows, k, variant)
+        if not verdict and not flipped and all(row[i] > 0 for i, row in enumerate(rows)):
+            flipped.append(rows)
+            return True
+        return verdict
+
+    monkeypatch.setattr(explore, "_has_exact_order", wrong_once)
+    with pytest.raises(AssertionError, match="screen and full classifier disagree"):
+        search_conjecture_2(CONJ2_CONFIG, target_hits=5)
+    assert len(flipped) == 1
+
+
+def test_conjecture_1_hits_do_not_rest_on_the_sweep(monkeypatch):
+    # the minor screen decides exact order 2 for Z-matrices and exact_order
+    # re-checks each pass, so a sweep that rejected them all, whose verdict
+    # used to drop a screen pass without a trace, changes no hit
+    expected = search_conjecture_1(CONJ1_CONFIG, target_hits=10)
+    monkeypatch.setattr(explore, "_has_exact_order", lambda rows, k, variant: False)
+    report = search_conjecture_1(CONJ1_CONFIG, target_hits=10)
+    assert report.hit_count == 10 and report == expected
+
+
+@pytest.mark.parametrize("search", [search_conjecture_1, search_conjecture_2])
+def test_conjecture_searches_refuse_orders_below_two(search):
+    # exact order 2 needs n >= 2; the order-1 minor screen passes every
+    # candidate, so the search must refuse before it samples
+    with pytest.raises(ValueError, match="exact order must lie in 0..1"):
+        search(cfg(1, template_free(1), max_attempts=10))

@@ -1,23 +1,33 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semimono.classify import Variant, _sweep
 from semimono.feasibility import (
     FeasibilityOutcome,
     Strictness,
     _feasible,
+    _minimal_feasible,
     _order2,
     _witness,
     feasible_semistrict,
     feasible_strict,
     phase1_feasible,
 )
-from semimono.ratcore import RatMatrix
+from semimono.ratcore import RatMatrix, _block, _gauss_jordan, _int_det
 
-from oracles import FM_MAX_ORDER, OrderTooLargeError, fm_feasible, random_matrix
+from oracles import (
+    FM_MAX_ORDER,
+    PLANTED_KINDS,
+    OrderTooLargeError,
+    fm_feasible,
+    planted_singular,
+    random_matrix,
+)
 
 small_fraction = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
 
@@ -248,3 +258,124 @@ def test_phase1_ties_follow_bland(g, h, witness):
     ok, x = phase1_feasible(g, [F(v) for v in h])
     assert ok and x == witness
     assert all(sum(a * xi for a, xi in zip(row, x)) <= hi for row, hi in zip(g, h))
+
+
+# ---------------------------------------------------------------------------
+# the search sweep's decision at minimal supports
+
+
+def minimal_decisions(rows, variant):
+    """(members, strict, fails) for every support that the sweep solves on
+    the integer ``rows`` with ``_minimal_feasible``, in sweep order.  The
+    sweep solves only minimal supports, so these are the blocks the lemma
+    speaks about."""
+    seen = []
+
+    def decide(rows, members, strict):
+        fails = _minimal_feasible(rows, members, strict)
+        seen.append((members, strict, fails))
+        return fails
+
+    for _ in _sweep(rows, variant, decide):
+        pass
+    return seen
+
+
+def cross_check(rows, tally):
+    """Every minimal support of order >= 3, both variants: the decision must
+    match the simplex route and, up to order FM_MAX_ORDER, Fourier-Motzkin.
+    ``tally`` counts the checked blocks by (order, strict, fails, kind),
+    kind being "singular", "odd swaps" (``_gauss_jordan`` returns -p, the
+    trap of reading the sign of the solution from its return value) or
+    "plain"."""
+    for variant in Variant:
+        for members, strict, fails in minimal_decisions(rows, variant):
+            order = len(members)
+            if order < 3:
+                continue
+            block = _block(rows, members)
+            assert (_witness([[F(v) for v in row] for row in block], strict) is not None) == fails
+            if order <= FM_MAX_ORDER:
+                strictness = Strictness.STRICT if strict else Strictness.SEMISTRICT
+                assert fm_feasible(RatMatrix(block), strictness).feasible == fails
+            pivoted = [row[:] for row in block]
+            det = _gauss_jordan(pivoted)
+            kind = "singular" if det == 0 else "odd swaps" if det != pivoted[0][0] else "plain"
+            tally[order, strict, fails, kind] += 1
+
+
+def test_minimal_decision_matches_simplex_and_fourier_motzkin():
+    rng = random.Random(113)
+    tally = Counter()
+    # Diagonal near the order, off-diagonal mostly negative: minimal supports
+    # of every order 3..n, failing and passing alike.
+    for n, count in ((3, 8), (4, 8), (5, 3), (6, 3)):
+        for _ in range(count):
+            rows = [
+                [rng.randint(n - 3, n) if i == j else rng.choice((-2, -1, -1, -1, 0))
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            cross_check(rows, tally)
+    # The same with a zero in the corner, which makes the first pivot of
+    # every block containing member 1 a row swap.  Row 1 is nonnegative but
+    # for its last entry, and a_n1 >= 0, so that 2x2 blocks through member 1
+    # pass and larger blocks are solved.
+    for n in (4, 5):
+        for _ in range(20):
+            rows = [
+                [rng.randint(n - 3, n) if i == j else rng.choice((-2, -1, -1, -1, 0))
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            rows[0] = [0] + [rng.choice((0, 0, 1)) for _ in range(n - 2)] + [-rng.randint(1, 2)]
+            rows[n - 1][0] = rng.randint(0, 1)
+            cross_check(rows, tally)
+    for n in (3, 4, 5, 6):
+        for kind in PLANTED_KINDS:
+            for _ in range(2):
+                cross_check(planted_singular(rng, n, kind), tally)
+        # D1 ((n-1) I - J) D2 with positive diagonal D1, D2: its proper
+        # principal blocks are positive semidefinite, so E0 fails first on the
+        # whole matrix and E on the singular blocks of order n - 1
+        d1 = [rng.randint(1, 3) for _ in range(n)]
+        d2 = [rng.randint(1, 3) for _ in range(n)]
+        cross_check([[d1[i] * ((n - 1) * (i == j) - 1) * d2[j] for j in range(n)] for i in range(n)], tally)
+
+    def total(**fixed):
+        names = ("order", "strict", "fails", "kind")
+        return sum(
+            c for key, c in tally.items()
+            if all(key[names.index(name)] == value for name, value in fixed.items())
+        )
+
+    for order in (3, 4, 5, 6):
+        for strict in (True, False):
+            assert total(order=order, strict=strict, fails=True) >= 1
+            assert total(order=order, strict=strict, fails=False) >= 1
+    # the order-3 closed form pivots nothing; the swaps that matter are above
+    for fails in (True, False):
+        assert sum(total(order=order, kind="odd swaps", fails=fails) for order in (4, 5)) >= 3
+    # E blocks with a positive kernel fail, all other singular blocks pass
+    assert total(kind="singular", strict=False, fails=True) >= 8
+    assert total(kind="singular", strict=True, fails=False) >= 24
+    assert total(kind="singular", strict=True, fails=True) == 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_planted_singular_blocks_are_minimal_and_decided_by_their_kernel(n):
+    # each planted matrix is singular with every proper principal block in
+    # E, so the sweep reaches the whole matrix: E fails it exactly when the
+    # kernel is spanned by a positive vector, E0 never
+    rng = random.Random(127 + n)
+    for kind in PLANTED_KINDS:
+        for _ in range(3):
+            rows = planted_singular(rng, n, kind)
+            assert _int_det([row[:] for row in rows]) == 0
+            for variant in Variant:
+                decisions = minimal_decisions(rows, variant)
+                full = tuple(range(1, n + 1))
+                assert [m for m, _, fails in decisions if fails] in ([], [full])
+                assert decisions[-1][0] == full
+                expected = variant is Variant.E and kind == "positive kernel"
+                assert decisions[-1][2] == expected
