@@ -110,14 +110,13 @@ class MinorWitness:
     minor: Fraction
 
 
-Witness = Union[SupportWitness, MinorWitness]
-
-
 @dataclass(frozen=True)
 class ClassVerdict:
     label: ClassLabel
     member: bool
-    witness: Optional[Witness] = None
+    # written in place: a module-level Union alias would sit in typing's
+    # process-wide cache and keep this module alive after a re-import
+    witness: Optional[Union[SupportWitness, MinorWitness]] = None
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,14 @@
 a sampling falsifier for the Q0 property.
 
 LCP(q, A) asks for z >= 0 with w = q + Az >= 0 and z^T w = 0.  The solver
-enumerates the 2^n complementary supports: for each alpha one exact
-phase-1 LP decides the polyhedron {z_a >= 0 : A_aa z_a = -q_a,
-q_b + A_ba z_a >= 0} and its point, padded with zeros, is a solution.
-Every solution has w = 0 on some support alpha with z = 0 off it, so the
-sweep finds a solution iff one exists, singular blocks A_aa included.
+enumerates the 2^n complementary supports alpha, each of which asks for
+z_a >= 0 with A_aa z_a = -q_a and q_b + A_ba z_a >= 0, z = 0 off alpha.
+Where A_aa is nonsingular, z_a = -A_aa^{-1} q_a is the only candidate, and
+one fraction-free solve on the row-cleared [A | q] decides the support.
+Where it is singular, one exact phase-1 LP decides the polyhedron and
+gives its point.  Every solution has w = 0 on some support alpha with
+z = 0 off it, so the sweep finds a solution iff one exists, singular
+blocks included.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .feasibility import FeasibilityOutcome, phase1_feasible
-from .ratcore import IndexSet, RatMatrix, RatVector, all_supports
+from .ratcore import IndexSet, RatMatrix, RatVector, _cleared_rows, _gauss_jordan, _support_members
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,8 @@ class LcpSolution:
 class LcpEnumeration:
     """The solutions of one instance, deduplicated by z.
 
-    ``singular_supports`` is always empty: singular blocks go to the LP like
-    every other support, so none is skipped.  The field stays because
-    benchmark tracing reads it.
+    ``singular_supports`` is always empty: singular blocks go to the LP, so
+    none is skipped.  The field stays because benchmark tracing reads it.
     """
 
     solutions: tuple[LcpSolution, ...]
@@ -81,28 +83,53 @@ def _support_solutions(inst: LcpInstance) -> Iterator[tuple[RatVector, IndexSet]
     """One solution z per complementary support that has one, with the
     support, in (size, lex) order.
 
-    alpha = {} contributes z = 0 whenever q >= 0.  For nonempty alpha,
-    ``phase1_feasible`` decides z_a >= 0 with A_aa z_a <= -q_a and
-    -A_ia z_a <= q_i for every i (the reverse half of the equality on
-    alpha, w_b >= 0 off it); z outside alpha is zero.
+    alpha = {} contributes z = 0 whenever q >= 0.  For nonempty alpha the
+    rows of M = D [A | q] (D the positive row scales of ``_cleared_rows``,
+    which change no z and no sign of w) give [M_aa | -M_aq] to
+    ``_gauss_jordan``.  A nonsingular block leaves p [I | z_a] with p on
+    the diagonal (the return value is p times the sign of the row swaps),
+    and the support solves iff p z_a >= 0 and p (M_bq + M_ba z_a) >= 0 off
+    alpha, both read against the sign of p.  A singular block goes to
+    ``phase1_feasible``: z_a >= 0 with A_aa z_a <= -q_a and -A_ia z_a <= q_i
+    for every i (the reverse half of the equality on alpha, w_b >= 0 off
+    it), on the rational rows, so Bland's rule meets the tableau it always
+    did.  z outside alpha is zero.
     """
     n = inst.order
+    q = inst.q
     zero = Fraction(0)
-    if all(qi >= 0 for qi in inst.q):
+    if all(qi >= 0 for qi in q):
         yield tuple([zero] * n), IndexSet.empty(n)
     rows = inst.a.entries
-    for alpha in all_supports(n):
-        idx = alpha.zero_based()
-        a_alpha = [[row[j] for j in idx] for row in rows]  # A_{i,alpha}, every i
-        g = [a_alpha[i] for i in idx] + [[-v for v in row] for row in a_alpha]
-        h = [-inst.q[i] for i in idx] + list(inst.q)
-        ok, z_alpha = phase1_feasible(g, h)
-        if not ok:
-            continue
+    _, m = _cleared_rows(
+        [v.as_integer_ratio() for v in row] + [qi.as_integer_ratio()] for row, qi in zip(rows, q)
+    )
+    for members in _support_members(n):
+        idx = [i - 1 for i in members]
+        work = [[m[i][j] for j in idx] + [-m[i][n]] for i in idx]
+        if _gauss_jordan(work):
+            p = work[0][0]
+            x = [row[-1] for row in work]  # p z_a
+            if any(v * p < 0 for v in x):
+                continue
+            if any(
+                (p * m[i][n] + sum(m[i][j] * v for j, v in zip(idx, x))) * p < 0
+                for i in range(n)
+                if i + 1 not in members
+            ):
+                continue
+            z_alpha = [Fraction(v, p) for v in x]
+        else:
+            a_alpha = [[row[j] for j in idx] for row in rows]  # A_{i,alpha}, every i
+            g = [a_alpha[i] for i in idx] + [[-v for v in row] for row in a_alpha]
+            h = [-q[i] for i in idx] + list(q)
+            ok, z_alpha = phase1_feasible(g, h)
+            if not ok:
+                continue
         z = [zero] * n
         for i, v in zip(idx, z_alpha):
             z[i] = v
-        yield tuple(z), alpha
+        yield tuple(z), IndexSet(n, members)
 
 
 def lcp_solve_enum(inst: LcpInstance) -> LcpEnumeration:
@@ -146,9 +173,10 @@ def q0_falsify(a: RatMatrix, trials: int, seed: int) -> Q0Report:
 
     The q stream is a deterministic function of the seed: components are
     p/r with |p| <= Q0_NUMERATOR_BOUND and 1 <= r <= Q0_DENOMINATOR_BOUND.
-    A violation is a q with FEA nonempty but no solution.  A feasible
-    trial stops at its first solving support.  Raises ValueError when
-    ``trials`` is negative.
+    A violation is a q with FEA nonempty but no solution.  Each trial sweeps
+    its supports up to the first solving one; a solution is a feasible
+    point, so ``lcp_feasible`` runs only on trials that no support solves.
+    Raises ValueError when ``trials`` is negative.
     """
     a._require_square()
     if trials < 0:
@@ -167,11 +195,10 @@ def q0_falsify(a: RatMatrix, trials: int, seed: int) -> Q0Report:
             for _ in range(n)
         )
         inst = LcpInstance(q, a)
-        if not lcp_feasible(inst).feasible:
-            continue
-        feasible_count += 1
         if next(_support_solutions(inst), None) is not None:
+            feasible_count += 1
             solved_count += 1
-        else:
+        elif lcp_feasible(inst).feasible:
+            feasible_count += 1
             violations.append(q)
     return Q0Report(trials, feasible_count, solved_count, tuple(violations))

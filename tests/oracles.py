@@ -14,7 +14,9 @@ Euclid's algorithm and Sturm chains on Fraction polynomials, where the
 package uses Berkowitz's division-free recurrence and integer
 pseudo-remainders.  The candidate stream oracle draws every value with
 ``random.Random.randrange``, where the package reads bulk 32-bit generator
-outputs.
+outputs.  The LCP support oracle hands every complementary support to
+the phase-1 simplex, where the package solves each nonsingular block
+fraction-free and keeps the LP for singular ones.
 """
 
 import random
@@ -22,8 +24,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from semimono.explore import EntrySign, GeneratorConfig
-from semimono.feasibility import FeasibilityOutcome, Strictness
-from semimono.ratcore import IndexSet, RatMatrix, inverse, principal_submatrix
+from semimono.feasibility import FeasibilityOutcome, Strictness, phase1_feasible
+from semimono.ratcore import IndexSet, RatMatrix, RatVector, all_supports, inverse, principal_submatrix
 
 
 def det_cofactor(a: RatMatrix) -> Fraction:
@@ -307,6 +309,34 @@ def fm_feasible(m: RatMatrix, strictness: Strictness) -> FeasibilityOutcome:
     g = [[-1 if j == i else 0 for j in range(n)] for i in range(n)] + list(m.entries)
     y = fm_point(g, [-1] * n + [shift] * n)
     return FeasibilityOutcome(False) if y is None else FeasibilityOutcome(True, y)
+
+
+# ---------------------------------------------------------------------------
+# LCP supports, one LP each
+
+
+def lcp_support_solutions_lp(inst) -> Iterator[tuple[RatVector, IndexSet]]:
+    """One solution z per complementary support of an ``LcpInstance`` that
+    has one, with the support, in (size, lex) order, every nonempty support
+    decided by ``phase1_feasible``: z_a >= 0 with A_aa z_a <= -q_a and
+    -A_ia z_a <= q_i for every i; z outside alpha is zero."""
+    n = inst.order
+    zero = Fraction(0)
+    if all(qi >= 0 for qi in inst.q):
+        yield tuple([zero] * n), IndexSet.empty(n)
+    rows = inst.a.entries
+    for alpha in all_supports(n):
+        idx = alpha.zero_based()
+        a_alpha = [[row[j] for j in idx] for row in rows]
+        g = [a_alpha[i] for i in idx] + [[-v for v in row] for row in a_alpha]
+        h = [-inst.q[i] for i in idx] + list(inst.q)
+        ok, z_alpha = phase1_feasible(g, h)
+        if not ok:
+            continue
+        z = [zero] * n
+        for i, v in zip(idx, z_alpha):
+            z[i] = v
+        yield tuple(z), alpha
 
 
 def draws_randrange(cfg: GeneratorConfig) -> Iterator[list[list[tuple[int, int]]]]:

@@ -11,10 +11,10 @@ from semimono.lcp import (
     lcp_solve_enum,
     q0_falsify,
 )
-from semimono.ratcore import IndexSet, RatMatrix, all_supports, ratvec
+from semimono.ratcore import IndexSet, RatMatrix, all_supports, principal_submatrix, ratvec
 
 from matrices import M3_ORDER2_E0, NON_Q0_MATRIX, NON_Q0_Q
-from oracles import fm_point, random_p_matrix
+from oracles import det_cofactor, fm_point, lcp_support_solutions_lp, random_p_matrix
 
 
 def inst(q, a):
@@ -176,17 +176,81 @@ def test_q0_falsify_catches_non_q0_matrix():
         assert not lcp_solve_enum(bad).solutions
 
 
-def test_q0_falsify_stops_at_the_first_solving_support(monkeypatch):
-    # every q is feasible for this matrix: each of the 30 trials costs one
-    # lcp_feasible LP, then its supports up to the first solving one (all 7
-    # for the 10 violations, 23 in total for the 20 solved trials)
+def _counting(monkeypatch, name):
     calls = []
-    real = lcp.phase1_feasible
-    monkeypatch.setattr(lcp, "phase1_feasible", lambda g, h: calls.append(1) or real(g, h))
+    real = getattr(lcp, name)
+    monkeypatch.setattr(lcp, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_q0_falsify_stops_at_the_first_solving_support(monkeypatch):
+    # every q is feasible for this matrix and none of its principal blocks is
+    # singular: each trial solves its supports up to the first solving one
+    # (all 7 for the 10 violations, 23 in total for the 20 solved trials),
+    # and only the 10 unsolved trials ask lcp_feasible, whose LP is the only
+    # one run
     a = RatMatrix([[1, -1, 2], [2, 1, -3], [1, -2, 1]])
+    assert all(det_cofactor(principal_submatrix(a, alpha)) for alpha in all_supports(3))
+    solves = _counting(monkeypatch, "_gauss_jordan")
+    lps = _counting(monkeypatch, "phase1_feasible")
+    feasibility_checks = _counting(monkeypatch, "lcp_feasible")
     report = q0_falsify(a, trials=30, seed=4)
     assert (report.feasible_count, report.solved_count, len(report.violations)) == (30, 20, 10)
-    assert len(calls) == 30 + 7 * 10 + 23
+    assert len(solves) == 7 * 10 + 23
+    assert len(feasibility_checks) == 10
+    assert len(lps) == 10
+
+
+def _sweeps_agree(instance, monkeypatch):
+    """The solve-first sweep and the all-LP oracle give the same supports and
+    points, and the sweep runs one LP per singular block and no other."""
+    lps = _counting(monkeypatch, "phase1_feasible")
+    got = list(lcp._support_solutions(instance))
+    assert got == list(lcp_support_solutions_lp(instance))
+    singular = sum(
+        det_cofactor(principal_submatrix(instance.a, alpha)) == 0
+        for alpha in all_supports(instance.order)
+    )
+    assert len(lps) == singular
+    monkeypatch.undo()
+    return got, singular
+
+
+def test_support_sweep_matches_the_all_lp_oracle(monkeypatch):
+    # entries and q in {-1, 0, 1}: many singular blocks and w = 0 boundaries
+    rng = random.Random(12)
+    solved = singular = 0
+    for n, count in ((1, 30), (2, 120), (3, 200), (4, 120), (5, 40)):
+        for _ in range(count):
+            a = RatMatrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+            instance = inst([rng.randint(-1, 1) for _ in range(n)], a)
+            got, blocks = _sweeps_agree(instance, monkeypatch)
+            solved += bool(got)
+            singular += blocks
+    assert solved > 300 and singular > 1000
+
+
+def test_support_sweep_matches_the_oracle_on_planted_blocks(monkeypatch):
+    # [[0, 1], [-1, 0]] swaps its rows and ends on the pivot p = -1 while
+    # _gauss_jordan returns det = +1; [[0, 1], [1, 0]] has p = +1 and det -1.
+    # Both solve only on the full support, at z = (1, 1).
+    for a, q in (([[0, 1], [-1, 0]], [-1, 1]), ([[0, 1], [1, 0]], [-1, -1])):
+        got, _ = _sweeps_agree(inst(q, RatMatrix(a)), monkeypatch)
+        assert [(z, alpha.members) for z, alpha in got] == [((F(1), F(1)), (1, 2))]
+    # the same swap inside a 3x3 block, with a third row that w must respect
+    _sweeps_agree(inst([-1, 1, F(1, 2)], RatMatrix([[0, 1, 0], [-1, 0, 1], [2, -3, 1]])), monkeypatch)
+    # a singular full block whose polyhedron has two vertices: the LP on the
+    # rational rows ends at (0, 1, 5/4), on the row-cleared ones at (1, 0, 7/4)
+    instance = inst([-1, -1, F(-1, 4)], RatMatrix([[1, 1, 0], [1, 1, 0], [F(-3, 2), -1, 1]]))
+    got, _ = _sweeps_agree(instance, monkeypatch)
+    assert got[-1] == ((F(0), F(1), F(5, 4)), IndexSet(3, (1, 2, 3)))
+    # q denominators that divide none of A's row LCMs
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        a = RatMatrix([[F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)] for _ in range(n)])
+        q = [F(rng.randint(-5, 5), rng.choice((3, 5, 7))) for _ in range(n)]
+        _sweeps_agree(inst(q, a), monkeypatch)
 
 
 def test_solution_satisfies_rejects_wrong_data():

@@ -1,8 +1,11 @@
 """Guards for the package as a whole: it stays standard-library only and
-exact, with no float literal anywhere in its source."""
+exact, with no float literal anywhere in its source, and a re-import frees
+the modules of the import before it."""
 
 import ast
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,33 @@ def test_source_has_no_float_literal():
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
     ]
     assert not floats
+
+
+def test_reimport_frees_the_old_modules():
+    # in a fresh interpreter, since dropping the package here would split the
+    # class identities that later tests compare
+    script = textwrap.dedent(
+        """
+        import gc, sys, weakref
+        import semimono.classify, semimono.ratcore
+        old = {
+            "classify.SupportWitness": weakref.ref(semimono.classify.SupportWitness),
+            "ratcore.RatMatrix": weakref.ref(semimono.ratcore.RatMatrix),
+        }
+        for name in [m for m in sys.modules if m.split(".")[0] == "semimono"]:
+            del sys.modules[name]
+        del semimono
+        import semimono
+        gc.collect()
+        alive = [name for name, ref in old.items() if ref() is not None]
+        assert not alive, f"still alive after a re-import: {alive}"
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
