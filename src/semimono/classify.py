@@ -28,6 +28,7 @@ deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -320,13 +321,12 @@ def _minor_breaks(
     """The supports of sizes below n whose ``minor`` (given the members)
     breaks the minor condition of Theorem 4.11, with that minor, in (size,
     lex) order; only the minors' signs are tested."""
-    for key in _support_members(n):
-        size = len(key)
-        if size == n:
-            return
-        m = minor(key)
-        if size <= n - 2 and m < 0 or size == n - 1 and m >= 0:
-            yield IndexSet(n, key), m
+    for size in range(1, n):
+        last = size == n - 1
+        for key in itertools.combinations(range(1, n + 1), size):
+            m = minor(key)
+            if m >= 0 if last else m < 0:
+                yield IndexSet(n, key), m
 
 
 def z_exact_two_minor_breaks(a: RatMatrix) -> Iterator[tuple[IndexSet, Fraction]]:

@@ -11,15 +11,18 @@ Every public search is a thin caller of one loop, ``_search``: a screen
 that decides the target exact order, then the full classifier must agree on
 every candidate the screen passes, or the search raises.  For conjecture 1
 the screen is the Theorem 4.11 minor test, which decides E0 exact order 2
-for Z-matrices; every other search's screen is the ``has_exact_order``
-sweep, which calls no simplex.  The candidate stream is drawn as integer
-(numerator, denominator) pairs, each value the one
+for Z-matrices, with each minor read in place from the integer rows
+(closed forms up to order 3); every other search's screen is the
+``has_exact_order`` sweep, which calls no simplex.  The candidate stream is
+drawn as integer (numerator, denominator) pairs, each value the one
 ``random.Random(seed).randrange`` would give, read from bulk 32-bit
 generator outputs (Mersenne Twister; Matsumoto and Nishimura 1998) instead
-of one ``randrange`` call per value.  The screen runs on the row-cleared
-integer matrix D A, which has the exact order and principal-minor signs of
-A.  Only a candidate that passes it becomes a ``RatMatrix``, entry by entry
-as drawn, and the ``Fraction`` classifier ``exact_order``, whose sweep
+of one ``randrange`` call per value.  Each row is cleared as it is drawn
+to the row-cleared integer matrix D A, which has the exact order and
+principal-minor signs of A, and the screen runs on those integers.  Only a
+candidate that passes it becomes a ``RatMatrix``, entry by entry as drawn,
+each entry a ``Fraction`` shared through a bounded cache, and the
+``Fraction`` classifier ``exact_order``, whose sweep
 solves its larger supports by the simplex, re-checks it, so every hit is
 decided by two routes in two kinds of arithmetic.  A conclusion checker
 runs once per hit, and a hit it fails is reported as a counterexample only
@@ -44,6 +47,8 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache, partial
+from math import gcd, lcm
 from typing import Callable, Iterator, Optional
 
 from .classify import (
@@ -58,9 +63,7 @@ from .ratcore import (
     IndexSet,
     RatMatrix,
     SingularMatrixError,
-    _block,
-    _cleared_rows,
-    _int_det,
+    _int_minor,
     count_negative_eigenvalues,
     det,
     inverse,
@@ -164,6 +167,7 @@ class GeneratorConfig:
 
 
 _Draw = list[list[tuple[int, int]]]
+_IntRows = list[list[int]]
 
 # 32-bit generator outputs per bulk refill of ``_words``
 _REFILL = 512
@@ -185,9 +189,11 @@ def _words(seed: int) -> Iterator[int]:
     return itertools.chain.from_iterable(refills)
 
 
-def _draws(cfg: GeneratorConfig) -> Iterator[_Draw]:
-    """The candidate stream as rows of (numerator, denominator) pairs; a 0
-    entry is (0, 1).
+def _draws(cfg: GeneratorConfig) -> Iterator[tuple[_Draw, _IntRows]]:
+    """The candidate stream as rows of (numerator, denominator) pairs, a 0
+    entry being (0, 1), each with its row-cleared integer rows D A
+    (``ratcore._cleared_rows`` of the pairs): every row's denominator LCM
+    is kept up as its entries are drawn.
 
     Per entry: a FREE position first draws its sign class from
     ``randrange(wn + wz + wp)``; a nonzero class draws the numerator
@@ -232,8 +238,10 @@ def _draws(cfg: GeneratorConfig) -> Iterator[_Draw]:
         cells.append(cell_row)
     for _ in range(cfg.max_attempts):
         rows = []
+        cleared = []
         for cell_row in cells:
             row = []
+            d = 1
             for is_free, sgn, off, w, shift in cell_row:
                 if is_free:
                     r = word() >> s_shift
@@ -255,22 +263,35 @@ def _draws(cfg: GeneratorConfig) -> Iterator[_Draw]:
                     r = word() >> d_shift
                     while r >= db:
                         r = word() >> d_shift
-                    row.append((num, 1 + r))
+                    q = 1 + r
+                    row.append((num, q))
+                    d = lcm(d, q)
                 else:
                     row.append((0, 1))
             rows.append(row)
-        yield rows
+            cleared.append([p * (d // q) for p, q in row])
+        yield rows, cleared
+
+
+@lru_cache(maxsize=1024)
+def _entry(p: int, q: int) -> Fraction:
+    """The Fraction p/q, shared between matrices: a Fraction is immutable,
+    and the hits of a search draw from few distinct values.  An unreduced
+    pair returns the object of its reduced one, so equal values are one
+    object while they stay cached."""
+    g = gcd(p, q)
+    return Fraction(p, q) if g == 1 else _entry(p // g, q // g)
 
 
 def _rat_matrix(draw: _Draw) -> RatMatrix:
     """The candidate as drawn, entry by entry (not row-scaled)."""
-    return RatMatrix([[Fraction(p, q) for p, q in row] for row in draw])
+    return RatMatrix([[_entry(p, q) for p, q in row] for row in draw])
 
 
 def generate(cfg: GeneratorConfig) -> Iterator[RatMatrix]:
     """Deterministic seeded stream of template-conforming matrices; yields at
     most ``max_attempts`` of them."""
-    for draw in _draws(cfg):
+    for draw, _ in _draws(cfg):
         yield _rat_matrix(draw)
 
 
@@ -301,24 +322,21 @@ _EVIDENCE_NOTE = "randomized search accumulates evidence or counterexamples; it 
 # screens on the integer rows (every pass is re-verified exactly)
 
 
-_IntRows = list[list[int]]
-
-
 def _z_exact_two_minor_screen(rows: _IntRows) -> bool:
     """For Z-matrices, E0 exact order 2 is equivalent to: principal minors of
     order <= n-2 nonnegative and of order n-1 negative.  Used as a cheap
     determinant-only screen that stops at the first breaking minor;
     survivors still face the full classifier.  It runs on the
     row-cleared integer rows D A, whose minors det(D_a A_aa) have the signs
-    of A's, each from the kernel's integer pivots."""
-    minors = _minor_breaks(len(rows), lambda key: _int_det(_block(rows, key)))
+    of A's, each read in place by ``ratcore._int_minor``."""
+    minors = _minor_breaks(len(rows), partial(_int_minor, rows))
     return next(minors, None) is None
 
 
 def _conjecture_1_screen(rows: _IntRows) -> bool:
-    is_z = all(v <= 0 for i, row in enumerate(rows) for j, v in enumerate(row) if i != j)
-    diag_nonneg = all(row[i] >= 0 for i, row in enumerate(rows))
-    return is_z and diag_nonneg and _z_exact_two_minor_screen(rows)
+    # n >= 3 here, so the order-1 minors test the diagonal's signs
+    is_z = all(max(row[:i] + row[i + 1:]) <= 0 for i, row in enumerate(rows))
+    return is_z and _z_exact_two_minor_screen(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +447,9 @@ def _search(
     hits: list[RatMatrix] = []
     counterexamples: list[Counterexample] = []
     attempts = 0
-    for draw in _draws(config):
+    for draw, rows in _draws(config):
         attempts += 1
-        if not screen(_cleared_rows(draw)[1]):
+        if not screen(rows):
             continue
         m = _rat_matrix(draw)
         if exact_order(m, variant).k != k:
@@ -471,7 +489,13 @@ def search_conjecture_1(
     config: GeneratorConfig, target_hits: Optional[int] = None
 ) -> SearchReport:
     """Hunt for Z-matrices of E0 exact order 2 violating the inverse-block
-    conjecture (Z principal blocks of the inverse, one negative eigenvalue)."""
+    conjecture (Z principal blocks of the inverse, one negative eigenvalue).
+
+    The conjecture needs n >= 3: at n = 2 exact order 2 means a11, a22 < 0,
+    and -I, with two negative eigenvalues, would count as a counterexample.
+    Order 2 is refused before sampling; order 1 as for every search."""
+    if config.order == 2:
+        raise ValueError("conjecture 1 needs n >= 3")
     attempts, hits, counterexamples = _search(
         config, 2, Variant.E0, target_hits,
         _conjecture_1_screen, conjecture_1_violations, _independent_inverse_check,

@@ -14,8 +14,8 @@ block as the scalar det A / det A_aa.
 the LCM of its denominators.  ``det`` and ``inverse`` pivot it, and since D
 is positive, exact order and the sign of every principal minor can be read
 from it too: the conjecture searches decide candidates on these integer rows
-(``_gauss_jordan`` through ``_int_det`` for the minor screen) and build
-Fractions only for hits.
+(``_int_minor`` reads the minor screen's minors in place, in closed form up
+to order 3) and build Fractions only for hits.
 
 The spectrum is the one thing a row scaling does not keep.  Eigenvalue
 counts and the characteristic polynomial use ``_scalar_cleared`` instead,
@@ -360,6 +360,30 @@ def _int_det(rows: list[list[int]]) -> int:
         (a, b), (c, d) = rows
         return a * d - b * c
     return _gauss_jordan(rows)
+
+
+def _int_minor(rows: Sequence[Sequence[int]], members: tuple[int, ...]) -> int:
+    """The principal minor of a square integer array on the 1-based
+    ``members``, read in place: closed forms up to order 3 (order 3 by
+    cofactors along the first row), ``_int_det`` of a fresh block above."""
+    k = len(members)
+    if k > 3:
+        return _int_det(_block(rows, members))
+    i = members[0] - 1
+    ri = rows[i]
+    if k == 1:
+        return ri[i]
+    j = members[1] - 1
+    rj = rows[j]
+    if k == 2:
+        return ri[i] * rj[j] - ri[j] * rj[i]
+    m = members[2] - 1
+    rm = rows[m]
+    return (
+        ri[i] * (rj[j] * rm[m] - rj[m] * rm[j])
+        - ri[j] * (rj[i] * rm[m] - rj[m] * rm[i])
+        + ri[m] * (rj[i] * rm[j] - rj[j] * rm[i])
+    )
 
 
 def det(a: RatMatrix) -> Fraction:

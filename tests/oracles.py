@@ -2,7 +2,7 @@
 
 The determinant oracle is plain cofactor expansion, deliberately unrelated
 to the fraction-free pivoting the package uses for det, inverse and the
-simplex; it is capped at order 5 where its factorial cost is still instant.
+simplex; it is capped at order 6 where its factorial cost is still small.
 The adjugate is built on it, so A adj(A) = det(A) I checks ``inverse``
 against arithmetic it does not share.  Fourier-Motzkin elimination decides
 linear systems by a route unrelated to the package's simplex.  The
@@ -30,8 +30,8 @@ from semimono.ratcore import IndexSet, RatMatrix, RatVector, all_supports, inver
 
 def det_cofactor(a: RatMatrix) -> Fraction:
     n = a.order
-    if n > 5:
-        raise ValueError("cofactor oracle capped at order 5")
+    if n > 6:
+        raise ValueError("cofactor oracle capped at order 6")
     if n == 1:
         return a[0, 0]
     total = Fraction(0)

@@ -370,9 +370,11 @@ def test_explore_exact_order_requires_k(capsys):
         ["--target", "exact-order", "--n", "3", "--k", "2", "--attempts", "0"],
         ["--target", "neg-entries", "--n", "3", "--k", "3"],
         ["--target", "conjecture1", "--n", "0"],
+        ["--target", "conjecture1", "--n", "2"],
         ["--target", "exact-order", "--n", "3", "--k", "2", "--hits", "0"],
     ],
-    ids=["k-above-n", "zero-attempts", "neg-entries-k-equals-n", "order-zero", "zero-hits"],
+    ids=["k-above-n", "zero-attempts", "neg-entries-k-equals-n", "order-zero",
+         "conjecture1-order-two", "zero-hits"],
 )
 def test_explore_usage_errors_exit_2(extra, capsys):
     assert main(["explore", "--seed", "1", *extra]) == 2

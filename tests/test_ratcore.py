@@ -131,6 +131,33 @@ def test_det_random_against_cofactor_oracle():
         assert det(m) == det_cofactor(m)
 
 
+def test_int_minor_matches_cofactor_oracle_on_every_support():
+    # seeded integer arrays of orders 1-6, entries up to 2^40 in size, with
+    # a zero row or a row twice another (so every block holding both rows
+    # is singular); the minor is read in place and leaves the rows as they
+    # were
+    rng = random.Random(13)
+    zeros = 0
+    for index in range(48):
+        n = index % 6 + 1
+        bound = rng.choice((1, 4, 2**40))
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        kind = index // 6 % 3
+        if kind == 1:
+            rows[rng.randrange(n)] = [0] * n
+        elif kind == 2 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            rows[j] = [2 * v for v in rows[i]]
+        before = [list(row) for row in rows]
+        a = RatMatrix(rows)
+        for members in ratcore._support_members(n):
+            expected = det_cofactor(principal_submatrix(a, IndexSet(n, members)))
+            assert ratcore._int_minor(rows, members) == expected, (rows, members)
+            zeros += expected == 0
+        assert rows == before
+    assert zeros > 100
+
+
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
         det(RatMatrix([[1, 2, 3], [4, 5, 6]]))
