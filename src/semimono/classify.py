@@ -15,12 +15,17 @@ order 2), drains the sweep and computes and normalizes the certificate of
 the first failing support only, the one support it takes a
 ``principal_submatrix`` of; the semimonotone, copositive and almost
 verdicts read that witness off the profile.  ``has_exact_order``, the
-explorer's filter, sweeps the row-cleared integer matrix D A, whose
-supports fail exactly where A's do ((D A)_aa = D_a A_aa with D_a
-positive), with ``feasibility._minimal_feasible``, which decides a minimal
-block by the sign of -B^{-1} 1 and calls no simplex; it stops early and
-reads no witness at all.  The two decisions share no code above order 2,
-so the searches' ``exact_order`` re-check of a hit is a second route.
+explorer's filter, does not sweep: it runs two plain loops over the
+supports of the row-cleared integer matrix D A, whose supports fail
+exactly where A's do ((D A)_aa = D_a A_aa with D_a positive).  Every
+support of size <= n-k must pass and every one of size n-k+1 must fail,
+and it returns at the first verdict that rules k out, so every support
+it decides is minimal without any heredity bookkeeping.  There
+``feasibility._sign_test`` decides orders 1 and 2 and
+``feasibility._minimal_feasible`` the orders above, by the sign of
+-B^{-1} 1 and with no simplex; no witness is read.  The two decisions
+share no code above order 2, so the searches' ``exact_order`` re-check
+of a hit is a second route.
 
 All procedures are pure; the fixed order makes the first witness
 deterministic.
@@ -41,6 +46,7 @@ from .feasibility import (
     _feasible,
     _minimal_feasible,
     _normalize_certificate,
+    _sign_test,
     _witness,
     feasible_semistrict,
     feasible_strict,
@@ -170,7 +176,9 @@ def _sweep(
     failing sub-support fails too, and its system is never solved; a solved
     support is therefore minimal, with no failing proper sub-support.  The
     order-2 sign test relies on its passing 1x1 blocks, and
-    ``_minimal_feasible`` on all of them.  The sweep only decides; a caller
+    ``_minimal_feasible`` on all of them.  ``exact_order`` sweeps with
+    ``_feasible``; ``has_exact_order`` needs no pruning and runs its own
+    loops instead.  The sweep only decides; a caller
     that reports a certificate normalizes the raw witness, or computes one
     for a support of order 1 or 2.  It is lazy: callers stop as soon as
     they know their answer.
@@ -248,24 +256,37 @@ def has_exact_order(a: RatMatrix, k: int, variant: Variant) -> bool:
 
     Equivalent to ``exact_order(a, variant).k == k``: the orders up to n-k
     must show no failing support, and every support of size n-k+1 must fail
-    (heredity settles all larger orders).  The sweep runs on the row-cleared
-    integer matrix D A with ``_minimal_feasible``, solves no LP and reads no
-    witness.
+    (heredity settles all larger orders).  It loops over the supports of
+    the row-cleared integer matrix D A, solves no LP and reads no witness.
     """
     a._require_square()
     return _has_exact_order(_integer_rows(a)[1], k, variant)
 
 
 def _has_exact_order(rows: Sequence[Sequence[int]], k: int, variant: Variant) -> bool:
-    """``has_exact_order`` on row-cleared integer rows."""
+    """``has_exact_order`` on row-cleared integer rows, as two plain loops
+    over the supports in (size, lex) order: every support of size <= n-k
+    must pass, and every support of size n-k+1 must fail.
+
+    Each loop returns at the first verdict that rules k out, so every
+    support it decides is minimal: all supports of smaller size have
+    passed by then.  That is the condition under which ``_sign_test``
+    decides orders 1 and 2 and ``_minimal_feasible`` the orders above.
+    Heredity never prunes here, so no set of failing supports is kept.
+    """
     n = len(rows)
     if not 0 <= k <= n:
         raise ValueError(f"exact order must lie in 0..{n}")
-    for key, failing in _sweep(rows, variant, _minimal_feasible):
-        size = len(key)
-        if size > n - k + 1:
-            break
-        if bool(failing) != (size == n - k + 1):
+    strict = variant.failing_system is Strictness.STRICT
+    indices = range(1, n + 1)
+    for size in range(1, n - k + 1):
+        decide = _sign_test if size < 3 else _minimal_feasible
+        for key in itertools.combinations(indices, size):
+            if decide(rows, key, strict):
+                return False
+    decide = _sign_test if n - k < 2 else _minimal_feasible
+    for key in itertools.combinations(indices, n - k + 1):
+        if not decide(rows, key, strict):
             return False
     return True
 
@@ -327,15 +348,6 @@ def _minor_breaks(
             m = minor(key)
             if m >= 0 if last else m < 0:
                 yield IndexSet(n, key), m
-
-
-def z_exact_two_minor_breaks(a: RatMatrix) -> Iterator[tuple[IndexSet, Fraction]]:
-    """The principal minors that break the minor condition of Theorem 4.11
-    (a Z-matrix has E0 exact order 2 iff its minors of order <= n-2 are
-    nonnegative and those of order n-1 negative), yielded lazily as
-    (alpha, minor) in (size, lex) order."""
-    n = a.order
-    yield from _minor_breaks(n, lambda key: det(principal_submatrix(a, IndexSet(n, key))))
 
 
 def is_P0(a: RatMatrix) -> ClassVerdict:

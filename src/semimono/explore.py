@@ -12,13 +12,15 @@ that decides the target exact order, then the full classifier must agree on
 every candidate the screen passes, or the search raises.  For conjecture 1
 the screen is the Theorem 4.11 minor test, which decides E0 exact order 2
 for Z-matrices, with each minor read in place from the integer rows
-(closed forms up to order 3); every other search's screen is the
-``has_exact_order`` sweep, which calls no simplex.  The candidate stream is
-drawn as integer (numerator, denominator) pairs, each value the one
-``random.Random(seed).randrange`` would give, read from bulk 32-bit
-generator outputs (Mersenne Twister; Matsumoto and Nishimura 1998) instead
-of one ``randrange`` call per value.  Each row is cleared as it is drawn
-to the row-cleared integer matrix D A, which has the exact order and
+(closed forms up to order 3); every other search's screen is
+``has_exact_order``, two plain loops over the supports that call no
+simplex.  The candidate stream is drawn as integer (numerator,
+denominator) pairs, each value the one ``random.Random(seed).randrange``
+would give, read from bulk 32-bit generator outputs (Mersenne Twister;
+Matsumoto and Nishimura 1998) instead of one ``randrange`` call per value;
+when every draw width is below 2^8, as with the default bounds, only the
+top byte of each output is read.  Each row is cleared as it is drawn to
+the row-cleared integer matrix D A, which has the exact order and
 principal-minor signs of A, and the screen runs on those integers.  Only a
 candidate that passes it becomes a ``RatMatrix``, entry by entry as drawn,
 each entry a ``Fraction`` shared through a bounded cache, and the
@@ -169,24 +171,29 @@ class GeneratorConfig:
 _Draw = list[list[tuple[int, int]]]
 _IntRows = list[list[int]]
 
-# 32-bit generator outputs per bulk refill of ``_words``
+# generator outputs per bulk refill of ``_words``
 _REFILL = 512
 
 
-def _words(seed: int) -> Iterator[int]:
-    """The 32-bit outputs of ``random.Random(seed)``, in order.
+def _words(seed: int, bits: int = 32) -> Iterator[int]:
+    """The outputs of ``random.Random(seed)``, in order: the 32-bit words,
+    or with ``bits=8`` the top byte of each.
 
     ``getrandbits(32 m)`` concatenates m consecutive outputs, the first one
     least significant, so each refill is m outputs read off as little-endian
-    32-bit words.
+    32-bit words, and every fourth byte from the fourth on is their top
+    byte.  Iterating bytes yields cached small ints, so the byte stream
+    allocates no int object per output.
     """
     getrandbits = random.Random(seed).getrandbits
     unpack = struct.Struct(f"<{_REFILL}I").unpack
     refills = (
-        unpack(getrandbits(32 * _REFILL).to_bytes(4 * _REFILL, "little"))
+        getrandbits(32 * _REFILL).to_bytes(4 * _REFILL, "little")
         for _ in itertools.repeat(None)
     )
-    return itertools.chain.from_iterable(refills)
+    if bits == 8:
+        return itertools.chain.from_iterable(refill[3::4] for refill in refills)
+    return itertools.chain.from_iterable(map(unpack, refills))
 
 
 def _draws(cfg: GeneratorConfig) -> Iterator[tuple[_Draw, _IntRows]]:
@@ -205,24 +212,30 @@ def _draws(cfg: GeneratorConfig) -> Iterator[tuple[_Draw, _IntRows]]:
     one 32-bit output.  So each draw here is ``word >> (32 - k)``, redrawn
     while >= w, with the shift precomputed per width: the same values as
     ``randrange``, and the same ones ``randint(lo, lo + w - 1)`` gives.
-    ``GeneratorConfig`` keeps every width below 2^32.  Words drawn past the
-    last candidate are discarded.
+    When the denominator bound, the free-weight sum and each numerator
+    bound + 1 are below 2^8, as with every default, every k is at most 8,
+    so the draws read only the top byte of each output and shift by 8 - k:
+    the same values at the same stream positions.  Wider configs read the
+    32-bit words.  ``GeneratorConfig`` keeps every width below 2^32.
+    Outputs drawn past the last candidate are discarded.
     """
     neg, pos, zero, nonneg, free = (
         EntrySign.NEG, EntrySign.POS, EntrySign.ZERO, EntrySign.NONNEG, EntrySign.FREE
     )
-    word = _words(cfg.seed).__next__
     db = cfg.denominator_bound
-    d_shift = 32 - db.bit_length()
     wn, wz, wp = cfg.free_weights
     wnz = wn + wz
     ws = wnz + wp
-    s_shift = 32 - ws.bit_length()
     nb_off = cfg.numerator_bound
     nb_diag = nb_off if cfg.diagonal_numerator_bound is None else cfg.diagonal_numerator_bound
-    # per cell (is FREE, numerator sign, offset, width, shift): the numerator
-    # is sign * (offset + r) for r drawn from [0, width); width 0 draws none.
-    # A FREE cell's sign class picks the numerator sign (or zero) first.
+    bits = 8 if max(db, ws, nb_off + 1, nb_diag + 1) < 2**8 else 32
+    word = _words(cfg.seed, bits).__next__
+    d_shift = bits - db.bit_length()
+    s_shift = bits - ws.bit_length()
+    # per cell (is FREE, numerator sign, offset, width, shift): the
+    # numerator is sign * (offset + r) for r drawn from [0, width); width 0
+    # draws none.  A FREE cell's sign class picks the numerator sign (or
+    # zero) first.
     cells = []
     for i, signs in enumerate(cfg.template):
         cell_row = []
@@ -234,7 +247,7 @@ def _draws(cfg: GeneratorConfig) -> Iterator[tuple[_Draw, _IntRows]]:
                 sgn, off, w = -1 if sign is neg else 1, 1, nb
             else:
                 sgn, off, w = 1 if sign is nonneg else -1, 0, nb + 1
-            cell_row.append((sign is free, sgn, off, w, 32 - w.bit_length()))
+            cell_row.append((sign is free, sgn, off, w, bits - w.bit_length()))
         cells.append(cell_row)
     for _ in range(cfg.max_attempts):
         rows = []
@@ -350,7 +363,9 @@ def conjecture_1_violations(a: RatMatrix) -> list[tuple[str, str]]:
 
     The blocks are read from one inverse of A.  A block is reported
     undefined where the conjecture's partitioned inverse formula is, which
-    is when A or A_aa is singular.
+    is when A or A_aa is singular.  For nonsingular A, A_aa is singular
+    iff (A^{-1})_ii = 0, i the one index outside alpha, by Jacobi's
+    identity det A_aa = det A (A^{-1})_ii.
     """
     n = a.order
     violations: list[tuple[str, str]] = []
@@ -360,7 +375,8 @@ def conjecture_1_violations(a: RatMatrix) -> list[tuple[str, str]]:
         inv = None
     for combo in itertools.combinations(range(1, n + 1), n - 1):
         alpha = IndexSet(n, combo)
-        if inv is None or det(principal_submatrix(a, alpha)) == 0:
+        i = n * (n + 1) // 2 - sum(combo) - 1
+        if inv is None or inv[i, i] == 0:
             violations.append(
                 (f"inverse block formula undefined for alpha={alpha}", "matrix is singular")
             )

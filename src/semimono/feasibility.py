@@ -16,22 +16,26 @@ degeneracy, no tolerances anywhere) on the closed system.  The simplex
 pivots an integer tableau fraction-free through ``ratcore._pivot``, the one
 exact kernel that ``det`` and ``inverse`` use too.
 
-The support sweep has two decisions on one principal block of a matrix's
-rows, and both take orders 1 and 2 to ``_sign_test``, sign tests on the
-entries where they stand, the order-2 one valid where both 1x1 blocks pass,
-which heredity guarantees in the sweep (a positive row scaling changes no
-sign of My, so rational and row-cleared integer rows decide alike).
+There are two decisions on one principal block of a matrix's rows, and
+both take orders 1 and 2 to ``_sign_test``, sign tests on the entries
+where they stand, the order-2 one valid where both 1x1 blocks pass, which
+every caller guarantees: the sweep by heredity, ``has_exact_order`` by
+deciding a support only once every smaller one has passed (a positive
+row scaling changes no sign of My, so rational and row-cleared integer
+rows decide alike).
 
 - ``_feasible``, on rational or integer rows, slices larger blocks
   (``ratcore._block``) and takes ``_witness``'s route, whose raw witness
   it hands back.  ``exact_order`` sweeps with it.
 - ``_minimal_feasible``, on integer rows, decides larger blocks without a
-  simplex.  Every block the sweep solves is minimal, with no failing proper
+  simplex.  Every block it is asked is minimal, with no failing proper
   principal block, and there a nonsingular B fails iff -B^{-1} 1 > 0 (the
   proof is in its docstring): a closed-form adjugate at order 3, one
   fraction-free solve of [B | -1] above.  A singular block fails only for
   the semistrict system, and then iff its kernel is spanned by a positive
-  vector.  The searches and ``has_exact_order`` sweep with it.
+  vector.  ``has_exact_order``, behind the searches, calls it on the
+  blocks above order 2, each minimal because its loops return at the
+  first support that rules the order out.
 
 ``_normalize_certificate`` scales a raw witness onto the closed system
 above; it runs only where a certificate is read: behind the public oracles,
@@ -214,8 +218,8 @@ def _sign_test(rows: _AnyRows, members: tuple[int, ...], strict: bool) -> bool:
     """Does the system of a 1x1 or 2x2 principal block fail, read in place?
 
     A 1x1 block fails iff a11 < 0 (<= 0 when not ``strict``).  The order-2
-    test holds only when both 1x1 blocks pass, which heredity guarantees
-    wherever the support sweep asks: with a11, a22 >= 0 (> 0 when not
+    test holds only when both 1x1 blocks pass, which its callers guarantee
+    (see the module docstring): with a11, a22 >= 0 (> 0 when not
     ``strict``), the block fails iff a12 < 0, a21 < 0 and a11 a22 < a12 a21
     (<= when not ``strict``).
     """
@@ -272,13 +276,13 @@ def _adjugate_column(rows: Sequence[Sequence[int]], j: int) -> list[int]:
 
 
 def _minimal_feasible(rows: Sequence[Sequence[int]], members: tuple[int, ...], strict: bool) -> bool:
-    """The search sweep's decision, on integer rows, at a *minimal* support:
+    """The search screen's decision, on integer rows, at a *minimal* support:
     does the system of the principal block B on ``members`` have a
     solution, given that every proper principal block of B has none?
 
-    The support sweep asks only such blocks: a support with a failing
-    sub-support fails by heredity and is never solved.  There the system
-    needs no simplex.
+    ``has_exact_order`` asks only such blocks: it decides a support only
+    after every smaller support has passed.  There the system needs no
+    simplex.
 
     *Lemma.*  Let B be nonsingular with no proper principal block failing.
     Then B fails iff x = -B^{-1} 1 > 0.  If x > 0, it is a witness, since

@@ -6,8 +6,7 @@ failed conclusion *with hypotheses met* is genuine evidence against the
 audited statement and is surfaced as a counterexample with re-checkable
 data, while unmet hypotheses simply skip the conclusions.  The randomized
 searches in ``explore`` run their own conclusion checkers; only the
-Theorem 4.11 minor test is shared, through
-``classify.z_exact_two_minor_breaks``.
+Theorem 4.11 minor test is shared, through ``classify._minor_breaks``.
 
 The Schur complements of Theorems 3.5 and 4.11 are taken over order-(n-1)
 blocks, so each is the scalar det A / det A_aa and no partitioned formula
@@ -26,11 +25,11 @@ from typing import Callable, Optional
 from .classify import (
     Variant,
     WrongOrderError,
+    _minor_breaks,
     copositive_exact_order,
     exact_order,
     is_Z,
     negative_entry_profile,
-    z_exact_two_minor_breaks,
 )
 from .ratcore import (
     IndexSet,
@@ -274,7 +273,14 @@ def audit_thm_4_11(a: RatMatrix) -> AuditReport:
     note = f"Z: {z}; classified as {result.describe()}; requires Z and E0 exact order 2"
     conclusions: list[Conclusion] = []
     if met:
-        breaks = list(z_exact_two_minor_breaks(a))
+        # every minor the conclusion reads, kept for the Schur complements
+        minors: dict[tuple[int, ...], Fraction] = {}
+
+        def kept_minor(key: tuple[int, ...]) -> Fraction:
+            minors[key] = det(principal_submatrix(a, IndexSet(n, key)))
+            return minors[key]
+
+        breaks = list(_minor_breaks(n, kept_minor))
         small_bad = [f"det A_{alpha} = {minor}" for alpha, minor in breaks if len(alpha) <= n - 2]
         middle_bad = [f"det A_{alpha} = {minor}" for alpha, minor in breaks if len(alpha) == n - 1]
         conclusions.append(
@@ -308,7 +314,8 @@ def audit_thm_4_11(a: RatMatrix) -> AuditReport:
         schur_bad = []
         for combo in itertools.combinations(range(1, n + 1), n - 1):
             alpha = IndexSet(n, combo)
-            schur = _schur_scalar(a, alpha, d)
+            # det A / det A_aa, as in _schur_scalar, from the kept minor
+            schur = d / minors[combo] if minors[combo] else None
             if schur is None:
                 schur_bad.append(f"alpha={alpha}: block singular")
             elif schur <= 0:

@@ -391,14 +391,17 @@ def test_search_sweep_solves_no_lp(monkeypatch):
     ))
     # the Theorem 4.11 minor screen decides conjecture 1's candidates
     assert conj1.hit_count > 0 and calls["sweeps"] == 400
+    # planted singular blocks reach the singular branches of both systems,
+    # the semistrict one at the top size of E exact orders too
     rng = random.Random(131)
     sweeps = 400
     for n in (3, 4, 5):
         for kind in PLANTED_KINDS:
             a = RatMatrix(planted_singular(rng, n, kind))
-            for k in range(n + 1):
-                has_exact_order(a, k, Variant.E)
-                sweeps += 1
+            for variant in Variant:
+                for k in range(n + 1):
+                    assert has_exact_order(a, k, variant) == (exact_order(a, variant).k == k)
+                    sweeps += 1
     assert calls["sweeps"] == sweeps
     assert calls["phase1_feasible", True] == calls["_witness", True] == 0
     assert calls["order >= 3", True] > 300

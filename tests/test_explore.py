@@ -219,11 +219,15 @@ def test_draws_clear_rows_as_they_are_drawn():
 
 
 def test_words_are_the_generator_outputs_in_order():
-    # across two refill boundaries
+    # across two refill boundaries, as 32-bit words and as their top bytes
     count = 2 * explore._REFILL + 7
     expected = random.Random(99).getrandbits
     assert list(itertools.islice(explore._words(99), count)) == [
         expected(32) for _ in range(count)
+    ]
+    expected = random.Random(99).getrandbits
+    assert list(itertools.islice(explore._words(99, 8), count)) == [
+        expected(32) >> 24 for _ in range(count)
     ]
 
 
