@@ -42,7 +42,6 @@ from .ratcore import (
     IndexSet,
     RatMatrix,
     SingularMatrixError,
-    char_poly,
     count_negative_eigenvalues,
     det,
     inverse,

@@ -15,7 +15,7 @@ order 2), drains the sweep and computes and normalizes the certificate of
 the first failing support only, the one support it takes a
 ``principal_submatrix`` of; the semimonotone, copositive and almost
 verdicts read that witness off the profile.  ``has_exact_order``, the
-explorer's filter, does not sweep: it runs two plain loops over the
+screen of every search in ``explore``, does not sweep: it runs two plain loops over the
 supports of the row-cleared integer matrix D A, whose supports fail
 exactly where A's do ((D A)_aa = D_a A_aa with D_a positive).  Every
 support of size <= n-k must pass and every one of size n-k+1 must fail,
@@ -252,7 +252,7 @@ def is_strictly_semimonotone(a: RatMatrix) -> ClassVerdict:
 
 
 def has_exact_order(a: RatMatrix, k: int, variant: Variant) -> bool:
-    """Early-exit test for one specific exact order (the explorer's filter).
+    """Early-exit test for one specific exact order (the searches' screen).
 
     Equivalent to ``exact_order(a, variant).k == k``: the orders up to n-k
     must show no failing support, and every support of size n-k+1 must fail
@@ -334,20 +334,6 @@ def _minor_verdict(a: RatMatrix, strict: bool) -> ClassVerdict:
         if minor < 0 or (strict and minor == 0):
             return ClassVerdict(label, False, MinorWitness(alpha, minor))
     return ClassVerdict(label, True)
-
-
-def _minor_breaks(
-    n: int, minor: Callable[[_Members], Union[Fraction, int]]
-) -> Iterator[tuple[IndexSet, Union[Fraction, int]]]:
-    """The supports of sizes below n whose ``minor`` (given the members)
-    breaks the minor condition of Theorem 4.11, with that minor, in (size,
-    lex) order; only the minors' signs are tested."""
-    for size in range(1, n):
-        last = size == n - 1
-        for key in itertools.combinations(range(1, n + 1), size):
-            m = minor(key)
-            if m >= 0 if last else m < 0:
-                yield IndexSet(n, key), m
 
 
 def is_P0(a: RatMatrix) -> ClassVerdict:

@@ -9,29 +9,28 @@ caveat.
 
 Every public search is a thin caller of one loop, ``_search``: a screen
 that decides the target exact order, then the full classifier must agree on
-every candidate the screen passes, or the search raises.  For conjecture 1
-the screen is the Theorem 4.11 minor test, which decides E0 exact order 2
-for Z-matrices, with each minor read in place from the integer rows
-(closed forms up to order 3); every other search's screen is
-``has_exact_order``, two plain loops over the supports that call no
-simplex.  The candidate stream is drawn as integer (numerator,
-denominator) pairs, each value the one ``random.Random(seed).randrange``
-would give, read from bulk 32-bit generator outputs (Mersenne Twister;
-Matsumoto and Nishimura 1998) instead of one ``randrange`` call per value;
-when every draw width is below 2^8, as with the default bounds, only the
-top byte of each output is read.  Each row is cleared as it is drawn to
-the row-cleared integer matrix D A, which has the exact order and
-principal-minor signs of A, and the screen runs on those integers.  Only a
-candidate that passes it becomes a ``RatMatrix``, entry by entry as drawn,
-each entry a ``Fraction`` shared through a bounded cache, and the
-``Fraction`` classifier ``exact_order``, whose sweep
-solves its larger supports by the simplex, re-checks it, so every hit is
-decided by two routes in two kinds of arithmetic.  A conclusion checker
-runs once per hit, and a hit it fails is reported as a counterexample only
-after a triple check: the classifier agreed, the checker reproduces the
-failure, and an independent second route (A A^{-1} = I by substitution for
-the inverse conjectures, the transpose's profile for the negative-entry
-counts) agrees.
+every candidate the screen passes, or the search raises.  One screen
+serves every search: ``has_exact_order``, two plain loops over the supports
+that call no simplex; conjecture 1 first drops the candidates that are not
+Z-matrices.  Theorem 4.11's minor characterization of its targets is
+audited (``verify.audit_thm_4_11``), not used to decide.  The candidate
+stream is drawn as integer (numerator, denominator) pairs, each value the
+one ``random.Random(seed).randrange`` would give, read from bulk 32-bit
+generator outputs (Mersenne Twister; Matsumoto and Nishimura 1998) instead
+of one ``randrange`` call per value; when every draw width is below 2^8,
+as with the default bounds, only the top byte of each output is read.
+Each row is cleared as it is drawn to the row-cleared integer matrix D A,
+which has the exact order and principal-minor signs of A, and the screen
+runs on those integers.  Only a candidate that passes it becomes a
+``RatMatrix``, entry by entry as drawn, each entry a ``Fraction`` shared
+through a bounded cache, and the ``Fraction`` classifier ``exact_order``,
+whose sweep solves its larger supports by the simplex, re-checks it, so
+every hit is decided by two routes in two kinds of arithmetic.  A
+conclusion checker runs once per hit, and a hit it fails is reported as a
+counterexample only after a triple check: the classifier agreed, the
+checker reproduces the failure, and an independent second route (A A^{-1}
+= I by substitution for the inverse conjectures, the transpose's profile
+for the negative-entry counts) agrees.
 
 Conjecture 1 is stated with the partitioned inverse formula; its checker
 reads the blocks of one ``inverse(A)`` instead, which agrees wherever the
@@ -49,14 +48,13 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterator, Optional
 
 from .classify import (
     Variant,
     _has_exact_order,
-    _minor_breaks,
     exact_order,
     is_Z,
     negative_entry_profile,
@@ -65,7 +63,6 @@ from .ratcore import (
     IndexSet,
     RatMatrix,
     SingularMatrixError,
-    _int_minor,
     count_negative_eigenvalues,
     det,
     inverse,
@@ -332,24 +329,12 @@ _EVIDENCE_NOTE = "randomized search accumulates evidence or counterexamples; it 
 
 
 # ---------------------------------------------------------------------------
-# screens on the integer rows (every pass is re-verified exactly)
-
-
-def _z_exact_two_minor_screen(rows: _IntRows) -> bool:
-    """For Z-matrices, E0 exact order 2 is equivalent to: principal minors of
-    order <= n-2 nonnegative and of order n-1 negative.  Used as a cheap
-    determinant-only screen that stops at the first breaking minor;
-    survivors still face the full classifier.  It runs on the
-    row-cleared integer rows D A, whose minors det(D_a A_aa) have the signs
-    of A's, each read in place by ``ratcore._int_minor``."""
-    minors = _minor_breaks(len(rows), partial(_int_minor, rows))
-    return next(minors, None) is None
+# the conjecture-1 screen on the integer rows (every pass is re-verified exactly)
 
 
 def _conjecture_1_screen(rows: _IntRows) -> bool:
-    # n >= 3 here, so the order-1 minors test the diagonal's signs
     is_z = all(max(row[:i] + row[i + 1:]) <= 0 for i, row in enumerate(rows))
-    return is_z and _z_exact_two_minor_screen(rows)
+    return is_z and _has_exact_order(rows, 2, Variant.E0)
 
 
 # ---------------------------------------------------------------------------

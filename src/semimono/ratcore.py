@@ -13,15 +13,13 @@ block as the scalar det A / det A_aa.
 ``_cleared_rows`` gives the row-cleared integer matrix D A, each row times
 the LCM of its denominators.  ``det`` and ``inverse`` pivot it, and since D
 is positive, exact order and the sign of every principal minor can be read
-from it too: the conjecture searches decide candidates on these integer rows
-(``_int_minor`` reads the minor screen's minors in place, in closed form up
-to order 3) and build Fractions only for hits.
+from it too: the searches decide candidates on these integer rows and
+build Fractions only for hits.
 
 The spectrum is the one thing a row scaling does not keep.  Eigenvalue
-counts and the characteristic polynomial use ``_scalar_cleared`` instead,
-L A for one positive scalar L, whose roots are L times A's, and run
-Berkowitz's division-free recurrence on it; ``poly`` counts the roots in
-integers too.
+counts use ``_scalar_cleared`` instead, L A for one positive scalar L,
+whose roots are L times A's, and run Berkowitz's division-free recurrence
+on it; ``poly`` counts the roots in integers too.
 
 All values here are immutable after construction and safe to share across
 threads.
@@ -88,10 +86,6 @@ class IndexSet:
             if i <= prev:
                 raise ValueError("members must be strictly increasing")
             prev = i
-
-    @classmethod
-    def of(cls, universe: int, members: Iterable[int]) -> "IndexSet":
-        return cls(universe, tuple(sorted(set(members))))
 
     @classmethod
     def full(cls, n: int) -> "IndexSet":
@@ -197,10 +191,6 @@ class RatMatrix:
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(zip(*self._entries))
-
-    def trace(self) -> Fraction:
-        self._require_square()
-        return sum((self._entries[i][i] for i in range(self._n)), Fraction(0))
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         self._check_same_shape(other)
@@ -362,30 +352,6 @@ def _int_det(rows: list[list[int]]) -> int:
     return _gauss_jordan(rows)
 
 
-def _int_minor(rows: Sequence[Sequence[int]], members: tuple[int, ...]) -> int:
-    """The principal minor of a square integer array on the 1-based
-    ``members``, read in place: closed forms up to order 3 (order 3 by
-    cofactors along the first row), ``_int_det`` of a fresh block above."""
-    k = len(members)
-    if k > 3:
-        return _int_det(_block(rows, members))
-    i = members[0] - 1
-    ri = rows[i]
-    if k == 1:
-        return ri[i]
-    j = members[1] - 1
-    rj = rows[j]
-    if k == 2:
-        return ri[i] * rj[j] - ri[j] * rj[i]
-    m = members[2] - 1
-    rm = rows[m]
-    return (
-        ri[i] * (rj[j] * rm[m] - rj[m] * rm[j])
-        - ri[j] * (rj[i] * rm[m] - rj[m] * rm[i])
-        + ri[m] * (rj[i] * rm[j] - rj[j] * rm[i])
-    )
-
-
 def det(a: RatMatrix) -> Fraction:
     """Exact determinant: that of the row-cleared integer matrix D A, over
     the product of D."""
@@ -449,20 +415,6 @@ def _berkowitz(rows: Sequence[Sequence[int]]) -> list[int]:
             for i in range(len(desc) + 1)
         ]
     return desc[::-1]
-
-
-def char_poly(a: RatMatrix) -> tuple[Fraction, ...]:
-    """Coefficients of the monic characteristic polynomial det(lambda I - A):
-    entry k is the coefficient of lambda^k, so the last is 1 and the first
-    is (-1)^n det(A).
-
-    Berkowitz's recurrence runs on the integer matrix L A of
-    ``_scalar_cleared``; its coefficient k is L^(n-k) times A's.
-    """
-    a._require_square()
-    n = a.order
-    scale, rows = _scalar_cleared(a)
-    return tuple(Fraction(c, scale ** (n - k)) for k, c in enumerate(_berkowitz(rows)))
 
 
 def eigenvalue_sign_counts(a: RatMatrix) -> tuple[int, int, int]:

@@ -5,8 +5,9 @@ Hypothesis checking is kept strictly separate from conclusion checking: a
 failed conclusion *with hypotheses met* is genuine evidence against the
 audited statement and is surfaced as a counterexample with re-checkable
 data, while unmet hypotheses simply skip the conclusions.  The randomized
-searches in ``explore`` run their own conclusion checkers; only the
-Theorem 4.11 minor test is shared, through ``classify._minor_breaks``.
+searches in ``explore`` run their own conclusion checkers and decide
+their candidates with ``classify.has_exact_order``; Theorem 4.11's minor
+characterization is checked here only, in ``audit_thm_4_11``.
 
 The Schur complements of Theorems 3.5 and 4.11 are taken over order-(n-1)
 blocks, so each is the scalar det A / det A_aa and no partitioned formula
@@ -20,12 +21,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .classify import (
     Variant,
     WrongOrderError,
-    _minor_breaks,
     copositive_exact_order,
     exact_order,
     is_Z,
@@ -257,6 +257,20 @@ def audit_prop_4_10(a: RatMatrix, variant: Variant = Variant.E0) -> AuditReport:
         )
         conclusions.extend(_almost_block_conclusions(a, variant))
     return _report("prop4.10", a, met, note, conclusions)
+
+
+def _minor_breaks(
+    n: int, minor: Callable[[tuple[int, ...]], Fraction]
+) -> Iterator[tuple[IndexSet, Fraction]]:
+    """The supports of sizes below n whose ``minor`` (given the members)
+    breaks the minor condition of Theorem 4.11, with that minor, in (size,
+    lex) order; only the minors' signs are tested."""
+    for size in range(1, n):
+        last = size == n - 1
+        for key in itertools.combinations(range(1, n + 1), size):
+            m = minor(key)
+            if m >= 0 if last else m < 0:
+                yield IndexSet(n, key), m
 
 
 def audit_thm_4_11(a: RatMatrix) -> AuditReport:

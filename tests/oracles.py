@@ -25,7 +25,16 @@ from typing import Iterator, Optional, Sequence
 
 from semimono.explore import EntrySign, GeneratorConfig
 from semimono.feasibility import FeasibilityOutcome, Strictness, phase1_feasible
-from semimono.ratcore import IndexSet, RatMatrix, RatVector, all_supports, inverse, principal_submatrix
+from semimono.ratcore import (
+    IndexSet,
+    RatMatrix,
+    RatVector,
+    _berkowitz,
+    _scalar_cleared,
+    all_supports,
+    inverse,
+    principal_submatrix,
+)
 
 
 def det_cofactor(a: RatMatrix) -> Fraction:
@@ -59,6 +68,16 @@ def adjugate(a: RatMatrix) -> RatMatrix:
 
 # ---------------------------------------------------------------------------
 # characteristic polynomial and real root counts over the rationals
+
+
+def char_poly(a: RatMatrix) -> tuple[Fraction, ...]:
+    """The package's route to det(lambda I - A), read back as A's own
+    ascending coefficients: Berkowitz's recurrence runs on L A
+    (``ratcore._scalar_cleared``), whose coefficient k is L^(n-k) times
+    A's, and each is divided back."""
+    n = a.order
+    scale, rows = _scalar_cleared(a)
+    return tuple(Fraction(c, scale ** (n - k)) for k, c in enumerate(_berkowitz(rows)))
 
 
 def char_poly_leverrier(a: RatMatrix) -> tuple[Fraction, ...]:

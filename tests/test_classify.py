@@ -342,7 +342,7 @@ def test_first_failing_support_is_solved_once(monkeypatch):
 
 
 def test_search_sweep_solves_no_lp(monkeypatch):
-    # _has_exact_order, the sweep behind has_exact_order and the searches,
+    # _has_exact_order, the sweep behind has_exact_order and every search,
     # decides every support by sign tests and one integer solve: no simplex
     # and no _witness while it runs.  The exact_order re-check of each hit
     # still runs them, which shows that the counters are live.
@@ -389,12 +389,13 @@ def test_search_sweep_solves_no_lp(monkeypatch):
         order=4, template=explore.template_z(4), numerator_bound=4, denominator_bound=2,
         diagonal_numerator_bound=8, seed=7, max_attempts=400,
     ))
-    # the Theorem 4.11 minor screen decides conjecture 1's candidates
-    assert conj1.hit_count > 0 and calls["sweeps"] == 400
+    # the Z template draws only Z-matrices, so conjecture 1's screen sweeps
+    # every candidate too
+    assert conj1.hit_count > 0 and calls["sweeps"] == 800
     # planted singular blocks reach the singular branches of both systems,
     # the semistrict one at the top size of E exact orders too
     rng = random.Random(131)
-    sweeps = 400
+    sweeps = 800
     for n in (3, 4, 5):
         for kind in PLANTED_KINDS:
             a = RatMatrix(planted_singular(rng, n, kind))

@@ -14,7 +14,7 @@ from semimono.explore import (
     EntrySign,
     GeneratorConfig,
     SearchReport,
-    _z_exact_two_minor_screen,
+    _conjecture_1_screen,
     conjecture_1_violations,
     conjecture_2_violations,
     generate,
@@ -28,8 +28,8 @@ from semimono.explore import (
     template_nonneg,
     template_z,
 )
-from semimono import ratcore
-from semimono.ratcore import RatMatrix, _cleared_rows, _integer_rows
+from semimono.ratcore import IndexSet, RatMatrix, _cleared_rows, _integer_rows, det, principal_submatrix
+from semimono.verify import _minor_breaks
 
 from matrices import (
     M3_ORDER2_E0,
@@ -235,17 +235,18 @@ def test_words_are_the_generator_outputs_in_order():
 # screens
 
 
-def test_z_minor_screen_agrees_with_classifier(monkeypatch):
-    # the screen reads the row-cleared integer rows D A, as the search feeds
-    # it.  Random Z-matrices rarely pass the order-1 to 3 minors, so t I - J
-    # (J all ones; its order-k minors are t^(k-1) (t - k), exact order 2 for
-    # n - 2 <= t < n - 1) with scaled rows joins them, to reach the minors
-    # above order 3, which go to _int_det.
-    fallback = []
-    real = ratcore._int_det
-    monkeypatch.setattr(ratcore, "_int_det", lambda rows: fallback.append(1) or real(rows))
+def test_z_minor_screen_agrees_with_classifier():
+    # Theorem 4.11: a Z-matrix has E0 exact order 2 iff its principal minors
+    # of order <= n-2 are nonnegative and those of order n-1 negative.  The
+    # audit's minor test (Fraction det) and conjecture 1's search screen
+    # (on the row-cleared integer rows D A, as the search feeds it) must
+    # both agree with the classifier.  Random Z-matrices rarely pass the
+    # order-1 to 3 minors, so t I - J (J all ones; its order-k minors are
+    # t^(k-1) (t - k), exact order 2 for n - 2 <= t < n - 1) with scaled
+    # rows joins them, to reach exact order 2 at orders 5 and 6.
     rng = random.Random(3)
     verdicts = {True: 0, False: 0}
+    large_hits = 0
     for index in range(240):
         n = rng.randint(3, 6)
         if index % 2:
@@ -257,8 +258,11 @@ def test_z_minor_screen_agrees_with_classifier(monkeypatch):
                            for i in range(n)])
         expected = exact_order(m, Variant.E0).k == 2
         verdicts[expected] += 1
-        assert _z_exact_two_minor_screen(_integer_rows(m)[1]) == expected
-    assert min(verdicts.values()) > 20 and fallback
+        large_hits += expected and n >= 5
+        breaks = _minor_breaks(n, lambda key: det(principal_submatrix(m, IndexSet(n, key))))
+        assert (next(breaks, None) is None) == expected
+        assert _conjecture_1_screen(_integer_rows(m)[1]) == expected
+    assert min(verdicts.values()) > 20 and large_hits
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +464,10 @@ CONJ2_CONFIG = GeneratorConfig(
     ids=["conjecture1", "conjecture2"],
 )
 def test_a_screen_pass_the_classifier_rejects_raises(monkeypatch, search, config):
-    # Each search's screen decides exact order 2 on the integer rows (the
-    # Theorem 4.11 minor test for conjecture 1, the sweep for conjecture 2),
-    # and every pass goes to exact_order.  A wrong verdict on one pass must
-    # stop the search, not drop the candidate.
+    # Each search's screen decides exact order 2 on the integer rows with
+    # _has_exact_order (after a Z test for conjecture 1), and every pass
+    # goes to exact_order.  A wrong verdict on one pass must stop the
+    # search, not drop the candidate.
     real = explore.exact_order
     seen = []
 
@@ -478,7 +482,12 @@ def test_a_screen_pass_the_classifier_rejects_raises(monkeypatch, search, config
     assert len(seen) == 3
 
 
-def test_a_wrong_sweep_verdict_raises(monkeypatch):
+@pytest.mark.parametrize(
+    "search, config",
+    [(search_conjecture_1, CONJ1_CONFIG), (search_conjecture_2, CONJ2_CONFIG)],
+    ids=["conjecture1", "conjecture2"],
+)
+def test_a_wrong_sweep_verdict_raises(monkeypatch, search, config):
     # the sweep passes one candidate it should reject: the exact_order
     # re-check catches it
     real = classify._has_exact_order
@@ -493,24 +502,14 @@ def test_a_wrong_sweep_verdict_raises(monkeypatch):
 
     monkeypatch.setattr(explore, "_has_exact_order", wrong_once)
     with pytest.raises(AssertionError, match="screen and full classifier disagree"):
-        search_conjecture_2(CONJ2_CONFIG, target_hits=5)
+        search(config, target_hits=5)
     assert len(flipped) == 1
-
-
-def test_conjecture_1_hits_do_not_rest_on_the_sweep(monkeypatch):
-    # the minor screen decides exact order 2 for Z-matrices and exact_order
-    # re-checks each pass, so a sweep that rejected them all, whose verdict
-    # used to drop a screen pass without a trace, changes no hit
-    expected = search_conjecture_1(CONJ1_CONFIG, target_hits=10)
-    monkeypatch.setattr(explore, "_has_exact_order", lambda rows, k, variant: False)
-    report = search_conjecture_1(CONJ1_CONFIG, target_hits=10)
-    assert report.hit_count == 10 and report == expected
 
 
 @pytest.mark.parametrize("search", [search_conjecture_1, search_conjecture_2])
 def test_conjecture_searches_refuse_orders_below_two(search):
-    # exact order 2 needs n >= 2; the order-1 minor screen passes every
-    # candidate, so the search must refuse before it samples
+    # exact order 2 needs n >= 2, so the search must refuse before it
+    # samples, as every search does, not fail inside its screen
     with pytest.raises(ValueError, match="exact order must lie in 0..1"):
         search(cfg(1, template_free(1), max_attempts=10))
 
