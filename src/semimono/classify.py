@@ -14,18 +14,18 @@ rows of A with ``feasibility._feasible`` (shortcuts and the simplex above
 order 2), drains the sweep and computes and normalizes the certificate of
 the first failing support only, the one support it takes a
 ``principal_submatrix`` of; the semimonotone, copositive and almost
-verdicts read that witness off the profile.  ``has_exact_order``, the
-screen of every search in ``explore``, does not sweep: it runs two plain loops over the
-supports of the row-cleared integer matrix D A, whose supports fail
-exactly where A's do ((D A)_aa = D_a A_aa with D_a positive).  Every
-support of size <= n-k must pass and every one of size n-k+1 must fail,
-and it returns at the first verdict that rules k out, so every support
-it decides is minimal without any heredity bookkeeping.  There
+verdicts read that witness off the profile.  ``has_exact_order`` does
+not sweep: it runs two plain loops over the supports of integer rows D A,
+D a positive diagonal, whose supports fail exactly where A's do
+((D A)_aa = D_a A_aa).  Every support of size <= n-k must pass and every
+one of size n-k+1 must fail, and it returns at the first verdict that
+rules k out, so every support it decides is minimal without any heredity
+bookkeeping.  There
 ``feasibility._sign_test`` decides orders 1 and 2 and
 ``feasibility._minimal_feasible`` the orders above, by the sign of
--B^{-1} 1 and with no simplex; no witness is read.  The two decisions
-share no code above order 2, so the searches' ``exact_order`` re-check
-of a hit is a second route.
+-B^{-1} 1 and with no simplex; no witness is read.  It is the screen of
+every search in ``explore``; README "How it works" describes the search
+pipeline.
 
 All procedures are pure; the fixed order makes the first witness
 deterministic.
@@ -264,7 +264,8 @@ def has_exact_order(a: RatMatrix, k: int, variant: Variant) -> bool:
 
 
 def _has_exact_order(rows: Sequence[Sequence[int]], k: int, variant: Variant) -> bool:
-    """``has_exact_order`` on row-cleared integer rows, as two plain loops
+    """``has_exact_order`` on integer rows D A (D a positive diagonal: the
+    row-cleared rows, or the generator's L A), as two plain loops
     over the supports in (size, lex) order: every support of size <= n-k
     must pass, and every support of size n-k+1 must fail.
 

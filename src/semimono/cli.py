@@ -532,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--variant", choices=["e0", "e"], default="e0")
     p_explore.add_argument("--template", choices=list(_TEMPLATES), default=None)
     p_explore.add_argument("--num-bound", type=int, default=None)
-    p_explore.add_argument("--den-bound", type=int, default=None)
+    p_explore.add_argument("--den-bound", type=int, default=None,
+                           help="denominator bound, at most 255")
     p_explore.add_argument("--diag-bound", type=int, default=None,
                            help="separate numerator bound for diagonal entries")
     p_explore.add_argument("--out", help="directory for hit/counterexample matrix files")

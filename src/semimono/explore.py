@@ -7,30 +7,12 @@ conjectured conclusions on every verified hit.  Searches can only falsify a
 conjecture or accumulate evidence for it, never prove it; reports carry that
 caveat.
 
-Every public search is a thin caller of one loop, ``_search``: a screen
-that decides the target exact order, then the full classifier must agree on
-every candidate the screen passes, or the search raises.  One screen
-serves every search: ``has_exact_order``, two plain loops over the supports
-that call no simplex; conjecture 1 first drops the candidates that are not
-Z-matrices.  Theorem 4.11's minor characterization of its targets is
-audited (``verify.audit_thm_4_11``), not used to decide.  The candidate
-stream is drawn as integer (numerator, denominator) pairs, each value the
-one ``random.Random(seed).randrange`` would give, read from bulk 32-bit
-generator outputs (Mersenne Twister; Matsumoto and Nishimura 1998) instead
-of one ``randrange`` call per value; when every draw width is below 2^8,
-as with the default bounds, only the top byte of each output is read.
-Each row is cleared as it is drawn to the row-cleared integer matrix D A,
-which has the exact order and principal-minor signs of A, and the screen
-runs on those integers.  Only a candidate that passes it becomes a
-``RatMatrix``, entry by entry as drawn, each entry a ``Fraction`` shared
-through a bounded cache, and the ``Fraction`` classifier ``exact_order``,
-whose sweep solves its larger supports by the simplex, re-checks it, so
-every hit is decided by two routes in two kinds of arithmetic.  A
-conclusion checker runs once per hit, and a hit it fails is reported as a
-counterexample only after a triple check: the classifier agreed, the
-checker reproduces the failure, and an independent second route (A A^{-1}
-= I by substitution for the inverse conjectures, the transpose's profile
-for the negative-entry counts) agrees.
+Every public search is a thin caller of one loop, ``_search``: the
+generator ``_draws`` yields each candidate as integer rows L A (one
+constant L per config), one screen decides the target exact order, the
+``Fraction`` classifier ``exact_order`` must agree on every pass, and a
+counterexample is reported only after a triple check.  README "How it
+works" gives the full account of this pipeline.
 
 Conjecture 1 is stated with the partitioned inverse formula; its checker
 reads the blocks of one ``inverse(A)`` instead, which agrees wherever the
@@ -123,6 +105,8 @@ def template_diag_nonneg_off_free(n: int) -> Template:
 # The widest draw that one 32-bit generator output can reproduce: NONNEG and
 # NONPOS cells draw from bound + 1 values, still below 2^32.
 _MAX_WIDTH = 2**31
+# The largest denominator bound: every row is cleared by lcm(1..bound).
+_MAX_DENOMINATOR = 255
 
 
 @dataclass(frozen=True)
@@ -135,6 +119,9 @@ class GeneratorConfig:
     ``diagonal_numerator_bound`` lets the diagonal range differ from the
     off-diagonal one (the interesting targets tend to need diagonals that
     dominate the off-diagonal magnitudes); None means "same bound".
+    Numerator bounds and the free-weight sum may reach 2**31;
+    ``denominator_bound`` may reach 255, since every row is cleared by
+    L = lcm(1, ..., denominator_bound), which has 362 bits at 255.
     """
 
     order: int
@@ -163,9 +150,10 @@ class GeneratorConfig:
                   self.denominator_bound, sum(self.free_weights))
         if max(widths) > _MAX_WIDTH:
             raise ValueError("bounds and the free-weight sum must be <= 2**31")
+        if self.denominator_bound > _MAX_DENOMINATOR:
+            raise ValueError(f"denominator_bound must be <= {_MAX_DENOMINATOR}")
 
 
-_Draw = list[list[tuple[int, int]]]
 _IntRows = list[list[int]]
 
 # generator outputs per bulk refill of ``_words``
@@ -193,11 +181,11 @@ def _words(seed: int, bits: int = 32) -> Iterator[int]:
     return itertools.chain.from_iterable(map(unpack, refills))
 
 
-def _draws(cfg: GeneratorConfig) -> Iterator[tuple[_Draw, _IntRows]]:
-    """The candidate stream as rows of (numerator, denominator) pairs, a 0
-    entry being (0, 1), each with its row-cleared integer rows D A
-    (``ratcore._cleared_rows`` of the pairs): every row's denominator LCM
-    is kept up as its entries are drawn.
+def _draws(cfg: GeneratorConfig) -> Iterator[tuple[int, _IntRows]]:
+    """The candidate stream as (L, rows): rows is the drawn matrix A times
+    L = lcm(1, ..., denominator bound), one constant per config, so an
+    entry p/q is the integer p * (L // q), read from a per-denominator
+    table.  L A has the exact order and principal-minor signs of A.
 
     Per entry: a FREE position first draws its sign class from
     ``randrange(wn + wz + wp)``; a nonzero class draws the numerator
@@ -209,23 +197,26 @@ def _draws(cfg: GeneratorConfig) -> Iterator[tuple[_Draw, _IntRows]]:
     one 32-bit output.  So each draw here is ``word >> (32 - k)``, redrawn
     while >= w, with the shift precomputed per width: the same values as
     ``randrange``, and the same ones ``randint(lo, lo + w - 1)`` gives.
-    When the denominator bound, the free-weight sum and each numerator
-    bound + 1 are below 2^8, as with every default, every k is at most 8,
-    so the draws read only the top byte of each output and shift by 8 - k:
-    the same values at the same stream positions.  Wider configs read the
-    32-bit words.  ``GeneratorConfig`` keeps every width below 2^32.
-    Outputs drawn past the last candidate are discarded.
+    When the free-weight sum and each numerator bound + 1 are below 2^8,
+    as with every default, every k is at most 8 (the denominator bound is
+    at most 255), so the draws read only the top byte of each output and
+    shift by 8 - k: the same values at the same stream positions.  Wider
+    configs read the 32-bit words.  ``GeneratorConfig`` keeps every width
+    below 2^32.  Outputs drawn past the last candidate are discarded.
     """
     neg, pos, zero, nonneg, free = (
         EntrySign.NEG, EntrySign.POS, EntrySign.ZERO, EntrySign.NONNEG, EntrySign.FREE
     )
     db = cfg.denominator_bound
+    scale = lcm(*range(1, db + 1))
+    # mult[r] = L // q for the denominator q = r + 1 drawn as r
+    mult = [scale // q for q in range(1, db + 1)]
     wn, wz, wp = cfg.free_weights
     wnz = wn + wz
     ws = wnz + wp
     nb_off = cfg.numerator_bound
     nb_diag = nb_off if cfg.diagonal_numerator_bound is None else cfg.diagonal_numerator_bound
-    bits = 8 if max(db, ws, nb_off + 1, nb_diag + 1) < 2**8 else 32
+    bits = 8 if max(ws, nb_off + 1, nb_diag + 1) < 2**8 else 32
     word = _words(cfg.seed, bits).__next__
     d_shift = bits - db.bit_length()
     s_shift = bits - ws.bit_length()
@@ -248,10 +239,8 @@ def _draws(cfg: GeneratorConfig) -> Iterator[tuple[_Draw, _IntRows]]:
         cells.append(cell_row)
     for _ in range(cfg.max_attempts):
         rows = []
-        cleared = []
         for cell_row in cells:
             row = []
-            d = 1
             for is_free, sgn, off, w, shift in cell_row:
                 if is_free:
                     r = word() >> s_shift
@@ -260,10 +249,10 @@ def _draws(cfg: GeneratorConfig) -> Iterator[tuple[_Draw, _IntRows]]:
                     if r < wn:
                         sgn = -1
                     elif r < wnz:
-                        row.append((0, 1))
+                        row.append(0)
                         continue
                 elif not w:
-                    row.append((0, 1))
+                    row.append(0)
                     continue
                 r = word() >> shift
                 while r >= w:
@@ -273,36 +262,32 @@ def _draws(cfg: GeneratorConfig) -> Iterator[tuple[_Draw, _IntRows]]:
                     r = word() >> d_shift
                     while r >= db:
                         r = word() >> d_shift
-                    q = 1 + r
-                    row.append((num, q))
-                    d = lcm(d, q)
-                else:
-                    row.append((0, 1))
+                    num *= mult[r]
+                row.append(num)
             rows.append(row)
-            cleared.append([p * (d // q) for p, q in row])
-        yield rows, cleared
+        yield scale, rows
 
 
 @lru_cache(maxsize=1024)
 def _entry(p: int, q: int) -> Fraction:
     """The Fraction p/q, shared between matrices: a Fraction is immutable,
-    and the hits of a search draw from few distinct values.  An unreduced
-    pair returns the object of its reduced one, so equal values are one
-    object while they stay cached."""
+    and the hits of a search draw from few distinct values.  The generator
+    asks for (cleared entry, L); an unreduced pair returns the object of its
+    reduced one, so equal values are one object while they stay cached."""
     g = gcd(p, q)
     return Fraction(p, q) if g == 1 else _entry(p // g, q // g)
 
 
-def _rat_matrix(draw: _Draw) -> RatMatrix:
-    """The candidate as drawn, entry by entry (not row-scaled)."""
-    return RatMatrix([[_entry(p, q) for p, q in row] for row in draw])
+def _rat_matrix(scale: int, rows: _IntRows) -> RatMatrix:
+    """The candidate A from the rows L A that ``_draws`` yields, L = scale."""
+    return RatMatrix([[_entry(c, scale) for c in row] for row in rows])
 
 
 def generate(cfg: GeneratorConfig) -> Iterator[RatMatrix]:
     """Deterministic seeded stream of template-conforming matrices; yields at
     most ``max_attempts`` of them."""
-    for draw, _ in _draws(cfg):
-        yield _rat_matrix(draw)
+    for scale, rows in _draws(cfg):
+        yield _rat_matrix(scale, rows)
 
 
 @dataclass(frozen=True)
@@ -448,11 +433,11 @@ def _search(
     hits: list[RatMatrix] = []
     counterexamples: list[Counterexample] = []
     attempts = 0
-    for draw, rows in _draws(config):
+    for scale, rows in _draws(config):
         attempts += 1
         if not screen(rows):
             continue
-        m = _rat_matrix(draw)
+        m = _rat_matrix(scale, rows)
         if exact_order(m, variant).k != k:
             raise AssertionError("screen and full classifier disagree")
         hits.append(m)

@@ -372,9 +372,10 @@ def test_explore_exact_order_requires_k(capsys):
         ["--target", "conjecture1", "--n", "0"],
         ["--target", "conjecture1", "--n", "2"],
         ["--target", "exact-order", "--n", "3", "--k", "2", "--hits", "0"],
+        ["--target", "conjecture2", "--n", "3", "--den-bound", "256"],
     ],
     ids=["k-above-n", "zero-attempts", "neg-entries-k-equals-n", "order-zero",
-         "conjecture1-order-two", "zero-hits"],
+         "conjecture1-order-two", "zero-hits", "den-bound-256"],
 )
 def test_explore_usage_errors_exit_2(extra, capsys):
     assert main(["explore", "--seed", "1", *extra]) == 2

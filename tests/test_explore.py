@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,7 @@ from semimono.explore import (
     template_nonneg,
     template_z,
 )
-from semimono.ratcore import IndexSet, RatMatrix, _cleared_rows, _integer_rows, det, principal_submatrix
+from semimono.ratcore import IndexSet, RatMatrix, _integer_rows, det, principal_submatrix
 from semimono.verify import _minor_breaks
 
 from matrices import (
@@ -153,24 +155,34 @@ def test_config_validation():
 
 
 def test_config_refuses_widths_one_generator_word_cannot_draw():
-    # every width must stay below 2^32 for a draw to take one 32-bit output
+    # every width must stay below 2^32 for a draw to take one 32-bit output;
+    # that check comes first, so a denominator bound past 2^31 gets its message
     top = 2**31
-    for field in ("numerator_bound", "denominator_bound", "diagonal_numerator_bound"):
+    for field in ("numerator_bound", "diagonal_numerator_bound"):
         GeneratorConfig(order=2, template=template_free(2), **{field: top})
+    for field in ("numerator_bound", "denominator_bound", "diagonal_numerator_bound"):
         with pytest.raises(ValueError, match="2\\*\\*31"):
             GeneratorConfig(order=2, template=template_free(2), **{field: top + 1})
     GeneratorConfig(order=2, template=template_free(2), free_weights=(top - 2, 1, 1))
     with pytest.raises(ValueError, match="2\\*\\*31"):
         GeneratorConfig(order=2, template=template_free(2), free_weights=(top - 1, 1, 1))
+    # every row is cleared by lcm(1..denominator bound), which grows like
+    # e^bound, so denominator bounds stop at 255
+    GeneratorConfig(order=2, template=template_free(2), denominator_bound=255)
+    for bound in (256, top):
+        with pytest.raises(ValueError, match="^denominator_bound must be <= 255$"):
+            GeneratorConfig(order=2, template=template_free(2), denominator_bound=bound)
 
 
 def _stream_configs():
     # seeded configs over orders 1-5 and every EntrySign, with zero weights,
-    # bounds of 1, powers of two and their neighbours, and 2^31
+    # bounds of 1, powers of two and their neighbours, and 2^31; denominator
+    # bounds stop at 255, the largest a config accepts
     rng = random.Random(2024)
     signs = tuple(EntrySign)
     bounds = (1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 2**16 - 1, 2**16, 2**16 + 1,
               2**30 - 1, 2**30, 2**30 + 1, 2**31 - 1, 2**31)
+    den_bounds = tuple(b for b in bounds if b <= 255)
     weights = ((4, 1, 4), (12, 1, 2), (0, 0, 1), (1, 0, 0), (0, 3, 0), (2, 0, 5),
                (0, 7, 9), (2**31 - 2, 1, 1), (2**30, 0, 2**30), (1, 2**31 - 2, 0))
     configs = []
@@ -185,7 +197,7 @@ def _stream_configs():
             order=n,
             template=template,
             numerator_bound=rng.choice(bounds),
-            denominator_bound=rng.choice(bounds),
+            denominator_bound=rng.choice(den_bounds),
             diagonal_numerator_bound=rng.choice((None, *bounds)),
             free_weights=weights[index % len(weights)],
             seed=rng.randrange(2**40),
@@ -194,28 +206,50 @@ def _stream_configs():
     return configs
 
 
-def test_draws_match_the_randrange_stream():
+def test_draws_match_the_randrange_stream(monkeypatch):
+    # every (L, rows) yield is the randrange stream of (p, q) pairs with each
+    # entry cleared by the one constant L: p * (L // q)
+    paths = []
+    words = explore._words
+
+    def recording_words(seed, bits=32):
+        paths.append(bits)
+        return words(seed, bits)
+
+    monkeypatch.setattr(explore, "_words", recording_words)
     configs = _stream_configs()
     assert {c.order for c in configs} == {1, 2, 3, 4, 5}
     assert {s for c in configs for row in c.template for s in row} == set(EntrySign)
     assert any(c.numerator_bound == 1 for c in configs)
-    assert any(c.denominator_bound == 2**31 for c in configs)
+    assert any(c.numerator_bound == 2**31 for c in configs)
+    assert {1, 2, 3, 7, 8, 9, 255} <= {c.denominator_bound for c in configs}
     for c in configs:
-        assert [draw for draw, _ in explore._draws(c)] == list(draws_randrange(c)), c
+        yields = list(explore._draws(c))
+        draws = list(draws_randrange(c))
+        assert len(yields) == len(draws) == c.max_attempts, c
+        for (scale, rows), draw in zip(yields, draws):
+            assert rows == [[p * (scale // q) for p, q in row] for row in draw], c
+    # both draw paths ran: the top bytes and the 32-bit words
+    assert set(paths) == {8, 32}
 
 
 def test_draws_clear_rows_as_they_are_drawn():
-    # the integer rows the generator keeps up entry by entry are D A of the
-    # drawn pairs; denominator bounds up to 2^31 give nontrivial LCMs
+    # the integer rows the generator builds entry by entry are L A of the
+    # drawn matrix A, with L = lcm(1..db) one constant per config; the
+    # denominator bounds up to 255 give nontrivial denominators
     configs = _stream_configs()
-    assert any(c.denominator_bound > 2**30 for c in configs)
-    nontrivial = 0
+    assert any(c.denominator_bound == 255 for c in configs)
+    fractional = 0
     for c in configs:
-        for draw, rows in explore._draws(c):
-            scales, expected = _cleared_rows(draw)
-            assert rows == expected, c
-            nontrivial += sum(d > 1 for d in scales)
-    assert nontrivial > 100
+        expected_scale = functools.reduce(math.lcm, range(1, c.denominator_bound + 1))
+        for (scale, rows), draw in zip(explore._draws(c), draws_randrange(c)):
+            assert scale == expected_scale, c
+            assert all(type(v) is int for row in rows for v in row), c
+            assert [[Fraction(v, scale) for v in row] for row in rows] == [
+                [Fraction(p, q) for p, q in row] for row in draw
+            ], c
+            fractional += sum(Fraction(v, scale).denominator > 1 for row in rows for v in row)
+    assert fractional > 100
 
 
 def test_words_are_the_generator_outputs_in_order():
@@ -546,9 +580,10 @@ def test_hits_share_their_entries():
 
 def test_entry_cache_stays_bounded():
     # every 2x2 nonnegative matrix has exact order 0, so every draw is a hit:
-    # at bounds 2^31 the hits bring more distinct entries than the cache holds
+    # at the largest bounds the hits bring more distinct entries than the
+    # cache holds
     maxsize = explore._entry.cache_parameters()["maxsize"]
-    c = cfg(2, template_nonneg(2), numerator_bound=2**31, denominator_bound=2**31,
+    c = cfg(2, template_nonneg(2), numerator_bound=2**31, denominator_bound=255,
             max_attempts=400)
     explore._entry.cache_clear()
     report = search_exact_order(2, 0, Variant.E0, c)
