@@ -6,8 +6,9 @@ failed conclusion *with hypotheses met* is genuine evidence against the
 audited statement and is surfaced as a counterexample with re-checkable
 data, while unmet hypotheses simply skip the conclusions.  The randomized
 searches in ``explore`` run their own conclusion checkers and decide
-their candidates with ``classify.has_exact_order``; Theorem 4.11's minor
-characterization is checked here only, in ``audit_thm_4_11``.
+their candidates with ``classify._has_exact_order`` on integer rows;
+Theorem 4.11's minor characterization is checked here only, in
+``audit_thm_4_11``.
 
 The Schur complements of Theorems 3.5 and 4.11 are taken over order-(n-1)
 blocks, so each is the scalar det A / det A_aa and no partitioned formula
@@ -21,6 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable, Iterator, Optional
 
 from .classify import (
@@ -35,6 +37,9 @@ from .ratcore import (
     IndexSet,
     RatMatrix,
     SingularMatrixError,
+    _block,
+    _int_det,
+    _integer_rows,
     count_negative_eigenvalues,
     det,
     inverse,
@@ -273,6 +278,14 @@ def _minor_breaks(
                 yield IndexSet(n, key), m
 
 
+def _principal_minors(a: RatMatrix) -> Callable[[tuple[int, ...]], Fraction]:
+    """det A_aa for the 1-based members of alpha, each read from one
+    row-cleared D A (``ratcore._integer_rows``): D is positive and
+    (D A)_aa = D_a A_aa, so det A_aa = det (D A)_aa / prod(D_a)."""
+    scales, rows = _integer_rows(a)
+    return lambda key: Fraction(_int_det(_block(rows, key)), prod(scales[i - 1] for i in key))
+
+
 def audit_thm_4_11(a: RatMatrix) -> AuditReport:
     """Z-matrices of E0 exact order 2: nonnegative minors up to order n-2,
     negative order-(n-1) minors, negative determinant, positive inverse
@@ -287,14 +300,11 @@ def audit_thm_4_11(a: RatMatrix) -> AuditReport:
     note = f"Z: {z}; classified as {result.describe()}; requires Z and E0 exact order 2"
     conclusions: list[Conclusion] = []
     if met:
-        # every minor the conclusion reads, kept for the Schur complements
+        # every minor the conclusion reads, all from one row-cleared D A
+        # (_principal_minors), kept for the Schur complements
         minors: dict[tuple[int, ...], Fraction] = {}
-
-        def kept_minor(key: tuple[int, ...]) -> Fraction:
-            minors[key] = det(principal_submatrix(a, IndexSet(n, key)))
-            return minors[key]
-
-        breaks = list(_minor_breaks(n, kept_minor))
+        read_minor = _principal_minors(a)
+        breaks = list(_minor_breaks(n, lambda key: minors.setdefault(key, read_minor(key))))
         small_bad = [f"det A_{alpha} = {minor}" for alpha, minor in breaks if len(alpha) <= n - 2]
         middle_bad = [f"det A_{alpha} = {minor}" for alpha, minor in breaks if len(alpha) == n - 1]
         conclusions.append(

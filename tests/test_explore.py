@@ -391,6 +391,40 @@ def test_conjecture_checkers_on_fixtures():
     assert conjecture_2_violations(M4_ORDER2_NONZ_B) == []
 
 
+def test_conjecture_1_checker_reports_non_z_and_undefined_blocks():
+    # frozen: a positive off-diagonal entry of A^{-1} fails exactly the
+    # size-(n-1) blocks that hold it, a singular A_aa (A nonsingular) or a
+    # singular A leaves the block undefined
+    spd = RatMatrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+    assert conjecture_1_violations(spd) == [
+        ("inverse principal block for alpha={1,3} is not Z", "RatMatrix[3/4 1/4; 1/4 3/4]"),
+        ("negative eigenvalue count != 1", "count = 0"),
+    ]
+    singular_block = RatMatrix([[1, 1, 1], [1, 1, 0], [1, 0, 1]])
+    assert conjecture_1_violations(singular_block) == [
+        ("inverse block formula undefined for alpha={1,2}", "matrix is singular"),
+        ("inverse block formula undefined for alpha={1,3}", "matrix is singular"),
+    ]
+    # A^{-1} has its positive off-diagonal entries in column 4 only
+    mixed = RatMatrix([
+        [1, Fraction(1, 2), -1, 0], [0, 2, -1, -1],
+        [-1, -1, 1, Fraction(1, 3)], [-1, 0, -1, 3],
+    ])
+    assert conjecture_1_violations(mixed) == [
+        ("inverse principal block for alpha={1,2,4} is not Z",
+         "RatMatrix[-2 -1 0; -7/2 -1/2 1/4; -9/4 -3/4 3/8]"),
+        ("inverse principal block for alpha={1,3,4} is not Z",
+         "RatMatrix[-2 -3 0; -19/4 -39/8 1/8; -9/4 -21/8 3/8]"),
+        ("inverse principal block for alpha={2,3,4} is not Z",
+         "RatMatrix[-1/2 -15/4 1/4; -5/4 -39/8 1/8; -3/4 -21/8 3/8]"),
+    ]
+    singular = RatMatrix([[1, 2, 0, 0], [2, 4, 0, 0], [0, 0, 1, -1], [0, 1, -1, 1]])
+    assert conjecture_1_violations(singular) == [
+        (f"inverse block formula undefined for alpha={{{alpha}}}", "matrix is singular")
+        for alpha in ("1,2,3", "1,2,4", "1,3,4", "2,3,4")
+    ] + [("negative eigenvalue count != 1", "count = 0")]
+
+
 def test_conjecture_2_checker_flags_wrong_sign():
     violations = conjecture_2_violations(RatMatrix.identity(3))
     assert any("not negative" in failed for failed, _ in violations)
@@ -499,9 +533,9 @@ CONJ2_CONFIG = GeneratorConfig(
 )
 def test_a_screen_pass_the_classifier_rejects_raises(monkeypatch, search, config):
     # Each search's screen decides exact order 2 on the integer rows with
-    # _has_exact_order (after a Z test for conjecture 1), and every pass
-    # goes to exact_order.  A wrong verdict on one pass must stop the
-    # search, not drop the candidate.
+    # _has_exact_order (after a Z test for conjecture 1 on templates that
+    # admit non-Z matrices), and every pass goes to exact_order.  A wrong
+    # verdict on one pass must stop the search, not drop the candidate.
     real = explore.exact_order
     seen = []
 
@@ -558,6 +592,79 @@ def test_conjecture_1_refuses_order_two(monkeypatch):
     monkeypatch.setattr(explore, "_draws", no_sampling)
     with pytest.raises(ValueError, match="conjecture 1 needs n >= 3"):
         search_conjecture_1(cfg(2, template_free(2), max_attempts=300))
+
+
+def _with_cell(template, i, j, sign):
+    return tuple(
+        tuple(sign if (r, c) == (i, j) else cell for c, cell in enumerate(row))
+        for r, row in enumerate(template)
+    )
+
+
+def _counting_z_screen(monkeypatch):
+    real = explore._conjecture_1_screen
+    calls = []
+    monkeypatch.setattr(explore, "_conjecture_1_screen", lambda rows: calls.append(rows) or real(rows))
+    return calls
+
+
+_SEARCH_BOUNDS = dict(numerator_bound=4, denominator_bound=2, diagonal_numerator_bound=8)
+
+
+@pytest.mark.parametrize("n, attempts", [(3, 1500), (4, 2000), (5, 3000)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_conjecture_1_on_z_templates_skips_the_z_test(monkeypatch, n, attempts, seed):
+    # off-diagonal cells NEG, NONPOS and ZERO draw no positive entry, so
+    # the sweep alone must give what the screen with the Z test gives
+    templates = (
+        template_z(n),
+        template_exact_order_pattern(n),
+        _with_cell(template_z(n), 0, n - 1, EntrySign.ZERO),
+    )
+    hits = 0
+    for template in templates:
+        config = GeneratorConfig(
+            order=n, template=template, seed=seed, max_attempts=attempts, **_SEARCH_BOUNDS
+        )
+        kept = explore._search(
+            config, 2, Variant.E0, None, _conjecture_1_screen,
+            conjecture_1_violations, explore._independent_inverse_check,
+        )
+        with monkeypatch.context() as patched:
+            calls = _counting_z_screen(patched)
+            report = search_conjecture_1(config)
+        assert (report.attempts, report.hits, report.counterexamples) == kept
+        assert not calls
+        hits += report.hit_count
+    assert hits > 0
+
+
+@pytest.mark.parametrize(
+    "config, non_z_candidates",
+    [
+        # 3x3 matrices of exact order 2 are Z (Theorem 3.4)
+        (cfg(3, template_free(3), seed=1, max_attempts=4000, free_weights=(3, 1, 2)), False),
+        (cfg(4, template_diag_nonneg_off_free(4), seed=5, max_attempts=1000,
+             free_weights=(12, 1, 2), **_SEARCH_BOUNDS), True),
+        (cfg(4, _with_cell(template_z(4), 0, 1, EntrySign.NONNEG), seed=3, max_attempts=1000,
+             **_SEARCH_BOUNDS), True),
+    ],
+    ids=["free", "diag-nonneg-off-free", "z-one-nonneg-cell"],
+)
+def test_conjecture_1_keeps_the_z_test_where_a_cell_can_be_positive(
+    monkeypatch, config, non_z_candidates
+):
+    # POS, NONNEG and FREE off-diagonal cells can draw a positive entry:
+    # every candidate goes through the Z test, and the hits are the Z
+    # ones among the exact-order-2 candidates that conjecture 2 keeps
+    calls = _counting_z_screen(monkeypatch)
+    report = search_conjecture_1(config)
+    assert len(calls) == report.attempts == config.max_attempts
+    assert all(is_Z(m) for m in report.hits)
+    unscreened = search_conjecture_2(config).hits
+    assert report.hits == tuple(m for m in unscreened if is_Z(m))
+    # some candidates only the Z test turns away
+    assert (len(unscreened) > report.hit_count) == non_z_candidates
 
 
 def test_hits_share_their_entries():

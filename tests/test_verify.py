@@ -1,9 +1,14 @@
+import dataclasses
+import itertools
 import random
+from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
+from semimono import verify
 from semimono.classify import Variant, WrongOrderError
-from semimono.ratcore import RatMatrix
+from semimono.ratcore import IndexSet, RatMatrix, all_supports, det, principal_submatrix
 from semimono.verify import (
     AUDIT_IDS,
     NotSymmetricError,
@@ -27,7 +32,7 @@ from matrices import (
     NONCLOSURE_A,
     NONCLOSURE_B,
 )
-from oracles import random_symmetric
+from oracles import det_cofactor, random_matrix, random_symmetric, random_z_matrix
 
 
 def assert_clean(report):
@@ -126,6 +131,80 @@ def test_z_audit_conclusion_names():
     assert len(names) == 5
     assert any("n-2" in n for n in names)
     assert any("Schur" in n for n in names)
+
+
+def _planted_minor_matrices(rng, n):
+    """Tagged matrices of order n: three Z-matrices, each planted with a
+    case the cleared minors must get right, then a random Z-matrix and a
+    random matrix."""
+    def z_rows():
+        return [list(row) for row in random_z_matrix(rng, n, num_bound=4, den_bound=3).entries]
+
+    # row 1 has denominator LCM 6, its entries in columns 1 and 2 only 2
+    rows = z_rows()
+    rows[0][:3] = [F(1, 2), F(-1), F(-1, 3)]
+    yield "sub-row LCM", RatMatrix(rows)
+    rows = z_rows()
+    rows[n // 2] = [F(0)] * n
+    yield "zero row", RatMatrix(rows)
+    # zero row sums on the leading order-(n-1) block make it singular
+    rows = z_rows()
+    for i in range(n - 1):
+        rows[i][i] = -sum(rows[i][j] for j in range(n - 1) if j != i)
+    yield "singular block", RatMatrix(rows)
+    yield "random Z", random_z_matrix(rng, n, num_bound=4, den_bound=3)
+    yield "random", random_matrix(rng, n, num_bound=4, den_bound=3)
+
+
+def test_audit_minors_match_det_and_the_cofactor_oracle():
+    # the Theorem 4.11 audit reads every minor from one row-cleared D A;
+    # on every support, in reverse (size, lex) order so that a pivot left
+    # in the shared rows would show, each must be det of the block
+    rng = random.Random(411)
+    seen = set()
+    for n in range(3, 7):
+        for case, m in _planted_minor_matrices(rng, n):
+            minor = verify._principal_minors(m)
+            for alpha in reversed(list(all_supports(n))):
+                block = principal_submatrix(m, alpha)
+                value = minor(alpha.members)
+                assert value == det(block) == det_cofactor(block), (case, m, alpha)
+            seen.add(case)
+            if case == "sub-row LCM":
+                assert lcm(*(v.denominator for v in m.entries[0][:2])) < lcm(
+                    *(v.denominator for v in m.entries[0]))
+            if case == "singular block":
+                lead = IndexSet(n, tuple(range(1, n)))
+                assert det_cofactor(principal_submatrix(m, lead)) == 0
+    assert len(seen) == 5
+
+
+def test_audit_minor_evidence_matches_the_cofactor_oracle(monkeypatch):
+    # with the hypotheses taken as met, every conclusion of the audit on
+    # the planted Z-matrices must read as it does with each minor from the
+    # cofactor oracle, the "block singular" Schur branch included
+    real_exact_order = verify.exact_order
+    monkeypatch.setattr(
+        verify, "exact_order",
+        lambda a, variant: dataclasses.replace(real_exact_order(a, variant), k=2),
+    )
+    rng = random.Random(412)
+    singular_branch = 0
+    for n in range(3, 7):
+        for case, m in itertools.islice(_planted_minor_matrices(rng, n), 4):
+            report = audit_thm_4_11(m)
+            assert report.hypotheses_met
+            with monkeypatch.context() as patched:
+                patched.setattr(
+                    verify, "_principal_minors",
+                    lambda a: lambda key: det_cofactor(principal_submatrix(a, IndexSet(a.order, key))),
+                )
+                assert audit_thm_4_11(m) == report, (case, m)
+            schur = report.conclusions[4].evidence
+            singular_branch += "block singular" in schur
+            if case == "singular block":
+                assert f"alpha={{{','.join(map(str, range(1, n)))}}}: block singular" in schur
+    assert singular_branch >= 4
 
 
 # ---------------------------------------------------------------------------
