@@ -318,17 +318,13 @@ _EVIDENCE_NOTE = "randomized search accumulates evidence or counterexamples; it 
 
 
 def _conjecture_1_screen(rows: _IntRows) -> bool:
-    """Z test, then the exact-order-2 sweep.  ``search_conjecture_1`` uses
-    it only on templates that admit a non-Z matrix (``_z_template``)."""
-    is_z = all(max(row[:i] + row[i + 1:]) <= 0 for i, row in enumerate(rows))
-    return is_z and _has_exact_order(rows, 2, Variant.E0)
-
-
-def _z_template(template: Template) -> bool:
-    """Whether every off-diagonal cell draws a nonpositive entry, so that
-    the template admits Z-matrices only."""
-    z_cells = (EntrySign.NEG, EntrySign.NONPOS, EntrySign.ZERO)
-    return all(s in z_cells for i, row in enumerate(template) for j, s in enumerate(row) if i != j)
+    """The exact-order-2 sweep, then the Z test on the few candidates that
+    pass it.  Under the ``z`` and ``pattern`` templates every candidate is
+    Z; templates with a ``POS``, ``NONNEG`` or ``FREE`` off-diagonal cell
+    need the Z test."""
+    return _has_exact_order(rows, 2, Variant.E0) and all(
+        max(row[:i] + row[i + 1:]) <= 0 for i, row in enumerate(rows)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +348,6 @@ def conjecture_1_violations(a: RatMatrix) -> list[tuple[str, str]]:
         inv: Optional[RatMatrix] = inverse(a)
     except SingularMatrixError:
         inv = None
-    # the positive off-diagonal cells of A^{-1}: the block without index i
-    # is Z iff each of them lies in row i or column i
-    positive = [] if inv is None else [
-        (r, c) for r, row in enumerate(inv.entries) for c, v in enumerate(row) if r != c and v > 0
-    ]
     for combo in itertools.combinations(range(1, n + 1), n - 1):
         alpha = IndexSet(n, combo)
         i = n * (n + 1) // 2 - sum(combo) - 1
@@ -364,10 +355,11 @@ def conjecture_1_violations(a: RatMatrix) -> list[tuple[str, str]]:
             violations.append(
                 (f"inverse block formula undefined for alpha={alpha}", "matrix is singular")
             )
-        elif any(i not in cell for cell in positive):
+            continue
+        block = principal_submatrix(inv, alpha)
+        if not is_Z(block):
             violations.append(
-                (f"inverse principal block for alpha={alpha} is not Z",
-                 repr(principal_submatrix(inv, alpha)))
+                (f"inverse principal block for alpha={alpha} is not Z", repr(block))
             )
     negatives = count_negative_eigenvalues(a)
     if negatives != 1:
@@ -490,21 +482,14 @@ def search_conjecture_1(
     """Hunt for Z-matrices of E0 exact order 2 violating the inverse-block
     conjecture (Z principal blocks of the inverse, one negative eigenvalue).
 
-    The screen is picked once from the template: the exact-order sweep
-    alone when every off-diagonal cell draws a nonpositive entry, else
-    ``_conjecture_1_screen`` with its Z test.
-
     The conjecture needs n >= 3: at n = 2 exact order 2 means a11, a22 < 0,
     and -I, with two negative eigenvalues, would count as a counterexample.
     Order 2 is refused before sampling; order 1 as for every search."""
     if config.order == 2:
         raise ValueError("conjecture 1 needs n >= 3")
-    screen = _conjecture_1_screen
-    if _z_template(config.template):
-        screen = lambda rows: _has_exact_order(rows, 2, Variant.E0)
     attempts, hits, counterexamples = _search(
         config, 2, Variant.E0, target_hits,
-        screen, conjecture_1_violations, _independent_inverse_check,
+        _conjecture_1_screen, conjecture_1_violations, _independent_inverse_check,
     )
     return SearchReport(
         "conjecture-1 (Z exact order 2: inverse blocks Z, one negative eigenvalue)",
