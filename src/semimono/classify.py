@@ -4,28 +4,24 @@ hierarchy, with machine-checkable certificates.
 The central reduction: a square matrix A fails to be semimonotone exactly
 when some nonempty support alpha admits y > 0 with A_aa y < 0 (pad y with
 zeros to recover the failing x), and fails to be strictly semimonotone when
-some support admits y > 0 with A_aa y <= 0.  One lazy sweep, ``_sweep``,
-decides the 2^n - 1 supports with a decision it is handed, in a fixed
-(size, lex) order, skipping any support whose sub-support already fails
-(membership is hereditary), so every support it solves is minimal.  It
-walks the rows of the matrix itself: 1x1 and 2x2 supports are sign tests on
-entries in place.  The memoized exact-order profile sweeps the Fraction
-rows of A with ``feasibility._feasible`` (shortcuts and the simplex above
-order 2), drains the sweep and computes and normalizes the certificate of
-the first failing support only, the one support it takes a
-``principal_submatrix`` of; the semimonotone, copositive and almost
-verdicts read that witness off the profile.  ``has_exact_order`` does
-not sweep: it runs two plain loops over the supports of integer rows D A,
-D a positive diagonal, whose supports fail exactly where A's do
-((D A)_aa = D_a A_aa).  Every support of size <= n-k must pass and every
-one of size n-k+1 must fail, and it returns at the first verdict that
-rules k out, so every support it decides is minimal without any heredity
-bookkeeping.  There
-``feasibility._sign_test`` decides orders 1 and 2 and
-``feasibility._minimal_feasible`` the orders above, by the sign of
--B^{-1} 1 and with no simplex; no witness is read.  It is the screen of
-every search in ``explore``; README "How it works" describes the search
-pipeline.
+some support admits y > 0 with A_aa y <= 0.  The memoized ``exact_order``
+is the one pruned sweep: it decides the 2^n - 1 supports of A's Fraction
+rows in a fixed (size, lex) order, skipping any support whose sub-support
+already fails (membership is hereditary), so every support it solves is
+minimal.  Orders 1 and 2 are sign tests on the entries in place
+(``feasibility._sign_test``); a larger block is sliced and solved by
+``feasibility._witness`` (shortcuts and the simplex), and the certificate
+of the first failing support normalizes that raw witness.  The
+semimonotone, copositive and almost verdicts read the witness off the
+profile.  ``has_exact_order`` does not prune: it runs two plain loops
+over the supports of integer rows D A, D a positive diagonal, whose
+supports fail exactly where A's do ((D A)_aa = D_a A_aa), and returns at
+the first verdict that rules k out, so every support it decides is
+minimal and ``feasibility._minimal_feasible`` decides the orders above 2
+with no simplex and no witness.  It is the screen of every search in
+``explore``; README "How it works" describes the search pipeline.  The
+P0 and P verdicts read every principal minor from one D A
+(``ratcore._principal_minors``).
 
 All procedures are pure; the fixed order makes the first witness
 deterministic.
@@ -38,12 +34,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .feasibility import (
     Strictness,
-    _AnyRows,
-    _feasible,
     _minimal_feasible,
     _normalize_certificate,
     _sign_test,
@@ -56,12 +50,11 @@ from .ratcore import (
     RatMatrix,
     RatVector,
     SingularMatrixError,
+    _block,
     _integer_rows,
+    _principal_minors,
     _support_members,
-    all_supports,
-    det,
     inverse,
-    principal_submatrix,
 )
 
 
@@ -156,46 +149,6 @@ class ExactOrderResult:
         return f"{self.variant.value} exact order {self.k}"
 
 
-_Members = tuple[int, ...]
-
-
-_Decision = Callable[[_AnyRows, _Members, bool], Union[bool, RatVector]]
-
-
-def _sweep(
-    rows: _AnyRows, variant: Variant, decide: _Decision
-) -> Iterator[tuple[_Members, Union[bool, RatVector]]]:
-    """The one support sweep: the members of every support of the square
-    ``rows`` in (size, lex) order, and whether it fails.  ``decide(rows,
-    members, strict)`` solves a support's system; whatever truthy value it
-    returns for a failing support (``_feasible``'s raw witness above order
-    2) is yielded in place of True.
-
-    The rows may be rational or the row-cleared integer ones: D_a A_aa y
-    has the signs of A_aa y.  Membership is hereditary, so a support with a
-    failing sub-support fails too, and its system is never solved; a solved
-    support is therefore minimal, with no failing proper sub-support.  The
-    order-2 sign test relies on its passing 1x1 blocks, and
-    ``_minimal_feasible`` on all of them.  ``exact_order`` sweeps with
-    ``_feasible``; ``has_exact_order`` needs no pruning and runs its own
-    loops instead.  The sweep only decides; a caller
-    that reports a certificate normalizes the raw witness, or computes one
-    for a support of order 1 or 2.  It is lazy: callers stop as soon as
-    they know their answer.
-    """
-    strict = variant.failing_system is Strictness.STRICT
-    failing: set[_Members] = set()
-    for key in _support_members(len(rows)):
-        if failing and any(key[:i] + key[i + 1:] in failing for i in range(len(key))):
-            failing.add(key)
-            yield key, True
-            continue
-        fails = decide(rows, key, strict)
-        if fails:
-            failing.add(key)
-        yield key, fails
-
-
 # One classify call or audit reuses at most a few dozen (matrix, variant)
 # keys, and nothing reuses one across CLI calls, so a small cache keeps every
 # hit without holding hundreds of dead matrices.
@@ -211,19 +164,32 @@ def exact_order(a: RatMatrix, variant: Variant) -> ExactOrderResult:
     their witness.
     """
     n = a.order
+    rows = a.entries
+    strict = variant.failing_system is Strictness.STRICT
     members_per_order: list[list[bool]] = [[] for _ in range(n)]
+    failing: set[tuple[int, ...]] = set()
     witness: Optional[SupportWitness] = None
-    for key, failing in _sweep(a.entries, variant, _feasible):
-        if failing and witness is None:
-            # the first failing support was solved, so it has a witness: the
-            # sweep's own above order 2, a closed form or shortcut below
-            alpha = IndexSet(n, key)
-            rows = principal_submatrix(a, alpha).entries
-            strict = variant.failing_system is Strictness.STRICT
-            y = _witness(rows, strict) if failing is True else failing
-            assert y is not None
-            witness = SupportWitness(alpha, _normalize_certificate(rows, y, strict))
-        members_per_order[len(key) - 1].append(not failing)
+    for key in _support_members(n):
+        y: Optional[RatVector] = None
+        if failing and any(key[:i] + key[i + 1:] in failing for i in range(len(key))):
+            # heredity: a support with a failing sub-support fails unsolved
+            fails = True
+        elif len(key) < 3:
+            fails = _sign_test(rows, key, strict)
+        else:
+            y = _witness(_block(rows, key), strict)
+            fails = y is not None
+        if fails:
+            if witness is None:
+                # the first failing support was solved, so it has a witness:
+                # the raw one above order 2, a closed form or shortcut below
+                block = _block(rows, key)
+                y = y or _witness(block, strict)
+                assert y is not None
+                cert = _normalize_certificate(block, y, strict)
+                witness = SupportWitness(IndexSet(n, key), cert)
+            failing.add(key)
+        members_per_order[len(key) - 1].append(not fails)
 
     statuses = tuple(
         OrderStatus.ALL if all(members) else OrderStatus.MIXED if any(members) else OrderStatus.NONE
@@ -330,10 +296,11 @@ def is_nonnegative(a: RatMatrix) -> bool:
 def _minor_verdict(a: RatMatrix, strict: bool) -> ClassVerdict:
     a._require_square()
     label = ClassLabel.P if strict else ClassLabel.P0
-    for alpha in all_supports(a.order):
-        minor = det(principal_submatrix(a, alpha))
+    read_minor = _principal_minors(a)
+    for key in _support_members(a.order):
+        minor = read_minor(key)
         if minor < 0 or (strict and minor == 0):
-            return ClassVerdict(label, False, MinorWitness(alpha, minor))
+            return ClassVerdict(label, False, MinorWitness(IndexSet(a.order, key), minor))
     return ClassVerdict(label, True)
 
 

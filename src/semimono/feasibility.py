@@ -16,30 +16,20 @@ degeneracy, no tolerances anywhere) on the closed system.  The simplex
 pivots an integer tableau fraction-free through ``ratcore._pivot``, the one
 exact kernel that ``det`` and ``inverse`` use too.
 
-There are two decisions on one principal block of a matrix's rows, and
-both take orders 1 and 2 to ``_sign_test``, sign tests on the entries
-where they stand, the order-2 one valid where both 1x1 blocks pass, which
-every caller guarantees: the sweep by heredity, ``has_exact_order`` by
-deciding a support only once every smaller one has passed (a positive
-row scaling changes no sign of My, so rational and row-cleared integer
-rows decide alike).
-
-- ``_feasible``, on rational or integer rows, slices larger blocks
-  (``ratcore._block``) and takes ``_witness``'s route, whose raw witness
-  it hands back.  ``exact_order`` sweeps with it.
-- ``_minimal_feasible``, on integer rows, decides larger blocks without a
-  simplex.  Every block it is asked is minimal, with no failing proper
-  principal block, and there a nonsingular B fails iff -B^{-1} 1 > 0 (the
-  proof is in its docstring): a closed-form adjugate at order 3, one
-  fraction-free solve of [B | -1] above.  A singular block fails only for
-  the semistrict system, and then iff its kernel is spanned by a positive
-  vector.  ``has_exact_order``, behind the searches, calls it on the
-  blocks above order 2, each minimal because its loops return at the
-  first support that rules the order out.
+Both support sweeps decide orders 1 and 2 by ``_sign_test``, sign tests
+on a matrix's rows where they stand, the order-2 one valid where both 1x1
+blocks pass, which each sweep guarantees: ``exact_order`` by heredity,
+``has_exact_order`` by deciding a support only once every smaller one
+has passed (a positive row scaling changes no sign of My, so rational and
+row-cleared integer rows decide alike).  Above order 2, ``exact_order``
+hands the sliced block (``ratcore._block``) to ``_witness``, and
+``has_exact_order`` decides it by ``_minimal_feasible`` on integer rows,
+with no simplex: every block it asks is minimal, with no failing proper
+principal block (the lemma and its proof are in that docstring).
 
 ``_normalize_certificate`` scales a raw witness onto the closed system
 above; it runs only where a certificate is read: behind the public oracles,
-and for the first failing support of an exact-order sweep, whose other
+and for the first failing support of ``exact_order``, whose other
 supports need only the decision, and which reuses the sweep's witness
 where the sweep computed one.
 
@@ -58,7 +48,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .ratcore import RatMatrix, RatVector, _block, _cleared, _gauss_jordan, _int_det, _pivot
 
 _Rows = Sequence[Sequence[Fraction]]
-# the sweep's rows: rational, or row-cleared integer
+# rows a sign test reads: rational, or row-cleared integer
 _AnyRows = Sequence[Sequence[Union[Fraction, int]]]
 
 
@@ -233,22 +223,6 @@ def _sign_test(rows: _AnyRows, members: tuple[int, ...], strict: bool) -> bool:
         return False
     diag, off = row_i[i] * row_j[j], a12 * a21
     return diag < off if strict else diag <= off
-
-
-def _feasible(rows: _AnyRows, members: tuple[int, ...], strict: bool) -> Union[bool, RatVector]:
-    """Decision: does the system of the principal block of square ``rows``
-    on the 1-based ``members`` have a solution?
-
-    False when it has none.  When it has one: True at orders 1 and 2, and
-    above the raw witness that ``_witness`` found, which a caller that
-    reports a certificate normalizes instead of solving the block again.
-    The rows may be rational or integer (a positive row scaling changes no
-    sign here).  Orders 1 and 2 are ``_sign_test``; every other order slices
-    the block and runs ``_witness``'s shortcuts and simplex.
-    """
-    if len(members) < 3:
-        return _sign_test(rows, members, strict)
-    return _witness(_block(rows, members), strict) or False
 
 
 def _kernel_positive(columns: Iterable[Sequence[int]]) -> bool:

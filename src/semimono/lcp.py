@@ -101,9 +101,7 @@ def _support_solutions(inst: LcpInstance) -> Iterator[tuple[RatVector, IndexSet]
     if all(qi >= 0 for qi in q):
         yield tuple([zero] * n), IndexSet.empty(n)
     rows = inst.a.entries
-    _, m = _cleared_rows(
-        [v.as_integer_ratio() for v in row] + [qi.as_integer_ratio()] for row, qi in zip(rows, q)
-    )
+    _, m = _cleared_rows(row + (qi,) for row, qi in zip(rows, q))
     for members in _support_members(n):
         idx = [i - 1 for i in members]
         work = [[m[i][j] for j in idx] + [-m[i][n]] for i in idx]

@@ -7,14 +7,15 @@ inverses and eigenvalue counts must be certified exactly.
 Determinants, inverses and the feasibility simplex all eliminate through one
 fraction-free integer pivot step, ``_pivot``, on denominator-cleared copies.
 There is no second elimination route: callers read a principal block of
-A^{-1} from one ``inverse(A)``, and a Schur complement over an order-(n-1)
-block as the scalar det A / det A_aa.
+A^{-1} from one ``inverse(A)``.
 
 ``_cleared_rows`` gives the row-cleared integer matrix D A, each row times
 the LCM of its denominators.  ``det`` and ``inverse`` pivot it, and since D
 is positive, exact order and the sign of every principal minor can be read
 from it too: the searches decide candidates on these integer rows and
-build Fractions only for hits.
+build Fractions only for hits.  ``_principal_minors`` reads every
+principal minor from one D A, so a Schur complement over an order-(n-1)
+block is the scalar det A / det A_aa of two of them.
 
 The spectrum is the one thing a row scaling does not keep.  Eigenvalue
 counts use ``_scalar_cleared`` instead, L A for one positive scalar L,
@@ -31,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Iterator, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from . import poly
 
@@ -276,11 +277,9 @@ def _cleared(values: Iterable[Fraction], scale: int) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _cleared_rows(
-    rows: Iterable[Sequence[tuple[int, int]]],
-) -> tuple[list[int], list[list[int]]]:
-    """The row-cleared integer matrix D A of rows of (numerator, denominator)
-    pairs, and D: each row times the LCM of its denominators.
+def _cleared_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[int], list[list[int]]]:
+    """The row-cleared integer matrix D A of rational rows, and D: each row
+    times the LCM of its denominators.
 
     D is positive, so every sign condition of exact order and the sign of
     every principal minor are those of A: (D A)_aa = D_a A_aa.
@@ -288,15 +287,15 @@ def _cleared_rows(
     scales: list[int] = []
     out: list[list[int]] = []
     for row in rows:
-        d = lcm(*[q for _, q in row])
+        d = lcm(*[v.denominator for v in row])
         scales.append(d)
-        out.append([p * (d // q) for p, q in row])
+        out.append(_cleared(row, d))
     return scales, out
 
 
 def _integer_rows(a: RatMatrix) -> tuple[list[int], list[list[int]]]:
     """``_cleared_rows`` of a matrix's entries."""
-    return _cleared_rows([v.as_integer_ratio() for v in row] for row in a.entries)
+    return _cleared_rows(a.entries)
 
 
 def _pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
@@ -350,6 +349,14 @@ def _int_det(rows: list[list[int]]) -> int:
         (a, b), (c, d) = rows
         return a * d - b * c
     return _gauss_jordan(rows)
+
+
+def _principal_minors(a: RatMatrix) -> Callable[[tuple[int, ...]], Fraction]:
+    """det A_aa for the 1-based members of alpha, each read from one
+    row-cleared D A (``_integer_rows``): (D A)_aa = D_a A_aa, so
+    det A_aa = det (D A)_aa / prod(D_a).  On all n members it is det A."""
+    scales, rows = _integer_rows(a)
+    return lambda key: Fraction(_int_det(_block(rows, key)), prod(scales[i - 1] for i in key))
 
 
 def det(a: RatMatrix) -> Fraction:

@@ -11,9 +11,10 @@ Theorem 4.11's minor characterization is checked here only, in
 ``audit_thm_4_11``.
 
 The Schur complements of Theorems 3.5 and 4.11 are taken over order-(n-1)
-blocks, so each is the scalar det A / det A_aa and no partitioned formula
-is evaluated; evidence still prints it as the 1x1 ``RatMatrix[v]`` that
-reports have always carried.
+blocks, so each is the scalar det A / det A_aa of two principal minors
+read from one row-cleared D A (``ratcore._principal_minors``), and no
+partitioned formula is evaluated; evidence still prints it as the 1x1
+``RatMatrix[v]`` that reports have always carried.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Callable, Iterator, Optional
 
 from .classify import (
@@ -37,11 +37,8 @@ from .ratcore import (
     IndexSet,
     RatMatrix,
     SingularMatrixError,
-    _block,
-    _int_det,
-    _integer_rows,
+    _principal_minors,
     count_negative_eigenvalues,
-    det,
     inverse,
     is_irreducible,
     permutation_similarity,
@@ -97,14 +94,6 @@ def _diagonal_conclusion(a: RatMatrix, variant: Variant) -> Conclusion:
         all(v > 0 if strict else v >= 0 for v in diagonal),
         f"diagonal = {[str(v) for v in diagonal]}",
     )
-
-
-def _schur_scalar(a: RatMatrix, alpha: IndexSet, det_a: Fraction) -> Optional[Fraction]:
-    """The Schur complement A/A_aa over a size-(n-1) alpha, a 1x1 block,
-    as det A / det A_aa (Schur's determinant identity); None when A_aa is
-    singular.  ``det_a`` is det A, which the callers already hold."""
-    block_det = det(principal_submatrix(a, alpha))
-    return None if block_det == 0 else det_a / block_det
 
 
 def _almost_block_conclusions(a: RatMatrix, variant: Variant) -> list[Conclusion]:
@@ -175,8 +164,8 @@ def audit_thm_3x3_structure(a: RatMatrix, variant: Variant = Variant.E0) -> Audi
                 "off-diagonal signs checked entrywise",
             )
         )
-        pairs = ((1, 2), (1, 3), (2, 3))
-        minors = [det(principal_submatrix(a, IndexSet(n, pair))) for pair in pairs]
+        read_minor = _principal_minors(a)
+        minors = [read_minor(pair) for pair in ((1, 2), (1, 3), (2, 3))]
         negative = variant is Variant.E0
         conclusions.append(
             Conclusion(
@@ -208,7 +197,8 @@ def audit_thm_3x3_inverse(a: RatMatrix) -> AuditReport:
     note = f"classified as {result.describe()}; requires E0 exact order 2"
     conclusions: list[Conclusion] = []
     if met:
-        d = det(a)
+        read_minor = _principal_minors(a)
+        d = read_minor((1, 2, 3))
         conclusions.append(Conclusion("det A < 0", d < 0, f"det = {d}"))
         try:
             inv = inverse(a)
@@ -221,7 +211,9 @@ def audit_thm_3x3_inverse(a: RatMatrix) -> AuditReport:
         conclusions.append(
             Conclusion("exactly one negative eigenvalue", negatives == 1, f"count = {negatives}")
         )
-        schur = _schur_scalar(a, IndexSet(3, (1, 2)), d)
+        # det A / det A_aa by Schur's determinant identity
+        leading = read_minor((1, 2))
+        schur = d / leading if leading else None
         conclusions.append(
             Conclusion(
                 "Schur complement of A_{12,12} positive",
@@ -278,14 +270,6 @@ def _minor_breaks(
                 yield IndexSet(n, key), m
 
 
-def _principal_minors(a: RatMatrix) -> Callable[[tuple[int, ...]], Fraction]:
-    """det A_aa for the 1-based members of alpha, each read from one
-    row-cleared D A (``ratcore._integer_rows``): D is positive and
-    (D A)_aa = D_a A_aa, so det A_aa = det (D A)_aa / prod(D_a)."""
-    scales, rows = _integer_rows(a)
-    return lambda key: Fraction(_int_det(_block(rows, key)), prod(scales[i - 1] for i in key))
-
-
 def audit_thm_4_11(a: RatMatrix) -> AuditReport:
     """Z-matrices of E0 exact order 2: nonnegative minors up to order n-2,
     negative order-(n-1) minors, negative determinant, positive inverse
@@ -300,8 +284,9 @@ def audit_thm_4_11(a: RatMatrix) -> AuditReport:
     note = f"Z: {z}; classified as {result.describe()}; requires Z and E0 exact order 2"
     conclusions: list[Conclusion] = []
     if met:
-        # every minor the conclusion reads, all from one row-cleared D A
-        # (_principal_minors), kept for the Schur complements
+        # every minor the conclusions read, all from one row-cleared D A;
+        # the order-(n-1) ones are kept for the inverse diagonal and the
+        # Schur complements
         minors: dict[tuple[int, ...], Fraction] = {}
         read_minor = _principal_minors(a)
         breaks = list(_minor_breaks(n, lambda key: minors.setdefault(key, read_minor(key))))
@@ -321,24 +306,26 @@ def audit_thm_4_11(a: RatMatrix) -> AuditReport:
                 "; ".join(middle_bad) or "all negative",
             )
         )
-        d = det(a)
+        d = read_minor(tuple(range(1, n + 1)))
         conclusions.append(Conclusion("det A < 0", d < 0, f"det = {d}"))
-        try:
-            inv = inverse(a)
-            diag_pos = all(inv[i, i] > 0 for i in range(n))
+        combos = list(itertools.combinations(range(1, n + 1), n - 1))
+        if d == 0:
+            conclusions.append(Conclusion("inverse exists with positive diagonal", False, "singular"))
+        else:
+            # Jacobi's identity (A^{-1})_ii = det A_{[n]-i} / det A; the
+            # combinations leave out n, ..., 1 in turn
+            diagonal = [minors[combo] / d for combo in reversed(combos)]
             conclusions.append(
                 Conclusion(
                     "inverse exists with positive diagonal",
-                    diag_pos,
-                    f"inverse diagonal = {[str(inv[i, i]) for i in range(n)]}",
+                    all(v > 0 for v in diagonal),
+                    f"inverse diagonal = {[str(v) for v in diagonal]}",
                 )
             )
-        except SingularMatrixError:
-            conclusions.append(Conclusion("inverse exists with positive diagonal", False, "singular"))
         schur_bad = []
-        for combo in itertools.combinations(range(1, n + 1), n - 1):
+        for combo in combos:
             alpha = IndexSet(n, combo)
-            # det A / det A_aa, as in _schur_scalar, from the kept minor
+            # det A / det A_aa by Schur's determinant identity
             schur = d / minors[combo] if minors[combo] else None
             if schur is None:
                 schur_bad.append(f"alpha={alpha}: block singular")

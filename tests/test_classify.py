@@ -322,7 +322,8 @@ def test_witness_is_the_public_oracles_certificate():
 def test_first_failing_support_is_solved_once(monkeypatch):
     # every 1x1 and 2x2 block passes and the whole matrix needs the simplex:
     # the sweep's witness becomes the certificate, so one exact_order call
-    # solves the block once
+    # solves the block once.  Each patch wraps the original function, so a
+    # call is counted once in whichever namespace it is made from.
     m = RatMatrix([[4, -3, 0], [3, 4, -4], [-4, -2, 2]])
     calls = Counter()
     for module, name in (
@@ -330,7 +331,7 @@ def test_first_failing_support_is_solved_once(monkeypatch):
         (classify, "_witness"),
         (feasibility, "phase1_feasible"),
     ):
-        real = getattr(feasibility, name)
+        real = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args)
         )
@@ -410,18 +411,18 @@ def test_search_sweep_solves_no_lp(monkeypatch):
 
 
 def test_exact_order_slices_at_most_the_witness_block(monkeypatch):
-    # the sweep reads the matrix's rows in place; only the certificate of
-    # the first failing support takes a principal submatrix
-    calls = []
-    real = classify.principal_submatrix
+    # the sweep reads the matrix's rows in place and slices blocks as plain
+    # lists, the certificate of the first failing support's too: exact_order
+    # builds no RatMatrix
+    built = []
+    real_init = RatMatrix.__init__
     monkeypatch.setattr(
-        classify, "principal_submatrix", lambda *args: calls.append(args) or real(*args)
+        RatMatrix, "__init__", lambda self, rows: built.append(rows) or real_init(self, rows)
     )
     exact_order.cache_clear()
     result = exact_order(M5_ORDER2, Variant.E0)
-    assert result.k == 2
-    assert len(calls) <= 1
-    assert [alpha for _, alpha in calls] == [result.witness.support]
+    assert result.k == 2 and len(result.witness.support) == 4
+    assert built == []
 
 
 def test_heredity_of_membership():
@@ -476,6 +477,44 @@ def test_p_witness_minor_recomputes():
         verdict = is_P0(m)
         if not verdict.member:
             assert det(principal_submatrix(m, verdict.witness.support)) == verdict.witness.minor
+
+
+def _first_minor_break(a, strict):
+    """The reference scan: det of each principal submatrix in (size, lex)
+    order, up to the first minor that breaks the P0 (``strict``: P)
+    condition, with its support; None when none breaks it."""
+    for alpha in all_supports(a.order):
+        minor = det(principal_submatrix(a, alpha))
+        if minor < 0 or (strict and minor == 0):
+            return alpha, minor
+    return None
+
+
+def test_minor_verdicts_match_a_det_scan():
+    # is_P0 and is_P read every minor from one row-cleared D A; each must
+    # stop at the support and Fraction minor where a det(principal_submatrix)
+    # scan stops, zero minors included, and pass where the scan passes
+    rng = random.Random(71)
+    outcomes = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        for m in (
+            random_matrix(rng, n, num_bound=2, den_bound=3),
+            random_psd(rng, n),
+            random_p_matrix(rng, n),
+        ):
+            for verdict, strict in ((is_P0(m), False), (is_P(m), True)):
+                expected = _first_minor_break(m, strict)
+                assert verdict.member == (expected is None), m
+                if expected is None:
+                    outcomes[strict, "pass"] += 1
+                    continue
+                assert (verdict.witness.support, verdict.witness.minor) == expected, m
+                assert type(verdict.witness.minor) is F
+                outcomes[strict, "zero" if expected[1] == 0 else "negative"] += 1
+    for strict in (True, False):
+        assert outcomes[strict, "pass"] > 0 and outcomes[strict, "negative"] > 0
+    assert outcomes[True, "zero"] > 0
 
 
 # ---------------------------------------------------------------------------

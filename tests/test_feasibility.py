@@ -6,19 +6,19 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semimono.classify import Variant, _sweep
+from semimono.classify import Variant
 from semimono.feasibility import (
     FeasibilityOutcome,
     Strictness,
-    _feasible,
     _minimal_feasible,
     _order2,
+    _sign_test,
     _witness,
     feasible_semistrict,
     feasible_strict,
     phase1_feasible,
 )
-from semimono.ratcore import RatMatrix, _block, _gauss_jordan, _int_det
+from semimono.ratcore import RatMatrix, _block, _gauss_jordan, _int_det, _support_members
 
 from oracles import (
     FM_MAX_ORDER,
@@ -96,17 +96,17 @@ def test_order1_and_order2_sign_tests_match_the_witness_route():
     for strict in (True, False):
         for a in values:
             expected = _witness([[F(a)]], strict) is not None
-            assert _feasible([[a]], (1,), strict) == expected
-            assert _feasible(embedded([[a]], (3,)), (3,), strict) == expected
+            assert _sign_test([[a]], (1,), strict) == expected
+            assert _sign_test(embedded([[a]], (3,)), (3,), strict) == expected
         passing = [a for a in values if (a >= 0 if strict else a > 0)]
         for a11, a22 in itertools.product(passing, repeat=2):
             for a12, a21 in itertools.product(values, repeat=2):
                 rows = [[a11, a12], [a21, a22]]
                 expected = _order2([[F(v) for v in row] for row in rows], strict) is not None
-                assert _feasible(rows, (1, 2), strict) == expected
+                assert _sign_test(rows, (1, 2), strict) == expected
                 checked += 1
                 for members in ((1, 3), (2, 4)):
-                    assert _feasible(embedded(rows, members), members, strict) == expected
+                    assert _sign_test(embedded(rows, members), members, strict) == expected
                     embedded_checked += 1
     assert checked == 16 * 49 + 9 * 49
     assert embedded_checked == 2 * checked
@@ -265,19 +265,22 @@ def test_phase1_ties_follow_bland(g, h, witness):
 
 
 def minimal_decisions(rows, variant):
-    """(members, strict, fails) for every support that the sweep solves on
-    the integer ``rows`` with ``_minimal_feasible``, in sweep order.  The
-    sweep solves only minimal supports, so these are the blocks the lemma
-    speaks about."""
+    """(members, strict, fails) for every support of the integer ``rows``
+    with no failing immediate sub-support, decided by
+    ``_minimal_feasible``, in (size, lex) order.  A support with a failing
+    sub-support fails by heredity and is not decided, so every decided
+    support is minimal: these are the blocks the lemma speaks about."""
+    strict = variant.failing_system is Strictness.STRICT
+    failing = set()
     seen = []
-
-    def decide(rows, members, strict):
+    for members in _support_members(len(rows)):
+        if any(members[:i] + members[i + 1:] in failing for i in range(len(members))):
+            failing.add(members)
+            continue
         fails = _minimal_feasible(rows, members, strict)
         seen.append((members, strict, fails))
-        return fails
-
-    for _ in _sweep(rows, variant, decide):
-        pass
+        if fails:
+            failing.add(members)
     return seen
 
 

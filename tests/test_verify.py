@@ -6,9 +6,17 @@ from math import lcm
 
 import pytest
 
-from semimono import verify
+from semimono import explore, ratcore, verify
 from semimono.classify import Variant, WrongOrderError
-from semimono.ratcore import IndexSet, RatMatrix, all_supports, det, principal_submatrix
+from semimono.ratcore import (
+    IndexSet,
+    RatMatrix,
+    SingularMatrixError,
+    all_supports,
+    det,
+    inverse,
+    principal_submatrix,
+)
 from semimono.verify import (
     AUDIT_IDS,
     NotSymmetricError,
@@ -157,14 +165,15 @@ def _planted_minor_matrices(rng, n):
 
 
 def test_audit_minors_match_det_and_the_cofactor_oracle():
-    # the Theorem 4.11 audit reads every minor from one row-cleared D A;
-    # on every support, in reverse (size, lex) order so that a pivot left
-    # in the shared rows would show, each must be det of the block
+    # the P0/P verdicts and the audits read every minor from one
+    # row-cleared D A; on every support, the full one included, in reverse
+    # (size, lex) order so that a pivot left in the shared rows would show,
+    # each must be det of the block
     rng = random.Random(411)
     seen = set()
     for n in range(3, 7):
         for case, m in _planted_minor_matrices(rng, n):
-            minor = verify._principal_minors(m)
+            minor = ratcore._principal_minors(m)
             for alpha in reversed(list(all_supports(n))):
                 block = principal_submatrix(m, alpha)
                 value = minor(alpha.members)
@@ -205,6 +214,52 @@ def test_audit_minor_evidence_matches_the_cofactor_oracle(monkeypatch):
             if case == "singular block":
                 assert f"alpha={{{','.join(map(str, range(1, n)))}}}: block singular" in schur
     assert singular_branch >= 4
+
+
+def _inverse_diagonal_evidence(a):
+    """The Theorem 4.11 inverse-diagonal evidence as read off inverse(A)."""
+    try:
+        inv = inverse(a)
+    except SingularMatrixError:
+        return "singular"
+    return f"inverse diagonal = {[str(inv[i, i]) for i in range(a.order)]}"
+
+
+def test_thm_4_11_inverse_diagonal_reads_as_the_inverse(monkeypatch):
+    # the audit reads (A^{-1})_ii by Jacobi's identity from its order-(n-1)
+    # minors and det A; the evidence must read as the diagonal of
+    # inverse(A), on seeded conjecture-1 hits and on planted Z-matrices
+    # whose hypotheses are taken as met, the singular ones included
+    name = "inverse exists with positive diagonal"
+    hits = 0
+    for n in (3, 4, 5):
+        report = explore.search_conjecture_1(
+            explore.GeneratorConfig(
+                order=n, template=explore.template_z(n), numerator_bound=4,
+                denominator_bound=3, diagonal_numerator_bound=3 * n, seed=100 + n,
+                max_attempts=20000,
+            ),
+            target_hits=15,
+        )
+        assert report.hit_count > 0
+        for a in report.hits:
+            evidence = {c.name: c.evidence for c in audit_thm_4_11(a).conclusions}
+            assert evidence[name] == _inverse_diagonal_evidence(a), a
+            hits += 1
+    assert hits >= 30
+    real_exact_order = verify.exact_order
+    monkeypatch.setattr(
+        verify, "exact_order",
+        lambda a, variant: dataclasses.replace(real_exact_order(a, variant), k=2),
+    )
+    rng = random.Random(413)
+    singular = 0
+    for n in range(3, 7):
+        for case, m in itertools.islice(_planted_minor_matrices(rng, n), 4):
+            evidence = {c.name: c.evidence for c in audit_thm_4_11(m).conclusions}
+            assert evidence[name] == _inverse_diagonal_evidence(m), (case, m)
+            singular += evidence[name] == "singular"
+    assert singular >= 4
 
 
 # ---------------------------------------------------------------------------
