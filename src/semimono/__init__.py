@@ -31,12 +31,7 @@ from .classify import (
     is_strictly_semimonotone,
     negative_entry_profile,
 )
-from .feasibility import (
-    FeasibilityOutcome,
-    Strictness,
-    feasible_semistrict,
-    feasible_strict,
-)
+from .feasibility import FeasibilityOutcome, feasible_semistrict, feasible_strict
 from .lcp import LcpInstance, LcpSolution, lcp_feasible, lcp_solve_enum, q0_falsify
 from .ratcore import (
     IndexSet,

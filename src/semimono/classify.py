@@ -37,7 +37,6 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .feasibility import (
-    Strictness,
     _minimal_feasible,
     _normalize_certificate,
     _sign_test,
@@ -51,7 +50,7 @@ from .ratcore import (
     RatVector,
     SingularMatrixError,
     _block,
-    _integer_rows,
+    _cleared_rows,
     _principal_minors,
     _support_members,
     inverse,
@@ -69,9 +68,10 @@ class Variant(Enum):
     E = "E"    # strictly semimonotone
 
     @property
-    def failing_system(self) -> Strictness:
-        # E0 fails through a strict system, E through a semistrict one.
-        return Strictness.STRICT if self is Variant.E0 else Strictness.SEMISTRICT
+    def strict_system(self) -> bool:
+        """Whether a failing support solves the strict system (y > 0 with
+        A_aa y < 0), as for E0, or the semistrict one (A_aa y <= 0), as for E."""
+        return self is Variant.E0
 
 
 class OrderStatus(Enum):
@@ -165,7 +165,7 @@ def exact_order(a: RatMatrix, variant: Variant) -> ExactOrderResult:
     """
     n = a.order
     rows = a.entries
-    strict = variant.failing_system is Strictness.STRICT
+    strict = variant.strict_system
     members_per_order: list[list[bool]] = [[] for _ in range(n)]
     failing: set[tuple[int, ...]] = set()
     witness: Optional[SupportWitness] = None
@@ -225,8 +225,7 @@ def has_exact_order(a: RatMatrix, k: int, variant: Variant) -> bool:
     (heredity settles all larger orders).  It loops over the supports of
     the row-cleared integer matrix D A, solves no LP and reads no witness.
     """
-    a._require_square()
-    return _has_exact_order(_integer_rows(a)[1], k, variant)
+    return _has_exact_order(_cleared_rows(a.entries)[1], k, variant)
 
 
 def _has_exact_order(rows: Sequence[Sequence[int]], k: int, variant: Variant) -> bool:
@@ -244,7 +243,7 @@ def _has_exact_order(rows: Sequence[Sequence[int]], k: int, variant: Variant) ->
     n = len(rows)
     if not 0 <= k <= n:
         raise ValueError(f"exact order must lie in 0..{n}")
-    strict = variant.failing_system is Strictness.STRICT
+    strict = variant.strict_system
     indices = range(1, n + 1)
     for size in range(1, n - k + 1):
         decide = _sign_test if size < 3 else _minimal_feasible
@@ -284,7 +283,6 @@ def is_almost_semimonotone(a: RatMatrix, variant: Variant = Variant.E0) -> Class
 
 def is_Z(a: RatMatrix) -> bool:
     """All off-diagonal entries nonpositive."""
-    a._require_square()
     n = a.order
     return all(a[i, j] <= 0 for i in range(n) for j in range(n) if i != j)
 
@@ -293,25 +291,31 @@ def is_nonnegative(a: RatMatrix) -> bool:
     return all(v >= 0 for row in a.entries for v in row)
 
 
-def _minor_verdict(a: RatMatrix, strict: bool) -> ClassVerdict:
-    a._require_square()
-    label = ClassLabel.P if strict else ClassLabel.P0
+def _minor_verdicts(a: RatMatrix) -> tuple[ClassVerdict, ClassVerdict]:
+    """The P0 and P verdicts from one scan of the principal minors in
+    (size, lex) order: P fails at the first minor <= 0 and P0 at the first
+    minor < 0, which never comes earlier, so the scan stops there."""
+    n = a.order
     read_minor = _principal_minors(a)
-    for key in _support_members(a.order):
+    p: Optional[ClassVerdict] = None
+    for key in _support_members(n):
         minor = read_minor(key)
-        if minor < 0 or (strict and minor == 0):
-            return ClassVerdict(label, False, MinorWitness(IndexSet(a.order, key), minor))
-    return ClassVerdict(label, True)
+        if minor <= 0:
+            witness = MinorWitness(IndexSet(n, key), minor)
+            p = p or ClassVerdict(ClassLabel.P, False, witness)
+            if minor < 0:
+                return ClassVerdict(ClassLabel.P0, False, witness), p
+    return ClassVerdict(ClassLabel.P0, True), p or ClassVerdict(ClassLabel.P, True)
 
 
 def is_P0(a: RatMatrix) -> ClassVerdict:
     """All 2^n - 1 principal minors nonnegative, checked exactly."""
-    return _minor_verdict(a, strict=False)
+    return _minor_verdicts(a)[0]
 
 
 def is_P(a: RatMatrix) -> ClassVerdict:
     """All principal minors strictly positive."""
-    return _minor_verdict(a, strict=True)
+    return _minor_verdicts(a)[1]
 
 
 def is_copositive(a: RatMatrix) -> ClassVerdict:
@@ -365,8 +369,7 @@ class NegativeEntryProfile:
 
 def negative_entry_profile(a: RatMatrix) -> NegativeEntryProfile:
     """Count strictly negative entries per row and per column."""
-    a._require_square()
     n = a.order
     rows = tuple(sum(1 for j in range(n) if a[i, j] < 0) for i in range(n))
-    cols = tuple(sum(1 for i in range(n) if a[i, j] < 0) for j in range(n))
-    return NegativeEntryProfile(rows, cols)
+    columns = tuple(sum(1 for i in range(n) if a[i, j] < 0) for j in range(n))
+    return NegativeEntryProfile(rows, columns)

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from . import classify as cls
 from . import explore, lcp, verify
 from .classify import Variant
-from .ratcore import RatMatrix, RatVector
+from .ratcore import RatMatrix, RatVector, _token_fault, rat
 
 SCHEMA = "semimono-report/1"
 
@@ -56,27 +56,19 @@ def _check_budget(n: int) -> None:
 
 
 def parse_rational_token(token: str, where: str) -> Fraction:
-    # Fraction and int read any Unicode decimal digit; the format is ASCII
-    if not token.isascii():
-        raise CliError(f"{where}: token {token!r} is not ASCII; only 0-9, '-', '+' and '/' are allowed")
-    if any(ch in token for ch in ".eE"):
-        raise CliError(f"{where}: token {token!r} is not an exact rational (floats are rejected)")
-    if "_" in token:
-        raise CliError(f"{where}: token {token!r} has a digit separator '_', which is not allowed")
     try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"{where}: bad rational token {token!r} ({exc})") from exc
+        return rat(token)
+    except ValueError as exc:
+        raise CliError(f"{where}: {exc}") from exc
 
 
 def _parse_first_line(line: str, source: str, what: str) -> int:
-    """The order or length line of a matrix or vector file, under the same
-    no-'_' rule as the entries (``int`` would accept digit separators)."""
+    """The order or length line of a matrix or vector file, under the
+    entries' ASCII and no-'_' rule (``int`` would accept both)."""
     token = line.strip()
-    if not token.isascii():
-        raise CliError(f"{source}: first line {token!r} is not ASCII; the {what} must be written in 0-9")
-    if "_" in token:
-        raise CliError(f"{source}: first line {token!r} has a digit separator '_', which is not allowed")
+    fault = _token_fault(token, f"the {what} must be written in 0-9")
+    if fault is not None:
+        raise CliError(f"{source}: first line {token!r} {fault}")
     try:
         return int(token)
     except ValueError as exc:
@@ -134,7 +126,7 @@ def load_vector(path: str) -> RatVector:
 
 def format_matrix(m: RatMatrix) -> str:
     body = "\n".join(" ".join(str(v) for v in row) for row in m.entries)
-    return f"{m.rows}\n{body}\n"
+    return f"{m.order}\n{body}\n"
 
 
 def format_vector(v: RatVector) -> str:
@@ -153,7 +145,7 @@ def _digest(*canonical_texts: str) -> str:
 
 
 def _mat_json(m: RatMatrix) -> dict:
-    return {"order": m.rows, "entries": [[str(v) for v in row] for row in m.entries]}
+    return {"order": m.order, "entries": [[str(v) for v in row] for row in m.entries]}
 
 
 def _vec_json(v: RatVector) -> list[str]:
@@ -233,11 +225,12 @@ def _cmd_classify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     n = a.order
     _check_budget(n)
     results: dict = {"order": n}
+    p0, p = cls._minor_verdicts(a)
     verdicts = {
         "semimonotone": cls.is_semimonotone(a),
         "strictly_semimonotone": cls.is_strictly_semimonotone(a),
-        "P0": cls.is_P0(a),
-        "P": cls.is_P(a),
+        "P0": p0,
+        "P": p,
         "copositive": cls.is_copositive(a),
         "strictly_copositive": cls.is_strictly_copositive(a),
         "inverse_Z": cls.is_inverse_Z(a),

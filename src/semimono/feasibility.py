@@ -40,7 +40,6 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
@@ -50,11 +49,6 @@ from .ratcore import RatMatrix, RatVector, _block, _cleared, _gauss_jordan, _int
 _Rows = Sequence[Sequence[Fraction]]
 # rows a sign test reads: rational, or row-cleared integer
 _AnyRows = Sequence[Sequence[Union[Fraction, int]]]
-
-
-class Strictness(Enum):
-    STRICT = "strict"          # seek y > 0 with My < 0
-    SEMISTRICT = "semistrict"  # seek y > 0 with My <= 0
 
 
 @dataclass(frozen=True)
@@ -333,9 +327,7 @@ def _normalize_certificate(rows: _Rows, y: RatVector, strict: bool) -> RatVector
 # public oracles
 
 
-def _decide(m: RatMatrix, strictness: Strictness) -> FeasibilityOutcome:
-    m._require_square()
-    strict = strictness is Strictness.STRICT
+def _decide(m: RatMatrix, strict: bool) -> FeasibilityOutcome:
     y = _witness(m.entries, strict)
     if y is None:
         return FeasibilityOutcome(False)
@@ -344,9 +336,9 @@ def _decide(m: RatMatrix, strictness: Strictness) -> FeasibilityOutcome:
 
 def feasible_strict(m: RatMatrix) -> FeasibilityOutcome:
     """Is there y > 0 with My < 0?  Certificate satisfies y >= 1, My <= -1."""
-    return _decide(m, Strictness.STRICT)
+    return _decide(m, strict=True)
 
 
 def feasible_semistrict(m: RatMatrix) -> FeasibilityOutcome:
     """Is there y > 0 with My <= 0?  Certificate satisfies y >= 1, My <= 0."""
-    return _decide(m, Strictness.SEMISTRICT)
+    return _decide(m, strict=False)

@@ -29,7 +29,6 @@ class LcpInstance:
     a: RatMatrix
 
     def __post_init__(self) -> None:
-        self.a._require_square()
         if len(self.q) != self.a.order:
             raise ValueError("q length must match the matrix order")
 
@@ -176,7 +175,6 @@ def q0_falsify(a: RatMatrix, trials: int, seed: int) -> Q0Report:
     point, so ``lcp_feasible`` runs only on trials that no support solves.
     Raises ValueError when ``trials`` is negative.
     """
-    a._require_square()
     if trials < 0:
         raise ValueError("trials must be >= 0")
     n = a.order

@@ -148,7 +148,7 @@ def _almost_block_conclusions(a: RatMatrix, variant: Variant) -> list[Conclusion
 def audit_thm_3x3_structure(a: RatMatrix, variant: Variant = Variant.E0) -> AuditReport:
     """3x3 exact-order-2 matrices must be Z with an admissible sign pattern,
     negative (resp. nonpositive) order-2 minors, and irreducible."""
-    if not a.is_square or a.order != 3:
+    if a.order != 3:
         raise WrongOrderError("this audit is specific to 3x3 matrices")
     result = exact_order(a, variant)
     met = result.k == 2
@@ -190,7 +190,7 @@ def audit_thm_3x3_inverse(a: RatMatrix) -> AuditReport:
     """3x3 semimonotone matrices of exact order 2: negative determinant,
     Z-matrix inverse, exactly one negative eigenvalue, positive Schur
     complement of the leading 2x2 block."""
-    if not a.is_square or a.order != 3:
+    if a.order != 3:
         raise WrongOrderError("this audit is specific to 3x3 matrices")
     result = exact_order(a, Variant.E0)
     met = result.k == 2
@@ -227,7 +227,6 @@ def audit_thm_3x3_inverse(a: RatMatrix) -> AuditReport:
 def audit_prop_4_10(a: RatMatrix, variant: Variant = Variant.E0) -> AuditReport:
     """Exact-order-2 matrices of order >= 3: admissible diagonal signs and
     at least two negative entries in every row and column."""
-    a._require_square()
     n = a.order
     if n < 3:
         return _report("prop4.10", a, False, f"order {n} < 3; statement needs n >= 3", [])
@@ -274,7 +273,6 @@ def audit_thm_4_11(a: RatMatrix) -> AuditReport:
     """Z-matrices of E0 exact order 2: nonnegative minors up to order n-2,
     negative order-(n-1) minors, negative determinant, positive inverse
     diagonal, and positive Schur complements over every size-(n-1) block."""
-    a._require_square()
     n = a.order
     if n < 3:
         return _report("thm4.11", a, False, f"order {n} < 3; statement needs n >= 3", [])
@@ -357,7 +355,6 @@ def audit_invariance(a: RatMatrix, seed: int) -> AuditReport:
     """Exact order is invariant under transpose, permutation similarity, and
     one-sided positive diagonal scaling; asserted for both variants on a
     seeded random permutation and diagonal."""
-    a._require_square()
     n = a.order
     rng = random.Random(seed)
     sigma = _random_permutation(n, rng)
@@ -387,7 +384,6 @@ def audit_invariance(a: RatMatrix, seed: int) -> AuditReport:
 def audit_n_eq_k_plus_1(a: RatMatrix, variant: Variant = Variant.E0) -> AuditReport:
     """Matrices of exact order n-1 (n >= 3) must have admissible diagonal
     signs and strictly negative off-diagonal entries."""
-    a._require_square()
     n = a.order
     result = exact_order(a, variant)
     met = n >= 3 and result.k == n - 1
@@ -405,7 +401,6 @@ def audit_n_eq_k_plus_1(a: RatMatrix, variant: Variant = Variant.E0) -> AuditRep
 def audit_symmetric_copositive_equiv(a: RatMatrix, variant: Variant = Variant.E0) -> AuditReport:
     """For symmetric matrices the copositive and semimonotone exact-order
     classifications must agree in full (same k, same per-order profile)."""
-    a._require_square()
     if not a.is_symmetric():
         raise NotSymmetricError("this audit requires a symmetric matrix")
     semi = exact_order(a, variant)
@@ -428,8 +423,6 @@ def audit_nonclosure(a: RatMatrix, b: RatMatrix) -> AuditReport:
     stays in the class merely fails to witness it; the observation is
     reported in the conclusions but never flagged as a counterexample.
     """
-    a._require_square()
-    b._require_square()
     if a.order != b.order:
         raise ValueError("matrices must have equal order")
     ra = exact_order(a, Variant.E0)

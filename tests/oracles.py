@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from semimono.explore import EntrySign, GeneratorConfig
-from semimono.feasibility import FeasibilityOutcome, Strictness, phase1_feasible
+from semimono.feasibility import FeasibilityOutcome, phase1_feasible
 from semimono.ratcore import (
     IndexSet,
     RatMatrix,
@@ -187,11 +187,17 @@ def complement(alpha: IndexSet) -> IndexSet:
     return IndexSet(alpha.universe, tuple(i for i in range(1, alpha.universe + 1) if i not in alpha))
 
 
-def submatrix(a: RatMatrix, row_set: IndexSet, col_set: IndexSet) -> RatMatrix:
-    """General A_{alpha,beta} block of a square matrix."""
+def submatrix(a: RatMatrix, row_set: IndexSet, col_set: IndexSet) -> list[list[Fraction]]:
+    """General A_{alpha,beta} block of a square matrix, as plain rows."""
     if len(row_set) == 0 or len(col_set) == 0:
         raise ValueError("index sets must be nonempty")
-    return RatMatrix([[a[i, j] for j in col_set.zero_based()] for i in row_set.zero_based()])
+    return [[a[i, j] for j in col_set.zero_based()] for i in row_set.zero_based()]
+
+
+def _times(x: Sequence[Sequence[Fraction]], y: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """The product of two blocks given as rows, of any conforming shapes."""
+    columns = list(zip(*y))
+    return [[sum((p * q for p, q in zip(row, col)), Fraction(0)) for col in columns] for row in x]
 
 
 def schur_complement(a: RatMatrix, alpha: IndexSet) -> RatMatrix:
@@ -202,9 +208,10 @@ def schur_complement(a: RatMatrix, alpha: IndexSet) -> RatMatrix:
     beta = complement(alpha)
     if len(beta) == 0:
         raise ValueError("alpha must be a proper subset")
-    block_inv = inverse(principal_submatrix(a, alpha))
-    correction = (submatrix(a, beta, alpha) @ block_inv) @ submatrix(a, alpha, beta)
-    return principal_submatrix(a, beta) + -correction
+    block_inv = inverse(principal_submatrix(a, alpha)).entries
+    correction = _times(_times(submatrix(a, beta, alpha), block_inv), submatrix(a, alpha, beta))
+    a_bb = submatrix(a, beta, beta)
+    return RatMatrix([[u - v for u, v in zip(ru, rv)] for ru, rv in zip(a_bb, correction)])
 
 
 def block_inverse_principal(a: RatMatrix, alpha: IndexSet) -> RatMatrix:
@@ -216,10 +223,11 @@ def block_inverse_principal(a: RatMatrix, alpha: IndexSet) -> RatMatrix:
     happens exactly when A is.
     """
     beta = complement(alpha)
-    schur_inv = inverse(schur_complement(a, alpha))
-    block_inv = inverse(principal_submatrix(a, alpha))
-    left = submatrix(a, beta, alpha) @ block_inv  # A_ba A_aa^{-1}
-    return block_inv + ((block_inv @ submatrix(a, alpha, beta)) @ schur_inv) @ left
+    schur_inv = inverse(schur_complement(a, alpha)).entries
+    block_inv = inverse(principal_submatrix(a, alpha)).entries
+    left = _times(submatrix(a, beta, alpha), block_inv)  # A_ba A_aa^{-1}
+    correction = _times(_times(_times(block_inv, submatrix(a, alpha, beta)), schur_inv), left)
+    return RatMatrix([[u + v for u, v in zip(ru, rv)] for ru, rv in zip(block_inv, correction)])
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +321,17 @@ def fm_point(
     return tuple(y)
 
 
-def fm_feasible(m: RatMatrix, strictness: Strictness) -> FeasibilityOutcome:
+def fm_feasible(m: RatMatrix, strict: bool) -> FeasibilityOutcome:
     """Fourier-Motzkin decision of the closed sign system y >= 1 with
     My <= -1 (strict) or My <= 0 (semistrict).
 
     Restricted to order <= FM_MAX_ORDER: variable elimination is doubly
     exponential beyond desk scale.
     """
-    m._require_square()
     n = m.order
     if n > FM_MAX_ORDER:
         raise OrderTooLargeError(f"order {n} exceeds the Fourier-Motzkin cap {FM_MAX_ORDER}")
-    shift = -1 if strictness is Strictness.STRICT else 0
+    shift = -1 if strict else 0
     g = [[-1 if j == i else 0 for j in range(n)] for i in range(n)] + list(m.entries)
     y = fm_point(g, [-1] * n + [shift] * n)
     return FeasibilityOutcome(False) if y is None else FeasibilityOutcome(True, y)

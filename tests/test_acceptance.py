@@ -26,7 +26,7 @@ from semimono.explore import (
     template_exact_order_pattern,
     template_z,
 )
-from semimono.feasibility import Strictness, feasible_semistrict, feasible_strict
+from semimono.feasibility import feasible_semistrict, feasible_strict
 from semimono.lcp import q0_falsify
 from semimono.ratcore import (
     RatMatrix,
@@ -202,10 +202,10 @@ def test_criterion_7_oracle_equivalences():
     for _ in range(1000):
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, num_bound=5, den_bound=3)
-        if fm_feasible(m, Strictness.STRICT).feasible != feasible_strict(m).feasible:
+        if fm_feasible(m, strict=True).feasible != feasible_strict(m).feasible:
             lp_fm_disagreements += 1
         if (
-            fm_feasible(m, Strictness.SEMISTRICT).feasible
+            fm_feasible(m, strict=False).feasible
             != feasible_semistrict(m).feasible
         ):
             lp_fm_disagreements += 1

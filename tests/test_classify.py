@@ -249,7 +249,7 @@ def unpruned_sweep(a, variant):
     feasible = [
         alpha.members
         for alpha in supports
-        if fm_feasible(principal_submatrix(a, alpha), variant.failing_system).feasible
+        if fm_feasible(principal_submatrix(a, alpha), variant.strict_system).feasible
     ]
     evidence = []
     for size in range(1, a.order + 1):

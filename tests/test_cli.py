@@ -21,7 +21,7 @@ from semimono.cli import (
 from semimono.ratcore import RatMatrix
 
 import matrices
-from semimono import classify, explore
+from semimono import classify, explore, ratcore
 from matrices import M3_ORDER2_E0, M4_ORDER2_NONZ, M5_ORDER2, NONCLOSURE_A, NONCLOSURE_B
 
 
@@ -173,6 +173,18 @@ def test_classify_sweeps_each_support_table_once(tmp_path, capsys, monkeypatch):
     path = write_matrix(tmp_path, "m5.txt", M5_ORDER2)
     assert main(["classify", path]) == 0
     assert 0 < len(calls) <= 4 * 31 + 4 + 2
+
+
+def test_classify_scans_the_principal_minors_once(tmp_path, monkeypatch):
+    # P0 and P read one scan: on the order-6 P-matrix 7I - J (its order-m
+    # minors are 7^(m-1) (7 - m) > 0) each of the 63 principal minors is
+    # eliminated once, where a scan per verdict made 126 calls
+    calls = []
+    original = ratcore._int_det
+    monkeypatch.setattr(ratcore, "_int_det", lambda rows: calls.append(len(rows)) or original(rows))
+    a = RatMatrix([[6 if i == j else -1 for j in range(6)] for i in range(6)])
+    assert main(["classify", write_matrix(tmp_path, "p6.txt", a)]) == 0
+    assert len(calls) == 2**6 - 1
 
 
 def _nonneg_diagonal_matrices(n, count):

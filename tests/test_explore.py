@@ -30,7 +30,7 @@ from semimono.explore import (
     template_nonneg,
     template_z,
 )
-from semimono.ratcore import IndexSet, RatMatrix, _integer_rows, det, principal_submatrix
+from semimono.ratcore import IndexSet, RatMatrix, _cleared_rows, det, principal_submatrix
 from semimono.verify import _minor_breaks
 
 from matrices import (
@@ -295,7 +295,7 @@ def test_z_minor_screen_agrees_with_classifier():
         large_hits += expected and n >= 5
         breaks = _minor_breaks(n, lambda key: det(principal_submatrix(m, IndexSet(n, key))))
         assert (next(breaks, None) is None) == expected
-        assert _conjecture_1_screen(_integer_rows(m)[1]) == expected
+        assert _conjecture_1_screen(_cleared_rows(m.entries)[1]) == expected
     assert min(verdicts.values()) > 20 and large_hits
 
 

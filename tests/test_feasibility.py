@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from semimono.classify import Variant
 from semimono.feasibility import (
     FeasibilityOutcome,
-    Strictness,
     _minimal_feasible,
     _order2,
     _sign_test,
@@ -38,20 +37,20 @@ def square(n):
     ).map(RatMatrix)
 
 
-def assert_certificate(m: RatMatrix, outcome: FeasibilityOutcome, strictness: Strictness):
+def assert_certificate(m: RatMatrix, outcome: FeasibilityOutcome, strict: bool):
     assert outcome.feasible and outcome.certificate is not None
     y = outcome.certificate
     assert all(v >= 1 for v in y)
     image = m @ y
-    bound = F(-1) if strictness is Strictness.STRICT else F(0)
+    bound = F(-1) if strict else F(0)
     assert all(w <= bound for w in image)
 
 
-def simplex_feasible(m: RatMatrix, strictness: Strictness) -> bool:
+def simplex_feasible(m: RatMatrix, strict: bool) -> bool:
     """Reference route: the simplex alone on the closed system
     u >= 0, Mu <= shift - row sums (u = y - 1), with no closed form or
     shortcut in front."""
-    shift = F(-1) if strictness is Strictness.STRICT else F(0)
+    shift = F(-1) if strict else F(0)
     ok, _ = phase1_feasible(m.entries, [shift - sum(row, F(0)) for row in m.entries])
     return ok
 
@@ -72,7 +71,7 @@ def test_strict_order2_example():
     m = RatMatrix([[0, -1], [-2, 0]])
     out = feasible_strict(m)
     assert out.certificate == (F(1), F(1))
-    assert_certificate(m, out, Strictness.STRICT)
+    assert_certificate(m, out, strict=True)
 
 
 def test_order1_and_order2_sign_tests_match_the_witness_route():
@@ -116,7 +115,7 @@ def test_semistrict_examples():
     assert feasible_semistrict(RatMatrix([[0]])).certificate == (F(1),)
     assert not feasible_semistrict(RatMatrix([[1]])).feasible
     m = RatMatrix([[1, -3], [-3, 1]])
-    assert_certificate(m, feasible_semistrict(m), Strictness.SEMISTRICT)
+    assert_certificate(m, feasible_semistrict(m), strict=False)
 
 
 def test_strict_infeasible_zero_row():
@@ -127,7 +126,7 @@ def test_strict_infeasible_zero_row():
 def test_boundary_det_zero_is_strictly_infeasible_but_semistrict_feasible():
     m = RatMatrix([[1, -1], [-1, 1]])
     assert not feasible_strict(m).feasible
-    assert_certificate(m, feasible_semistrict(m), Strictness.SEMISTRICT)
+    assert_certificate(m, feasible_semistrict(m), strict=False)
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +144,13 @@ def test_scale_invariance(m, t):
 @settings(max_examples=60, deadline=None)
 @given(square(3))
 def test_certificates_substitute_exactly(m):
-    for strictness, op in (
-        (Strictness.STRICT, feasible_strict),
-        (Strictness.SEMISTRICT, feasible_semistrict),
+    for strict, op in (
+        (True, feasible_strict),
+        (False, feasible_semistrict),
     ):
         out = op(m)
         if out.feasible:
-            assert_certificate(m, out, strictness)
+            assert_certificate(m, out, strict)
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,14 +165,14 @@ def test_closed_forms_match_simplex_for_small_orders():
     for _ in range(400):
         n = rng.randint(1, 2)
         m = random_matrix(rng, n, num_bound=4, den_bound=3)
-        for strictness, op in (
-            (Strictness.STRICT, feasible_strict),
-            (Strictness.SEMISTRICT, feasible_semistrict),
+        for strict, op in (
+            (True, feasible_strict),
+            (False, feasible_semistrict),
         ):
             fast = op(m)
-            assert fast.feasible == simplex_feasible(m, strictness)
+            assert fast.feasible == simplex_feasible(m, strict)
             if fast.feasible:
-                assert_certificate(m, fast, strictness)
+                assert_certificate(m, fast, strict)
 
 
 def test_shortcuts_match_simplex_for_larger_orders():
@@ -181,11 +180,11 @@ def test_shortcuts_match_simplex_for_larger_orders():
     for _ in range(200):
         n = rng.randint(3, 5)
         m = random_matrix(rng, n, num_bound=4, den_bound=2)
-        for strictness, op in (
-            (Strictness.STRICT, feasible_strict),
-            (Strictness.SEMISTRICT, feasible_semistrict),
+        for strict, op in (
+            (True, feasible_strict),
+            (False, feasible_semistrict),
         ):
-            assert op(m).feasible == simplex_feasible(m, strictness)
+            assert op(m).feasible == simplex_feasible(m, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +192,9 @@ def test_shortcuts_match_simplex_for_larger_orders():
 
 
 def test_fm_agrees_on_examples():
-    assert fm_feasible(RatMatrix([[0, -1], [-2, 0]]), Strictness.STRICT).feasible
-    assert fm_feasible(RatMatrix([[0]]), Strictness.SEMISTRICT).feasible
-    assert not fm_feasible(RatMatrix([[1]]), Strictness.STRICT).feasible
+    assert fm_feasible(RatMatrix([[0, -1], [-2, 0]]), strict=True).feasible
+    assert fm_feasible(RatMatrix([[0]]), strict=False).feasible
+    assert not fm_feasible(RatMatrix([[1]]), strict=True).feasible
 
 
 def test_fm_certificates_substitute_exactly():
@@ -203,10 +202,10 @@ def test_fm_certificates_substitute_exactly():
     for _ in range(150):
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, num_bound=4, den_bound=2)
-        for strictness in (Strictness.STRICT, Strictness.SEMISTRICT):
-            out = fm_feasible(m, strictness)
+        for strict in (True, False):
+            out = fm_feasible(m, strict)
             if out.feasible:
-                assert_certificate(m, out, strictness)
+                assert_certificate(m, out, strict)
 
 
 def test_fm_agreement_sweep():
@@ -215,11 +214,11 @@ def test_fm_agreement_sweep():
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, num_bound=5, den_bound=3)
         assert (
-            fm_feasible(m, Strictness.STRICT).feasible
+            fm_feasible(m, strict=True).feasible
             == feasible_strict(m).feasible
         )
         assert (
-            fm_feasible(m, Strictness.SEMISTRICT).feasible
+            fm_feasible(m, strict=False).feasible
             == feasible_semistrict(m).feasible
         )
 
@@ -227,7 +226,7 @@ def test_fm_agreement_sweep():
 def test_fm_order_cap():
     big = RatMatrix.identity(FM_MAX_ORDER + 1)
     with pytest.raises(OrderTooLargeError):
-        fm_feasible(big, Strictness.STRICT)
+        fm_feasible(big, strict=True)
 
 
 # Systems whose ratio test ties, so Bland's tie-break picks the leaving row;
@@ -270,7 +269,7 @@ def minimal_decisions(rows, variant):
     ``_minimal_feasible``, in (size, lex) order.  A support with a failing
     sub-support fails by heredity and is not decided, so every decided
     support is minimal: these are the blocks the lemma speaks about."""
-    strict = variant.failing_system is Strictness.STRICT
+    strict = variant.strict_system
     failing = set()
     seen = []
     for members in _support_members(len(rows)):
@@ -299,8 +298,7 @@ def cross_check(rows, tally):
             block = _block(rows, members)
             assert (_witness([[F(v) for v in row] for row in block], strict) is not None) == fails
             if order <= FM_MAX_ORDER:
-                strictness = Strictness.STRICT if strict else Strictness.SEMISTRICT
-                assert fm_feasible(RatMatrix(block), strictness).feasible == fails
+                assert fm_feasible(RatMatrix(block), strict).feasible == fails
             pivoted = [row[:] for row in block]
             det = _gauss_jordan(pivoted)
             kind = "singular" if det == 0 else "odd swaps" if det != pivoted[0][0] else "plain"

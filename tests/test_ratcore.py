@@ -62,13 +62,28 @@ def square(n, elems=small_fraction):
 def test_rat_rejects_floats():
     with pytest.raises(TypeError):
         rat(0.5)
-    with pytest.raises(ValueError):
-        rat("1.5")
+    # Fraction alone reads "1_0" as 10, the Arabic-Indic digits U+0661 and
+    # U+0662 as 1 and 2, and raises ZeroDivisionError on a zero denominator
+    for token in ("1.5", "1_0", "\u0661", "1/\u0662", "3/0"):
+        with pytest.raises(ValueError):
+            rat(token)
 
 
 def test_matrix_rejects_ragged_rows():
-    with pytest.raises(ValueError):
-        RatMatrix([[1, 2], [3]])
+    # the matrix is square by construction: ragged, rectangular and empty
+    # input are refused alike
+    for rows in ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[]], []):
+        with pytest.raises(ValueError, match="square"):
+            RatMatrix(rows)
+
+
+def test_sum_and_product_need_equal_orders():
+    two, three = RatMatrix.identity(2), RatMatrix.identity(3)
+    for op in (lambda a, b: a + b, lambda a, b: a @ b):
+        with pytest.raises(ValueError, match="order mismatch"):
+            op(two, three)
+        with pytest.raises(ValueError, match="order mismatch"):
+            op(three, two)
 
 
 def test_principal_submatrix_identity():
@@ -322,7 +337,7 @@ def test_schur_determinant_identity_on_randoms():
 def test_general_submatrix_blocks():
     alpha = IndexSet(3, (1, 2))
     block = submatrix(M3_ORDER2_E0, complement(alpha), alpha)
-    assert block == RatMatrix([[-3, -4]])
+    assert block == [[-3, -4]]
 
 
 # ---------------------------------------------------------------------------
