@@ -8,18 +8,20 @@ some support admits y > 0 with A_aa y <= 0.  The memoized ``exact_order``
 is the one pruned sweep: it decides the 2^n - 1 supports of A's Fraction
 rows in a fixed (size, lex) order, skipping any support whose sub-support
 already fails (membership is hereditary), so every support it solves is
-minimal.  Orders 1 and 2 are sign tests on the entries in place
-(``feasibility._sign_test``); a larger block is sliced and solved by
-``feasibility._witness`` (shortcuts and the simplex), and the certificate
-of the first failing support normalizes that raw witness.  The
-semimonotone, copositive and almost verdicts read the witness off the
-profile.  ``has_exact_order`` does not prune: it runs two plain loops
-over the supports of integer rows D A, D a positive diagonal, whose
-supports fail exactly where A's do ((D A)_aa = D_a A_aa), and returns at
-the first verdict that rules k out, so every support it decides is
-minimal and ``feasibility._minimal_feasible`` decides the orders above 2
-with no simplex and no witness.  It is the screen of every search in
-``explore``; README "How it works" describes the search pipeline.  The
+minimal.  Orders 1 and 2 are sign tests (``feasibility._signs_fit`` on the
+block); a larger block is sliced and solved by ``feasibility._witness``
+(shortcuts and the simplex), and the certificate of the first failing
+support normalizes that raw witness.  The semimonotone, copositive and
+almost verdicts read the witness off the profile.  ``has_exact_order``
+does not prune: on integer rows D A, D a positive diagonal, whose supports
+fail exactly where A's do ((D A)_aa = D_a A_aa), it settles every support
+of order 1 and 2 in one ``_signs_fit`` pass over the rows, then loops over
+the larger ones, and returns at the first verdict that rules k out, so
+every support it decides is minimal and ``feasibility._minimal_feasible``
+decides the orders above 2 with no simplex and no witness.  It is the
+screen of every search in ``explore``, whose hits are then proven by
+substituted certificates (``feasibility._certified_exact_order``), not by
+a second sweep; README "How it works" describes the search pipeline.  The
 P0 and P verdicts read every principal minor from one D A
 (``ratcore._principal_minors``).
 
@@ -39,7 +41,7 @@ from typing import Optional, Sequence, Union
 from .feasibility import (
     _minimal_feasible,
     _normalize_certificate,
-    _sign_test,
+    _signs_fit,
     _witness,
     feasible_semistrict,
     feasible_strict,
@@ -138,10 +140,6 @@ class ExactOrderResult:
     evidence: tuple[OrderStatus, ...]
     witness: Optional[SupportWitness] = field(default=None, compare=False)
 
-    @property
-    def has_exact_order(self) -> bool:
-        return self.k is not None
-
     def describe(self) -> str:
         if self.k is None:
             profile = ",".join(s.value for s in self.evidence)
@@ -175,7 +173,8 @@ def exact_order(a: RatMatrix, variant: Variant) -> ExactOrderResult:
             # heredity: a support with a failing sub-support fails unsolved
             fails = True
         elif len(key) < 3:
-            fails = _sign_test(rows, key, strict)
+            # its 1x1 blocks pass here, so the block's own support decides
+            fails = _signs_fit(_block(rows, key), strict, len(key) - 1)
         else:
             y = _witness(_block(rows, key), strict)
             fails = y is not None
@@ -230,29 +229,33 @@ def has_exact_order(a: RatMatrix, k: int, variant: Variant) -> bool:
 
 def _has_exact_order(rows: Sequence[Sequence[int]], k: int, variant: Variant) -> bool:
     """``has_exact_order`` on integer rows D A (D a positive diagonal: the
-    row-cleared rows, or the generator's L A), as two plain loops
-    over the supports in (size, lex) order: every support of size <= n-k
-    must pass, and every support of size n-k+1 must fail.
+    row-cleared rows, or the generator's L A), in (size, lex) order: every
+    support of size <= n-k must pass, and every support of size n-k+1 must
+    fail.
 
-    Each loop returns at the first verdict that rules k out, so every
-    support it decides is minimal: all supports of smaller size have
-    passed by then.  That is the condition under which ``_sign_test``
-    decides orders 1 and 2 and ``_minimal_feasible`` the orders above.
-    Heredity never prunes here, so no set of failing supports is kept.
+    It returns at the first verdict that rules k out, so every support it
+    decides is minimal: all supports of smaller size have passed by then.
+    That is the condition under which ``_signs_fit`` decides all supports
+    of order 1 and 2 in one pass over the rows, and ``_minimal_feasible``
+    the orders above.  Heredity never prunes here, so no set of failing
+    supports is kept.
     """
     n = len(rows)
     if not 0 <= k <= n:
         raise ValueError(f"exact order must lie in 0..{n}")
     strict = variant.strict_system
+    passing = n - k
+    if not _signs_fit(rows, strict, passing):
+        return False
+    if passing < 2:
+        return True
     indices = range(1, n + 1)
-    for size in range(1, n - k + 1):
-        decide = _sign_test if size < 3 else _minimal_feasible
+    for size in range(3, passing + 1):
         for key in itertools.combinations(indices, size):
-            if decide(rows, key, strict):
+            if _minimal_feasible(rows, key, strict):
                 return False
-    decide = _sign_test if n - k < 2 else _minimal_feasible
-    for key in itertools.combinations(indices, n - k + 1):
-        if not decide(rows, key, strict):
+    for key in itertools.combinations(indices, passing + 1):
+        if not _minimal_feasible(rows, key, strict):
             return False
     return True
 

@@ -226,13 +226,16 @@ def _cmd_classify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     _check_budget(n)
     results: dict = {"order": n}
     p0, p = cls._minor_verdicts(a)
+    # (A + A^T)/2 has A's quadratic form and is its own symmetric part, so
+    # the four copositive results below share one build of it
+    sym = a.symmetric_part()
     verdicts = {
         "semimonotone": cls.is_semimonotone(a),
         "strictly_semimonotone": cls.is_strictly_semimonotone(a),
         "P0": p0,
         "P": p,
-        "copositive": cls.is_copositive(a),
-        "strictly_copositive": cls.is_strictly_copositive(a),
+        "copositive": cls.is_copositive(sym),
+        "strictly_copositive": cls.is_strictly_copositive(sym),
         "inverse_Z": cls.is_inverse_Z(a),
     }
     if n >= 2:
@@ -244,8 +247,8 @@ def _cmd_classify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     orders = {
         "E0": cls.exact_order(a, Variant.E0),
         "E": cls.exact_order(a, Variant.E),
-        "copositive_E0": cls.copositive_exact_order(a, Variant.E0),
-        "copositive_E": cls.copositive_exact_order(a, Variant.E),
+        "copositive_E0": cls.copositive_exact_order(sym, Variant.E0),
+        "copositive_E": cls.copositive_exact_order(sym, Variant.E),
     }
     results["exact_order"] = {k: _exact_order_json(r) for k, r in orders.items()}
     profile = cls.negative_entry_profile(a)

@@ -9,8 +9,9 @@ caveat.
 
 Every public search is a thin caller of one loop, ``_search``: the
 generator ``_draws`` yields each candidate as integer rows L A (one
-constant L per config), one screen decides the target exact order, the
-``Fraction`` classifier ``exact_order`` must agree on every pass, and a
+constant L per config), one screen decides the target exact order, every
+pass is proven by certificates substituted into the hit's own row-cleared
+D A (``feasibility._certified_exact_order``; no second sweep), and a
 counterexample is reported only after a triple check.  README "How it
 works" gives the full account of this pipeline.
 
@@ -37,14 +38,15 @@ from typing import Callable, Iterator, Optional
 from .classify import (
     Variant,
     _has_exact_order,
-    exact_order,
     is_Z,
     negative_entry_profile,
 )
+from .feasibility import _certified_exact_order
 from .ratcore import (
     IndexSet,
     RatMatrix,
     SingularMatrixError,
+    _cleared_rows,
     count_negative_eigenvalues,
     det,
     inverse,
@@ -314,7 +316,7 @@ _EVIDENCE_NOTE = "randomized search accumulates evidence or counterexamples; it 
 
 
 # ---------------------------------------------------------------------------
-# the conjecture-1 screen on the integer rows (every pass is re-verified exactly)
+# the conjecture-1 screen on the integer rows (every pass is proven by certificates)
 
 
 def _conjecture_1_screen(rows: _IntRows) -> bool:
@@ -443,12 +445,16 @@ def _search(
         if not screen(rows):
             continue
         m = _rat_matrix(scale, rows)
-        if exact_order(m, variant).k != k:
-            raise AssertionError("screen and full classifier disagree")
+        # the hit's exact order, proven by certificates substituted into its
+        # own row-cleared D A, so the proof does not rest on the drawn L A
+        if not _certified_exact_order(_cleared_rows(m.entries)[1], k, variant.strict_system):
+            raise AssertionError(
+                "screen and full classifier disagree: a certificate fails by substitution"
+            )
         hits.append(m)
         found = violations(m)
-        # triple check: the classifier agreed above, the checker must
-        # reproduce the failure, and the second route must agree
+        # triple check: the certificates proved the exact order above, the
+        # checker must reproduce the failure, and the second route must agree
         if found and not (violations(m) and second_route(m)):
             raise AssertionError("counterexample failed re-validation; refusing to report it")
         counterexamples.extend(Counterexample(m, failed, evidence) for failed, evidence in found)

@@ -16,22 +16,31 @@ degeneracy, no tolerances anywhere) on the closed system.  The simplex
 pivots an integer tableau fraction-free through ``ratcore._pivot``, the one
 exact kernel that ``det`` and ``inverse`` use too.
 
-Both support sweeps decide orders 1 and 2 by ``_sign_test``, sign tests
+Both support sweeps decide orders 1 and 2 by ``_signs_fit``, sign tests
 on a matrix's rows where they stand, the order-2 one valid where both 1x1
 blocks pass, which each sweep guarantees: ``exact_order`` by heredity,
-``has_exact_order`` by deciding a support only once every smaller one
-has passed (a positive row scaling changes no sign of My, so rational and
-row-cleared integer rows decide alike).  Above order 2, ``exact_order``
-hands the sliced block (``ratcore._block``) to ``_witness``, and
-``has_exact_order`` decides it by ``_minimal_feasible`` on integer rows,
-with no simplex: every block it asks is minimal, with no failing proper
-principal block (the lemma and its proof are in that docstring).
+block by block, ``has_exact_order`` by reading the pairs only once every
+diagonal entry has passed, in one pass over the rows (a positive row
+scaling changes no sign of My, so rational and row-cleared integer rows
+decide alike).  Above order 2, ``exact_order`` hands the sliced block
+(``ratcore._block``) to ``_witness``, and ``has_exact_order`` decides it
+by ``_minimal_feasible`` on integer rows, with no simplex: every block it
+asks is minimal, with no failing proper principal block (the lemma and
+its proof are in that docstring).
 
 ``_normalize_certificate`` scales a raw witness onto the closed system
 above; it runs only where a certificate is read: behind the public oracles,
 and for the first failing support of ``exact_order``, whose other
 supports need only the decision, and which reuses the sweep's witness
 where the sweep computed one.
+
+A search hit is proven, not re-swept: ``_certified_exact_order`` finds a
+certificate for every support that exact order k speaks about and checks
+each by integer substitution.  A member certificate z >= 0 with
+B^T z >= 0 (Ville's transposition theorem) shows a block's system has no
+solution; a witness y > 0 with By < 0 (<= 0) shows it has one.  They come
+from closed forms, a nonnegative row, ``phase1_feasible``'s Farkas
+multipliers and ``_minimal_witness``, and only the substitution decides.
 
 Everything here is pure and stateless; callers may evaluate many systems
 concurrently.
@@ -42,9 +51,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .ratcore import RatMatrix, RatVector, _block, _cleared, _gauss_jordan, _int_det, _pivot
+from .ratcore import (
+    RatMatrix,
+    RatVector,
+    _block,
+    _cleared,
+    _gauss_jordan,
+    _int_det,
+    _pivot,
+    _support_members,
+)
 
 _Rows = Sequence[Sequence[Fraction]]
 # rows a sign test reads: rational, or row-cleared integer
@@ -61,12 +80,17 @@ class FeasibilityOutcome:
 # phase-1 simplex for {x >= 0 : Gx <= h}
 
 
-def phase1_feasible(g_rows: Sequence[Sequence[Fraction]], h: Sequence[Fraction]) -> tuple[bool, Optional[list[Fraction]]]:
+def phase1_feasible(g_rows: Sequence[Sequence[Fraction]], h: Sequence[Fraction]) -> tuple[bool, list]:
     """Decide whether {x >= 0 : Gx <= h} is nonempty, exactly.
 
     Minimizes the sum of artificial variables with Bland's rule; the system
     is feasible iff the optimum is exactly zero.  Returns a witness x when
-    feasible.
+    feasible, and else Farkas multipliers z >= 0 with G^T z >= 0 and
+    h^T z < 0: the final reduced costs of the slack columns.  (With duals
+    pi and row signs s, the slack of row i costs -pi_i s_i, the column of
+    x_j costs (G^T z)_j, both >= 0 at the optimum, and -h^T z is the
+    positive optimum.)  Rational G and h give integer multipliers, a
+    positive multiple of the rational ones.
 
     The tableau, objective row included, is the rational one times the
     common denominator of G and h, and is pivoted fraction-free
@@ -128,7 +152,7 @@ def phase1_feasible(g_rows: Sequence[Sequence[Fraction]], h: Sequence[Fraction])
         basis[leave] = enter
 
     if rows[nrows][ncols] != 0:
-        return False, None
+        return False, rows[nrows][nvars:nvars + nrows]
     x = [Fraction(0)] * nvars
     for i, b in enumerate(basis):
         if b < nvars:
@@ -198,30 +222,46 @@ def _witness(rows: _Rows, strict: bool) -> Optional[RatVector]:
     return tuple(ui + 1 for ui in u) if ok else None
 
 
-def _sign_test(rows: _AnyRows, members: tuple[int, ...], strict: bool) -> bool:
-    """Does the system of a 1x1 or 2x2 principal block fail, read in place?
+def _signs_fit(rows: _AnyRows, strict: bool, passing: int) -> bool:
+    """Do the supports of order 1 and 2 fit exact order n - ``passing``:
+    does every one of size <= ``passing`` pass and every one of size
+    ``passing`` + 1 fail?  One pass over the rows where they stand,
+    diagonal first, returning at the first support that does not fit.
 
-    A 1x1 block fails iff a11 < 0 (<= 0 when not ``strict``).  The order-2
-    test holds only when both 1x1 blocks pass, which its callers guarantee
-    (see the module docstring): with a11, a22 >= 0 (> 0 when not
-    ``strict``), the block fails iff a12 < 0, a21 < 0 and a11 a22 < a12 a21
-    (<= when not ``strict``).
+    A 1x1 block fails iff a11 < 0 (<= 0 when not ``strict``).  A 2x2 block
+    is read only once every 1x1 block has passed: with a11, a22 >= 0 (> 0
+    when not ``strict``), it fails iff a12 < 0, a21 < 0 and
+    a11 a22 < a12 a21 (<= when not ``strict``).  On one block, with
+    ``passing`` one less than its order, this is the verdict of its own
+    support given its 1x1 blocks pass.
     """
-    if len(members) == 1:
-        i = members[0] - 1
-        return rows[i][i] < 0 if strict else rows[i][i] <= 0
-    i, j = members[0] - 1, members[1] - 1
-    row_i, row_j = rows[i], rows[j]
-    a12, a21 = row_i[j], row_j[i]
-    if a12 >= 0 or a21 >= 0:
-        return False
-    diag, off = row_i[i] * row_j[j], a12 * a21
-    return diag < off if strict else diag <= off
+    singles_fail = passing == 0
+    for i, row in enumerate(rows):
+        fails = row[i] < 0 if strict else row[i] <= 0
+        if fails is not singles_fail:
+            return False
+    if singles_fail:
+        return True
+    pairs_fail = passing == 1
+    n = len(rows)
+    for i, row_i in enumerate(rows):
+        for j in range(i + 1, n):
+            a12 = row_i[j]
+            row_j = rows[j]
+            a21 = row_j[i]
+            if a12 >= 0 or a21 >= 0:
+                fails = False
+            else:
+                diag, off = row_i[i] * row_j[j], a12 * a21
+                fails = diag < off if strict else diag <= off
+            if fails is not pairs_fail:
+                return False
+    return True
 
 
-def _kernel_positive(columns: Iterable[Sequence[int]]) -> bool:
-    """For the columns of adj(B), B singular: is ker B one-dimensional and
-    spanned by a vector y > 0?
+def _positive_kernel(columns: Iterable[Sequence[int]]) -> Optional[list[int]]:
+    """For the columns of adj(B), B singular: a vector y > 0 spanning
+    ker B when ker B is one-dimensional and has one, else None.
 
     B adj(B) = det(B) I = 0, and adj(B) is nonzero iff B has rank n - 1, so
     ker B is one-dimensional exactly when some column is nonzero, and then
@@ -229,8 +269,10 @@ def _kernel_positive(columns: Iterable[Sequence[int]]) -> bool:
     """
     for col in columns:
         if any(col):
-            return all(v > 0 for v in col) or all(v < 0 for v in col)
-    return False
+            if all(v > 0 for v in col):
+                return list(col)
+            return [-v for v in col] if all(v < 0 for v in col) else None
+    return None
 
 
 def _adjugate_column(rows: Sequence[Sequence[int]], j: int) -> list[int]:
@@ -274,39 +316,147 @@ def _minimal_feasible(rows: Sequence[Sequence[int]], members: tuple[int, ...], s
     parallel to y would make a proper block fail along y + t v, so
     ker B = span(y) and By = 0.
 
-    Orders 1 and 2 are ``_sign_test``.  At order 3, x = -adj(B) 1 / det B
-    in closed form: B fails iff det B != 0 and every row sum of adj(B) has
-    the sign opposite to det B.  Above, one fraction-free solve of
-    [B | -1] (``ratcore._gauss_jordan``) leaves p [I | x] with p on the
-    diagonal; its return value is det B, which is p up to the sign of the
-    row swaps, so the signs of x are read against the diagonal.  A
-    singular semistrict block takes the columns of adj(B) to
-    ``_kernel_positive``.
+    ``_minimal_witness`` computes the witness the lemma names, or None.
+    At order 3, the screen's common case, the same closed form is read
+    without building y: B fails iff det B != 0 and every row sum of adj(B)
+    has the sign opposite to det B.
+    """
+    if len(members) == 3:
+        adj, det, sums = _adjugate3(rows, members)
+        if det:
+            return max(sums) < 0 if det > 0 else min(sums) > 0
+        return not strict and _positive_kernel(zip(*adj)) is not None
+    return _minimal_witness(rows, members, strict) is not None
+
+
+def _adjugate3(
+    rows: Sequence[Sequence[int]], members: tuple[int, ...]
+) -> tuple[Sequence[Sequence[int]], int, tuple[int, int, int]]:
+    """adj(B) as rows, det B and the row sums of adj(B), for the 3x3
+    principal block B on ``members``, in closed form and read in place."""
+    i, j, k = members[0] - 1, members[1] - 1, members[2] - 1
+    ri, rj, rk = rows[i], rows[j], rows[k]
+    a, b, c = ri[i], ri[j], ri[k]
+    d, e, f = rj[i], rj[j], rj[k]
+    g, h, m = rk[i], rk[j], rk[k]
+    adj = (
+        (e * m - f * h, c * h - b * m, b * f - c * e),
+        (f * g - d * m, a * m - c * g, c * d - a * f),
+        (d * h - e * g, b * g - a * h, a * e - b * d),
+    )
+    sums = (sum(adj[0]), sum(adj[1]), sum(adj[2]))
+    return adj, a * adj[0][0] + b * adj[1][0] + c * adj[2][0], sums
+
+
+def _minimal_witness(
+    rows: Sequence[Sequence[int]], members: tuple[int, ...], strict: bool
+) -> Optional[list[int]]:
+    """The witness of the lemma in ``_minimal_feasible`` at a minimal
+    support, on integer rows: y > 0 with B y < 0 (``strict``) or B y <= 0,
+    or None when B passes.
+
+    A nonsingular B gives y = |det B| x, x = -B^{-1} 1, so B y = -|det B| 1.
+    At order 3 that is y = -sign(det B) adj(B) 1 in closed form
+    (``_adjugate3``).  At other orders, one fraction-free solve of [B | -1]
+    (``ratcore._gauss_jordan``) leaves p [I | x] with p on the diagonal;
+    its return value is det B, which is p up to the sign of the row swaps,
+    so y is the last column times the sign of the diagonal (y = 1 for a
+    1x1 block a < 0).  A singular semistrict block takes the columns of
+    adj(B) to ``_positive_kernel``, and its witness has B y = 0.
     """
     n = len(members)
-    if n < 3:
-        return _sign_test(rows, members, strict)
     if n == 3:
-        i, j, k = members[0] - 1, members[1] - 1, members[2] - 1
-        ri, rj, rk = rows[i], rows[j], rows[k]
-        a, b, c = ri[i], ri[j], ri[k]
-        d, e, f = rj[i], rj[j], rj[k]
-        g, h, m = rk[i], rk[j], rk[k]
-        adj = (
-            (e * m - f * h, c * h - b * m, b * f - c * e),
-            (f * g - d * m, a * m - c * g, c * d - a * f),
-            (d * h - e * g, b * g - a * h, a * e - b * d),
-        )
-        det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+        adj, det, sums = _adjugate3(rows, members)
         if det:
-            return all(sum(row) * det < 0 for row in adj)
-        return not strict and _kernel_positive(zip(*adj))
-    block = _block(rows, members)
-    solve = [row + [-1] for row in block]
-    if _gauss_jordan(solve):
-        p = solve[0][0]
-        return all(row[n] * p > 0 for row in solve)
-    return not strict and _kernel_positive(_adjugate_column(block, j) for j in range(n))
+            y = [-v if det > 0 else v for v in sums]
+            return y if min(y) > 0 else None
+        columns: Iterable[Sequence[int]] = zip(*adj)
+    else:
+        block = _block(rows, members)
+        solve = [row + [-1] for row in block]
+        if _gauss_jordan(solve):
+            p = solve[0][0]
+            y = [row[n] if p > 0 else -row[n] for row in solve]
+            return y if min(y) > 0 else None
+        columns = (_adjugate_column(block, j) for j in range(n))
+    return None if strict else _positive_kernel(columns)
+
+
+def _member_certificate(block: Sequence[Sequence[int]], strict: bool) -> Optional[list[int]]:
+    """A certificate that the system of the integer block B has no
+    solution: z >= 0 with B^T z >= 0 and z != 0 (``strict``) or
+    B^T z != 0, or None when none is found.
+
+    By Ville's transposition theorem (1938), there is no y > 0 with By < 0
+    iff some z >= 0, z != 0 has B^T z >= 0, and no y > 0 with By <= 0 iff
+    some z >= 0 has B^T z >= 0, B^T z != 0; substituted, z^T B y would be
+    both < 0 (<= 0) and >= 0 (> 0).  The sources, in turn: z = e_i for a
+    row with no negative entry (a nonzero one when not ``strict``); at
+    order 2, z = (b22, -b12), with B^T z = (det B, 0); else the Farkas
+    multipliers of ``phase1_feasible`` on the closed system of
+    ``_witness``, u >= 0, B u <= shift - row sums, whose h^T z < 0 is
+    z != 0 (``strict``, shift -1) or B^T z != 0 (shift 0).
+    """
+    n = len(block)
+    for i, row in enumerate(block):
+        if min(row) >= 0 and (strict or any(row)):
+            return [int(j == i) for j in range(n)]
+    if n == 2:
+        return [block[1][1], -block[0][1]]
+    shift = -1 if strict else 0
+    feasible, z = phase1_feasible(block, [shift - sum(row) for row in block])
+    return None if feasible else z
+
+
+def _certifies_member(
+    block: Sequence[Sequence[int]], z: Optional[Sequence[int]], strict: bool
+) -> bool:
+    """Does z show by substitution that the system of ``block`` has no
+    solution (``_member_certificate``)?"""
+    if z is None or len(z) != len(block):
+        return False
+    image = [sum(map(mul, col, z)) for col in zip(*block)]
+    return min(z) >= 0 and min(image) >= 0 and any(z if strict else image)
+
+
+def _certifies_failure(
+    block: Sequence[Sequence[int]], y: Optional[Sequence[int]], strict: bool
+) -> bool:
+    """Does y solve the system of ``block`` by substitution: y > 0 with
+    block y < 0 (``strict``) or <= 0?"""
+    if y is None or len(y) != len(block):
+        return False
+    image = [sum(map(mul, row, y)) for row in block]
+    return min(y) > 0 and (max(image) < 0 if strict else max(image) <= 0)
+
+
+def _certified_exact_order(rows: Sequence[Sequence[int]], k: int, strict: bool) -> bool:
+    """Is exact order k of the integer rows proven by substituted
+    certificates: a member certificate for every support of size <= n-k,
+    and a witness for every support of size n-k+1?
+
+    That proves it: no block of order <= n-k has a failing support, so all
+    of them belong to the class, and every block of order n-k+1 fails
+    itself, so no larger block belongs (a block holding a failing support
+    fails).  Every support of size n-k+1 is then minimal, so its witness
+    is ``_minimal_witness``'s.  The supports of size n-k alone would not
+    do: a smaller failing support can sit inside a block whose own system
+    has no solution.  The certificates are computed on the rows and only
+    their substitution decides, so a wrong certificate is refused, never
+    trusted.
+    """
+    n = len(rows)
+    for members in _support_members(n):
+        if len(members) > n - k + 1:
+            break
+        block = _block(rows, members)
+        if len(members) <= n - k:
+            ok = _certifies_member(block, _member_certificate(block, strict), strict)
+        else:
+            ok = _certifies_failure(block, _minimal_witness(rows, members, strict), strict)
+        if not ok:
+            return False
+    return True
 
 
 def _normalize_certificate(rows: _Rows, y: RatVector, strict: bool) -> RatVector:

@@ -122,9 +122,6 @@ class IndexSet:
     def zero_based(self) -> tuple[int, ...]:
         return tuple(i - 1 for i in self.members)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -241,10 +238,18 @@ class RatMatrix:
             raise ValueError(f"order mismatch: {self._n} and {other._n}")
 
     def is_symmetric(self) -> bool:
-        return self._entries == self.transpose()._entries
+        return self._entries == tuple(zip(*self._entries))
 
     def symmetric_part(self) -> "RatMatrix":
-        return (self + self.transpose()) * Fraction(1, 2)
+        """(A + A^T)/2, built once; a symmetric matrix is its own symmetric
+        part and comes back as it is."""
+        columns = tuple(zip(*self._entries))
+        if self._entries == columns:
+            return self
+        half = Fraction(1, 2)
+        return RatMatrix(
+            [[(a + b) * half for a, b in zip(row, col)] for row, col in zip(self._entries, columns)]
+        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RatMatrix) and self._entries == other._entries

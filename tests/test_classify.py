@@ -235,6 +235,9 @@ def test_has_exact_order_matches_full_classifier():
                 assert has_exact_order(scaled, k, variant) == (k_full == k)
     # the corpus reaches exact orders strictly between 0 and n
     assert seen[True] >= 10
+    # an order outside 0..n is a usage error, not a verdict
+    with pytest.raises(ValueError, match=r"exact order must lie in 0\.\.2"):
+        has_exact_order(RatMatrix.identity(2), 3, Variant.E0)
 
 
 def witness_support(result):
@@ -345,8 +348,9 @@ def test_first_failing_support_is_solved_once(monkeypatch):
 def test_search_sweep_solves_no_lp(monkeypatch):
     # _has_exact_order, the sweep behind has_exact_order and every search,
     # decides every support by sign tests and one integer solve: no simplex
-    # and no _witness while it runs.  The exact_order re-check of each hit
-    # still runs them, which shows that the counters are live.
+    # and no _witness while it runs.  The exact_order calls on the planted
+    # matrices below still run them, which shows that the counters are
+    # live.
     inside = []
     calls = Counter()
     for module, name in (

@@ -160,11 +160,11 @@ def test_classify_reports_deterministic_modulo_timing(tmp_path, capsys):
 
 def test_classify_sweeps_each_support_table_once(tmp_path, capsys, monkeypatch):
     # four (matrix, variant) tables of 31 supports decided by the sweep
-    # (sign tests at orders 1 and 2, _witness above), one witness for the
-    # first failing support of each, plus one full-matrix public oracle
-    # call per almost variant
+    # (sign tests at orders 1 and 2, _signs_fit on the block, _witness
+    # above), one witness for the first failing support of each, plus one
+    # full-matrix public oracle call per almost variant
     calls = []
-    for name in ("_sign_test", "_witness", "feasible_strict", "feasible_semistrict"):
+    for name in ("_signs_fit", "_witness", "feasible_strict", "feasible_semistrict"):
         oracle = getattr(classify, name)
         monkeypatch.setattr(
             classify, name, lambda *args, oracle=oracle: calls.append(args) or oracle(*args)
@@ -185,6 +185,24 @@ def test_classify_scans_the_principal_minors_once(tmp_path, monkeypatch):
     a = RatMatrix([[6 if i == j else -1 for j in range(6)] for i in range(6)])
     assert main(["classify", write_matrix(tmp_path, "p6.txt", a)]) == 0
     assert len(calls) == 2**6 - 1
+
+
+def test_classify_builds_the_symmetric_part_once(tmp_path, monkeypatch):
+    # the copositive and strictly copositive verdicts and both copositive
+    # exact orders read one (A + A^T)/2, built in one step; a symmetric
+    # matrix is its own symmetric part and builds none
+    built = []
+    real_init = RatMatrix.__init__
+    monkeypatch.setattr(
+        RatMatrix, "__init__", lambda self, rows: real_init(self, rows) or built.append(self)
+    )
+    for a in (M4_ORDER2_NONZ, RatMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])):
+        sym = RatMatrix([[(x + y) / 2 for x, y in zip(row, col)]
+                         for row, col in zip(a.entries, a.transpose().entries)])
+        built.clear()
+        classify.exact_order.cache_clear()
+        assert main(["classify", write_matrix(tmp_path, "a.txt", a)]) == 0
+        assert built[0] == a and built[1:].count(sym) == (not a.is_symmetric())
 
 
 def _nonneg_diagonal_matrices(n, count):
@@ -253,6 +271,45 @@ def test_classify_results_golden_digest(case, tmp_path, capsys):
 def test_classify_missing_file_exit_2(capsys):
     assert main(["classify", "/nonexistent/file.txt"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# (the faulty file, its text, the message's tail); the text None stands for
+# a path that cannot be read (a directory)
+USAGE_FAULTS = {
+    "empty matrix file": ("matrix", "", "empty matrix file"),
+    "order 0": ("matrix", "0\n", "order must be >= 1"),
+    "too few rows": ("matrix", "2\n1 0\n", "expected 2 rows after the order line, got 1"),
+    "short row": ("matrix", "2\n1 0\n0\n", "row 2 has 1 entries, expected 2"),
+    "unreadable matrix": ("matrix", None, "cannot read"),
+    "empty vector file": ("vector", "", "empty vector file"),
+    "vector of the wrong length": ("vector", "3\n1 1\n", "expected 3 entries, got 2"),
+    "unreadable vector": ("vector", None, "cannot read"),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_FAULTS))
+def test_file_faults_exit_2_with_one_line(case, tmp_path, capsys):
+    # each fault of a matrix or vector file is a usage error: exit 2 and one
+    # line on stderr naming the file, never a traceback.  A matrix fault
+    # stops classify and lcp, a vector fault lcp; the other file is sound.
+    faulty, text, tail = USAGE_FAULTS[case]
+    files = {"matrix": "2\n1 0\n0 1\n", "vector": "2\n1 1\n", faulty: text}
+    paths = {}
+    for kind, content in files.items():
+        path = tmp_path / f"{kind}.txt"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        paths[kind] = str(path)
+    runs = [["lcp", paths["vector"], paths["matrix"]]]
+    if faulty == "matrix":
+        runs.append(["classify", paths["matrix"]])
+    for argv in runs:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert tail in err and paths[faulty] in err
 
 
 # ---------------------------------------------------------------------------

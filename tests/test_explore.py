@@ -1,14 +1,14 @@
-import dataclasses
 import functools
 import hashlib
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from semimono import explore
-from semimono import classify
+from semimono import classify, feasibility
 from semimono.classify import Variant, exact_order, is_Z
 from semimono.cli import _TEMPLATES, main, parse_matrix_text
 from semimono.explore import (
@@ -150,6 +150,8 @@ def test_config_validation():
         GeneratorConfig(order=2, template=template_free(3))
     with pytest.raises(ValueError):
         GeneratorConfig(order=2, template=template_free(2), numerator_bound=0)
+    with pytest.raises(ValueError):
+        GeneratorConfig(order=2, template=template_free(2), diagonal_numerator_bound=0)
     with pytest.raises(ValueError):
         GeneratorConfig(order=2, template=template_free(2), free_weights=(0, 0, 0))
 
@@ -430,6 +432,36 @@ def test_conjecture_2_checker_flags_wrong_sign():
     assert any("not negative" in failed for failed, _ in violations)
 
 
+def test_conjecture_2_checker_on_singular_and_non_z_inverses():
+    # frozen: a singular A fails both the sign and the existence of the
+    # inverse; det A < 0 with a positive off-diagonal entry in A^{-1} fails
+    # the Z test alone
+    assert conjecture_2_violations(RatMatrix([[1, 2], [2, 4]])) == [
+        ("det A is not negative", "det = 0"),
+        ("inverse does not exist", "det = 0"),
+    ]
+    swap = RatMatrix([[0, 1], [1, 0]])
+    assert det(swap) == -1
+    assert conjecture_2_violations(swap) == [
+        ("inverse is not a Z-matrix", "RatMatrix[0 1; 1 0]"),
+    ]
+
+
+def test_negative_entry_checker_and_the_second_routes_on_degenerate_matrices():
+    # a row with fewer than k negative entries is a violation, with both
+    # profiles as evidence; a singular A has no inverse for the second
+    # route to check, so that route agrees rather than raising
+    a = RatMatrix([[1, -1, -1], [-1, 1, 0], [-1, -1, 1]])
+    assert explore._negative_entry_violations(a, 2) == [(
+        "a row or column has fewer than 2 negative entries",
+        "row counts (2, 1, 2), column counts (2, 2, 1)",
+    )]
+    assert explore._negative_entry_violations(a, 1) == []
+    assert explore._transpose_profile_agrees(a)
+    assert explore._independent_inverse_check(RatMatrix([[1, 2], [2, 4]]))
+    assert explore._independent_inverse_check(M4_ORDER2_NONZ)
+
+
 def test_negative_entries_search_regression_k2():
     c = GeneratorConfig(
         order=4,
@@ -534,20 +566,32 @@ CONJ2_CONFIG = GeneratorConfig(
 def test_a_screen_pass_the_classifier_rejects_raises(monkeypatch, search, config):
     # Each search's screen decides exact order 2 on the integer rows with
     # _has_exact_order (followed by a Z test for conjecture 1), and every
-    # pass goes to exact_order.  A wrong verdict on one pass must stop the
-    # search, not drop the candidate.
-    real = explore.exact_order
-    seen = []
+    # pass is proven by certificates substituted into the hit's own D A.
+    # One certificate that does not hold, here the first witness of the
+    # third hit with its signs flipped, must stop the search, not drop the
+    # candidate.
+    real_check = explore._certified_exact_order
+    checked = []
+    corrupted = []
 
-    def wrong_once(m, variant):
-        result = real(m, variant)
-        seen.append(m)
-        return dataclasses.replace(result, k=None) if len(seen) == 3 else result
+    def counting(rows, k, strict):
+        checked.append(rows)
+        return real_check(rows, k, strict)
 
-    monkeypatch.setattr(explore, "exact_order", wrong_once)
+    real_witness = feasibility._minimal_witness
+
+    def flipped_once(rows, members, strict):
+        y = real_witness(rows, members, strict)
+        if len(checked) == 3 and not corrupted:
+            corrupted.append(members)
+            return [-v for v in y]
+        return y
+
+    monkeypatch.setattr(explore, "_certified_exact_order", counting)
+    monkeypatch.setattr(feasibility, "_minimal_witness", flipped_once)
     with pytest.raises(AssertionError, match="screen and full classifier disagree"):
         search(config, target_hits=5)
-    assert len(seen) == 3
+    assert len(checked) == 3 and len(corrupted) == 1
 
 
 @pytest.mark.parametrize(
@@ -572,6 +616,51 @@ def test_a_wrong_sweep_verdict_raises(monkeypatch, search, config):
     with pytest.raises(AssertionError, match="screen and full classifier disagree"):
         search(config, target_hits=5)
     assert len(flipped) == 1
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_hits_with_three_passing_orders_get_farkas_member_certificates(monkeypatch, variant):
+    # exact order 1 at n = 4: every support of size <= 3 needs a member
+    # certificate, and a 3x3 block of the pattern template has a negative
+    # entry in every row, so only the simplex's Farkas multipliers can
+    # certify it.  The screen runs no simplex: every phase-1 call of the
+    # search comes from the hit check.
+    calls = Counter()
+    inside = []
+    real_phase1 = feasibility.phase1_feasible
+    real_check = explore._certified_exact_order
+
+    def phase1(*args):
+        calls[bool(inside)] += 1
+        return real_phase1(*args)
+
+    def check(rows, k, strict):
+        inside.append(True)
+        try:
+            return real_check(rows, k, strict)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(feasibility, "phase1_feasible", phase1)
+    monkeypatch.setattr(explore, "_certified_exact_order", check)
+    config = cfg(4, template_exact_order_pattern(4, variant), **_SEARCH_BOUNDS)
+    report = search_exact_order(4, 1, variant, config, target_hits=5)
+    assert report.hit_count == 5
+    assert calls[True] >= 4 * 5 and calls[False] == 0
+    assert all(exact_order(m, variant).k == 1 for m in report.hits)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_singular_failing_E_block_passes_the_hit_check(monkeypatch, n):
+    # (n I - J) D, D a positive diagonal, has E exact order 1: its whole
+    # support fails E through the kernel D^{-1} span(1), with B y = 0, and
+    # its witness is a positive adjugate column (closed form up to order 3,
+    # cofactors above)
+    rows = [[(n * (i == j) - 1) * (j + 1) for j in range(n)] for i in range(n)]
+    monkeypatch.setattr(explore, "_draws", lambda config: iter([(1, rows)]))
+    report = search_exact_order(n, 1, Variant.E, cfg(n, template_free(n), max_attempts=1))
+    assert report.hits == (RatMatrix(rows),)
+    assert exact_order(report.hits[0], Variant.E).k == 1
 
 
 @pytest.mark.parametrize("search", [search_conjecture_1, search_conjecture_2])

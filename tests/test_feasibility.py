@@ -6,18 +6,30 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semimono.classify import Variant
+from semimono.classify import Variant, exact_order
 from semimono.feasibility import (
     FeasibilityOutcome,
+    _certified_exact_order,
+    _certifies_failure,
+    _certifies_member,
+    _member_certificate,
     _minimal_feasible,
+    _minimal_witness,
     _order2,
-    _sign_test,
+    _signs_fit,
     _witness,
     feasible_semistrict,
     feasible_strict,
     phase1_feasible,
 )
-from semimono.ratcore import RatMatrix, _block, _gauss_jordan, _int_det, _support_members
+from semimono.ratcore import (
+    RatMatrix,
+    _block,
+    _cleared_rows,
+    _gauss_jordan,
+    _int_det,
+    _support_members,
+)
 
 from oracles import (
     FM_MAX_ORDER,
@@ -75,40 +87,52 @@ def test_strict_order2_example():
 
 
 def test_order1_and_order2_sign_tests_match_the_witness_route():
-    # The support sweep decides 1x1 blocks, and 2x2 blocks whose 1x1 blocks
-    # pass, by signs alone, read in place from the rows: every such block
-    # with entries in -3..3, for both strictnesses, integer rows against the
-    # witness route on Fractions.  Each block is also embedded at members
-    # (1, 3) and (2, 4) of 4x4 rows (1x1 blocks at member 3) whose other
-    # entries are noise the decision must not read.
+    # The sweeps decide 1x1 blocks, and 2x2 blocks whose 1x1 blocks pass,
+    # by signs alone (_signs_fit): every such block with entries in -3..3,
+    # for both strictnesses, integer rows against the witness route on
+    # Fractions.  Then whole matrices of orders 1-5: _signs_fit(rows,
+    # strict, passing) must say whether every support of size <= passing
+    # passes and every one of size passing + 1 fails, orders 1 and 2 only,
+    # each block decided by the witness route.
     values = range(-3, 4)
-    noise = random.Random(10)
-
-    def embedded(block, members):
-        rows = [[noise.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-        for bi, i in enumerate(members):
-            for bj, j in enumerate(members):
-                rows[i - 1][j - 1] = block[bi][bj]
-        return rows
-
-    checked = embedded_checked = 0
+    checked = 0
     for strict in (True, False):
         for a in values:
             expected = _witness([[F(a)]], strict) is not None
-            assert _sign_test([[a]], (1,), strict) == expected
-            assert _sign_test(embedded([[a]], (3,)), (3,), strict) == expected
+            assert _signs_fit([[a]], strict, 0) == expected
+            assert _signs_fit([[a]], strict, 1) == (not expected)
         passing = [a for a in values if (a >= 0 if strict else a > 0)]
         for a11, a22 in itertools.product(passing, repeat=2):
             for a12, a21 in itertools.product(values, repeat=2):
                 rows = [[a11, a12], [a21, a22]]
                 expected = _order2([[F(v) for v in row] for row in rows], strict) is not None
-                assert _sign_test(rows, (1, 2), strict) == expected
+                assert _signs_fit(rows, strict, 1) == expected
+                assert _signs_fit(rows, strict, 2) == (not expected)
                 checked += 1
-                for members in ((1, 3), (2, 4)):
-                    assert _sign_test(embedded(rows, members), members, strict) == expected
-                    embedded_checked += 1
     assert checked == 16 * 49 + 9 * 49
-    assert embedded_checked == 2 * checked
+
+    rng = random.Random(10)
+    fits = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-1 if i == j else -3, 3) for j in range(n)] for i in range(n)]
+        for strict in (True, False):
+            fails = {
+                members: _witness([[F(v) for v in row] for row in _block(rows, members)], strict)
+                is not None
+                for size in (1, 2)
+                for members in itertools.combinations(range(1, n + 1), size)
+            }
+            singles = [fails[(i,)] for i in range(1, n + 1)]
+            pairs = [f for members, f in fails.items() if len(members) == 2]
+            for passing in range(n + 1):
+                if passing == 0:
+                    expected = all(singles)
+                else:
+                    expected = not any(singles) and all(f == (passing == 1) for f in pairs)
+                assert _signs_fit(rows, strict, passing) == expected
+                fits[passing, expected] += 1
+    assert min(fits[p, e] for p in (0, 1, 2) for e in (True, False)) > 0
 
 
 def test_semistrict_examples():
@@ -380,3 +404,149 @@ def test_planted_singular_blocks_are_minimal_and_decided_by_their_kernel(n):
                 assert decisions[-1][0] == full
                 expected = variant is Variant.E and kind == "positive kernel"
                 assert decisions[-1][2] == expected
+
+
+# ---------------------------------------------------------------------------
+# certificates substituted in place of a second sweep
+
+
+def test_phase1_farkas_multipliers_certify_infeasibility():
+    # on an empty {x >= 0 : Gx <= h} the second value is z >= 0 with
+    # G^T z >= 0 and h^T z < 0, which makes any x of the system give
+    # 0 <= (G^T z)^T x = z^T G x <= h^T z < 0
+    rng = random.Random(211)
+    infeasible = 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 4)
+        g = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
+        h = [F(rng.randint(-5, 3), rng.randint(1, 2)) for _ in range(rows)]
+        ok, z = phase1_feasible(g, h)
+        if ok:
+            assert all(v >= 0 for v in z)
+            assert all(sum(a * v for a, v in zip(row, z)) <= hi for row, hi in zip(g, h))
+            continue
+        infeasible += 1
+        assert len(z) == rows and all(v >= 0 for v in z)
+        assert all(sum(row[j] * zi for row, zi in zip(g, z)) >= 0 for j in range(cols))
+        assert sum(hi * zi for hi, zi in zip(h, z)) < 0
+    assert infeasible >= 30
+
+
+def certificates(rows, strict):
+    """(block, member certificate, witness) for every support of the
+    integer rows, each as its finder gives it, in (size, lex) order."""
+    for members in _support_members(len(rows)):
+        block = _block(rows, members)
+        witness = _minimal_witness(rows, members, strict)
+        yield members, block, _member_certificate(block, strict), witness
+
+
+def test_certificates_substitute_and_flipped_signs_are_refused():
+    # Against the witness route on every support of a corpus, both
+    # variants: a member certificate that substitutes proves the block's
+    # system has no solution, and a witness that substitutes solves it.
+    # The finders are complete where the exact-order check asks them: for
+    # a member, at orders >= 3 and on blocks whose 1x1 blocks pass; for a
+    # witness, at minimal failing supports.  With its signs flipped, no
+    # certificate may pass the substitution check.
+    rng = random.Random(223)
+    seen = Counter()
+    corpus = []
+    for n in (2, 3, 4, 5):
+        for _ in range(6):
+            corpus.append([
+                [rng.randint(n - 3, n) if i == j else rng.choice((-2, -1, -1, 0, 1))
+                 for j in range(n)]
+                for i in range(n)
+            ])
+    for n in (3, 4, 5):
+        for kind in PLANTED_KINDS:
+            corpus.append(planted_singular(rng, n, kind))
+    for rows in corpus:
+        for variant in Variant:
+            strict = variant.strict_system
+            minimal = {m: fails for m, _, fails in minimal_decisions(rows, variant)}
+            for members, block, z, y in certificates(rows, strict):
+                fails = _witness([[F(v) for v in row] for row in block], strict) is not None
+                diagonal = [row[i] for i, row in enumerate(block)]
+                singles_pass = all((v >= 0 if strict else v > 0) for v in diagonal)
+                if _certifies_member(block, z, strict):
+                    assert not fails
+                    assert not _certifies_member(block, [-v for v in z], strict)
+                    farkas = len(block) >= 3 and all(min(row) < 0 for row in block)
+                    seen["member", "farkas" if farkas else "closed form"] += 1
+                else:
+                    assert fails or (len(block) < 3 and not singles_pass)
+                if _certifies_failure(block, y, strict):
+                    assert fails
+                    assert not _certifies_failure(block, [-v for v in y], strict)
+                    seen["witness", "solve" if len(block) > 3 else "closed form"] += 1
+                else:
+                    assert not minimal.get(members)
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
+
+
+def test_certificate_checks_refuse_degenerate_vectors():
+    # z = 0 proves nothing for the strict system, B^T z = 0 nothing for the
+    # semistrict one, and a witness needs y > 0 of the block's length
+    b = [[1, -1], [-1, 1]]
+    assert not _certifies_member(b, [0, 0], True)
+    assert _certifies_member(b, [1, 1], True) and not _certifies_member(b, [1, 1], False)
+    assert _certifies_failure(b, [1, 1], False) and not _certifies_failure(b, [1, 1], True)
+    assert not _certifies_failure(b, [1, 0], False)
+    assert not _certifies_failure(b, [1], False) and not _certifies_member(b, [1], True)
+    assert not _certifies_failure(b, None, False) and not _certifies_member(b, None, True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_a_singular_failing_E_block_is_certified_by_its_kernel(n):
+    # (n I - J) D with D a positive diagonal: every proper principal block
+    # is positive definite up to the scaling, and the whole matrix is
+    # singular with kernel D^{-1} span(1), so E fails first at the full
+    # support (E exact order 1) and E0 never (exact order 0).  The witness
+    # is a positive adjugate column with B y = 0: in closed form up to
+    # order 3, from the cofactors above.
+    rng = random.Random(229 + n)
+    d = [rng.randint(1, 4) for _ in range(n)]
+    rows = [[(n * (i == j) - 1) * d[j] for j in range(n)] for i in range(n)]
+    full = tuple(range(1, n + 1))
+    y = _minimal_witness(rows, full, False)
+    assert all(v > 0 for v in y)
+    assert all(sum(a * v for a, v in zip(row, y)) == 0 for row in rows)
+    assert _minimal_witness(rows, full, True) is None
+    assert _certified_exact_order(rows, 1, False)
+    assert _certified_exact_order(rows, 0, True)
+    assert not _certified_exact_order(rows, 0, False) and not _certified_exact_order(rows, 1, True)
+
+
+def test_certified_exact_order_matches_the_classifier():
+    # The hit check holds on the row-cleared D A exactly when exact_order
+    # gives k, for every k and both variants: random matrices of orders
+    # 1-5, half of them shaped like the exact-order classes, and the
+    # E counterexample to checking the supports of size n-k alone: every
+    # order-2 system of [[2, 0, -1], [-1, 1, 0], [1, -1, 0]] has no
+    # solution and the order-3 one has, yet a33 = 0 fails E, so it has no
+    # E exact order.
+    rng = random.Random(233)
+    corpus = [RatMatrix([[2, 0, -1], [-1, 1, 0], [1, -1, 0]])]
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        if rng.randrange(2):
+            corpus.append(random_matrix(rng, n, num_bound=3, den_bound=3))
+        else:
+            corpus.append(RatMatrix([
+                [F(rng.randint(0, 4) if i == j else rng.choice((-4, -3, -2, -1, 1)), rng.randint(1, 3))
+                 for j in range(n)]
+                for i in range(n)
+            ]))
+    certified = Counter()
+    for m in corpus:
+        rows = _cleared_rows(m.entries)[1]
+        for variant in Variant:
+            expected = exact_order(m, variant).k
+            for k in range(m.order + 1):
+                holds = _certified_exact_order(rows, k, variant.strict_system)
+                assert holds == (expected == k), (m, variant, k)
+                certified[holds and 0 < k < m.order] += 1
+    assert not _certified_exact_order(_cleared_rows(corpus[0].entries)[1], 1, False)
+    assert certified[True] >= 15

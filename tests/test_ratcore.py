@@ -84,6 +84,8 @@ def test_sum_and_product_need_equal_orders():
             op(two, three)
         with pytest.raises(ValueError, match="order mismatch"):
             op(three, two)
+    with pytest.raises(ValueError, match="vector length does not match"):
+        two @ [1, 2, 3]
 
 
 def test_principal_submatrix_identity():
@@ -103,9 +105,13 @@ def test_principal_submatrix_trailing_identity_block():
 def test_principal_submatrix_rejects_empty_alpha():
     with pytest.raises(ValueError):
         principal_submatrix(RatMatrix.identity(3), IndexSet.empty(3))
+    with pytest.raises(ValueError, match="universe does not match"):
+        principal_submatrix(RatMatrix.identity(3), IndexSet(4, (1,)))
 
 
 def test_index_set_validation_and_complement():
+    with pytest.raises(ValueError, match="universe size"):
+        IndexSet(0, ())
     with pytest.raises(ValueError):
         IndexSet(3, (0, 1))
     with pytest.raises(ValueError):

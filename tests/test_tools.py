@@ -1,10 +1,12 @@
 """The line counter in tools/src_lines.py, which the code/docstring/
-comment/blank accounting of the project's changes is read from."""
+comment/blank accounting of the project's changes is read from, and the
+line collector in tools/src_coverage.py."""
 
 import importlib.util
+import threading
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 # every kind of line the counter tells apart
 SOURCE = '''"""Module docstring.
@@ -25,8 +27,8 @@ def f():
 '''
 
 
-def _load():
-    spec = importlib.util.spec_from_file_location("src_lines", TOOL)
+def _load(name="src_lines"):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -39,3 +41,45 @@ def test_split_counts_each_line_once_by_kind():
     counts = _load().split(SOURCE)
     assert counts == {"code": 6, "docstring": 5, "comment": 1, "blank": 3}
     assert sum(counts.values()) == len(SOURCE.splitlines())
+
+
+TINY = """def sign(x):
+    if x < 0:
+        return -1
+    elif x == 0:
+        return 0
+    return 1
+
+
+def spawn(x):
+    out = []
+    worker = threading.Thread(target=lambda: out.append(sign(x)))
+    worker.start()
+    worker.join()
+    return out[0]
+"""
+
+
+def test_coverage_lists_the_lines_no_call_reaches(tmp_path):
+    # sign(5) tests both conditions and returns 1, so only the two other
+    # returns stay unreached; a second module shows that only the watched
+    # paths are recorded.  Importing runs the def lines, and calling sign
+    # from a thread that the run starts reaches line 2 there.
+    cov = _load("src_coverage")
+    path = tmp_path / "tiny.py"
+    path.write_text(TINY)
+    other = tmp_path / "other.py"
+    other.write_text("VALUE = 1\n")
+
+    def run():
+        namespace = {"threading": threading}
+        exec(compile(path.read_text(), str(path), "exec"), namespace)
+        exec(compile(other.read_text(), str(other), "exec"), {})
+        return namespace["sign"](5), namespace["spawn"](-1)
+
+    result, reached = cov.reached_lines([path], run)
+    assert result == (1, -1)
+    assert set(reached) == {path.resolve()}
+    missed = cov.executable_lines(path) - reached[path.resolve()]
+    assert sorted(missed) == [5]
+    assert cov.ranges([3, 5, 7, 8, 9, 12]) == "3, 5, 7-9, 12"
