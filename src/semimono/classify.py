@@ -8,13 +8,14 @@ some support admits y > 0 with A_aa y <= 0.  The memoized ``exact_order``
 is the one pruned sweep: it decides the 2^n - 1 supports of A's Fraction
 rows in a fixed (size, lex) order, skipping any support whose sub-support
 already fails (membership is hereditary), so every support it solves is
-minimal.  Orders 1 and 2 are sign tests (``feasibility._signs_fit`` on the
-block); a larger block is sliced and solved by ``feasibility._witness``
-(shortcuts and the simplex), and the certificate of the first failing
-support normalizes that raw witness.  The semimonotone, copositive and
-almost verdicts read the witness off the profile.  ``has_exact_order``
-does not prune: on integer rows D A, D a positive diagonal, whose supports
-fail exactly where A's do ((D A)_aa = D_a A_aa), it settles every support
+minimal.  Orders 1 and 2 are sign tests read where the entries stand (the
+diagonal sign, and ``feasibility._pair_fails``); a larger block is sliced
+and solved by ``feasibility._witness`` (shortcuts and the simplex), and
+the certificate of the first failing support normalizes that raw
+witness.  The semimonotone, copositive and almost verdicts read the
+witness off the profile.  ``has_exact_order`` does not prune: on integer
+rows D A, D a positive diagonal, whose supports fail exactly where A's do
+((D A)_aa = D_a A_aa), it settles every support
 of order 1 and 2 in one ``_signs_fit`` pass over the rows, then loops over
 the larger ones, and returns at the first verdict that rules k out, so
 every support it decides is minimal and ``feasibility._minimal_feasible``
@@ -41,6 +42,7 @@ from typing import Optional, Sequence, Union
 from .feasibility import (
     _minimal_feasible,
     _normalize_certificate,
+    _pair_fails,
     _signs_fit,
     _witness,
     feasible_semistrict,
@@ -172,9 +174,12 @@ def exact_order(a: RatMatrix, variant: Variant) -> ExactOrderResult:
         if failing and any(key[:i] + key[i + 1:] in failing for i in range(len(key))):
             # heredity: a support with a failing sub-support fails unsolved
             fails = True
-        elif len(key) < 3:
-            # its 1x1 blocks pass here, so the block's own support decides
-            fails = _signs_fit(_block(rows, key), strict, len(key) - 1)
+        elif len(key) == 1:
+            a11 = rows[key[0] - 1][key[0] - 1]
+            fails = a11 < 0 if strict else a11 <= 0
+        elif len(key) == 2:
+            # its 1x1 blocks pass here, so the pair's own signs decide
+            fails = _pair_fails(rows, key[0] - 1, key[1] - 1, strict)
         else:
             y = _witness(_block(rows, key), strict)
             fails = y is not None

@@ -16,13 +16,13 @@ degeneracy, no tolerances anywhere) on the closed system.  The simplex
 pivots an integer tableau fraction-free through ``ratcore._pivot``, the one
 exact kernel that ``det`` and ``inverse`` use too.
 
-Both support sweeps decide orders 1 and 2 by ``_signs_fit``, sign tests
-on a matrix's rows where they stand, the order-2 one valid where both 1x1
-blocks pass, which each sweep guarantees: ``exact_order`` by heredity,
-block by block, ``has_exact_order`` by reading the pairs only once every
-diagonal entry has passed, in one pass over the rows (a positive row
-scaling changes no sign of My, so rational and row-cleared integer rows
-decide alike).  Above order 2, ``exact_order`` hands the sliced block
+Both support sweeps decide orders 1 and 2 by sign tests on a matrix's
+rows where they stand: the diagonal sign, and ``_pair_fails``, valid where
+both 1x1 blocks pass, which each sweep guarantees: ``exact_order`` by
+heredity, block by block, ``has_exact_order`` by reading the pairs only
+once every diagonal entry has passed, in one ``_signs_fit`` pass over the
+rows (a positive row scaling changes no sign of My, so rational and
+row-cleared integer rows decide alike).  Above order 2, ``exact_order`` hands the sliced block
 (``ratcore._block``) to ``_witness``, and ``has_exact_order`` decides it
 by ``_minimal_feasible`` on integer rows, with no simplex: every block it
 asks is minimal, with no failing proper principal block (the lemma and
@@ -222,39 +222,40 @@ def _witness(rows: _Rows, strict: bool) -> Optional[RatVector]:
     return tuple(ui + 1 for ui in u) if ok else None
 
 
+def _pair_fails(rows: _AnyRows, i: int, j: int, strict: bool) -> bool:
+    """Does the 2x2 block on rows and columns i < j (from 0) fail, given
+    that its 1x1 blocks pass, read where it stands?
+
+    With a11, a22 >= 0 (> 0 when not ``strict``), it fails iff a12 < 0,
+    a21 < 0 and a11 a22 < a12 a21 (<= when not ``strict``).
+    """
+    row_i, row_j = rows[i], rows[j]
+    a12, a21 = row_i[j], row_j[i]
+    if a12 >= 0 or a21 >= 0:
+        return False
+    diag, off = row_i[i] * row_j[j], a12 * a21
+    return diag < off if strict else diag <= off
+
+
 def _signs_fit(rows: _AnyRows, strict: bool, passing: int) -> bool:
     """Do the supports of order 1 and 2 fit exact order n - ``passing``:
     does every one of size <= ``passing`` pass and every one of size
     ``passing`` + 1 fail?  One pass over the rows where they stand,
-    diagonal first, returning at the first support that does not fit.
-
-    A 1x1 block fails iff a11 < 0 (<= 0 when not ``strict``).  A 2x2 block
-    is read only once every 1x1 block has passed: with a11, a22 >= 0 (> 0
-    when not ``strict``), it fails iff a12 < 0, a21 < 0 and
-    a11 a22 < a12 a21 (<= when not ``strict``).  On one block, with
-    ``passing`` one less than its order, this is the verdict of its own
-    support given its 1x1 blocks pass.
+    returning at the first support that does not fit: the diagonal first
+    (a 1x1 block fails iff a11 < 0, <= 0 when not ``strict``), then, once
+    every 1x1 block has passed, the pairs (``_pair_fails``).
     """
     singles_fail = passing == 0
     for i, row in enumerate(rows):
-        fails = row[i] < 0 if strict else row[i] <= 0
-        if fails is not singles_fail:
+        if (row[i] < 0 if strict else row[i] <= 0) is not singles_fail:
             return False
     if singles_fail:
         return True
     pairs_fail = passing == 1
     n = len(rows)
-    for i, row_i in enumerate(rows):
+    for i in range(n):
         for j in range(i + 1, n):
-            a12 = row_i[j]
-            row_j = rows[j]
-            a21 = row_j[i]
-            if a12 >= 0 or a21 >= 0:
-                fails = False
-            else:
-                diag, off = row_i[i] * row_j[j], a12 * a21
-                fails = diag < off if strict else diag <= off
-            if fails is not pairs_fail:
+            if _pair_fails(rows, i, j, strict) is not pairs_fail:
                 return False
     return True
 
@@ -316,36 +317,10 @@ def _minimal_feasible(rows: Sequence[Sequence[int]], members: tuple[int, ...], s
     parallel to y would make a proper block fail along y + t v, so
     ker B = span(y) and By = 0.
 
-    ``_minimal_witness`` computes the witness the lemma names, or None.
-    At order 3, the screen's common case, the same closed form is read
-    without building y: B fails iff det B != 0 and every row sum of adj(B)
-    has the sign opposite to det B.
+    ``_minimal_witness`` computes the witness the lemma names, or None,
+    and decides the block by it.
     """
-    if len(members) == 3:
-        adj, det, sums = _adjugate3(rows, members)
-        if det:
-            return max(sums) < 0 if det > 0 else min(sums) > 0
-        return not strict and _positive_kernel(zip(*adj)) is not None
     return _minimal_witness(rows, members, strict) is not None
-
-
-def _adjugate3(
-    rows: Sequence[Sequence[int]], members: tuple[int, ...]
-) -> tuple[Sequence[Sequence[int]], int, tuple[int, int, int]]:
-    """adj(B) as rows, det B and the row sums of adj(B), for the 3x3
-    principal block B on ``members``, in closed form and read in place."""
-    i, j, k = members[0] - 1, members[1] - 1, members[2] - 1
-    ri, rj, rk = rows[i], rows[j], rows[k]
-    a, b, c = ri[i], ri[j], ri[k]
-    d, e, f = rj[i], rj[j], rj[k]
-    g, h, m = rk[i], rk[j], rk[k]
-    adj = (
-        (e * m - f * h, c * h - b * m, b * f - c * e),
-        (f * g - d * m, a * m - c * g, c * d - a * f),
-        (d * h - e * g, b * g - a * h, a * e - b * d),
-    )
-    sums = (sum(adj[0]), sum(adj[1]), sum(adj[2]))
-    return adj, a * adj[0][0] + b * adj[1][0] + c * adj[2][0], sums
 
 
 def _minimal_witness(
@@ -356,8 +331,8 @@ def _minimal_witness(
     or None when B passes.
 
     A nonsingular B gives y = |det B| x, x = -B^{-1} 1, so B y = -|det B| 1.
-    At order 3 that is y = -sign(det B) adj(B) 1 in closed form
-    (``_adjugate3``).  At other orders, one fraction-free solve of [B | -1]
+    At order 3 that is y = -sign(det B) adj(B) 1, read in place in closed
+    form.  At other orders, one fraction-free solve of [B | -1]
     (``ratcore._gauss_jordan``) leaves p [I | x] with p on the diagonal;
     its return value is det B, which is p up to the sign of the row swaps,
     so y is the last column times the sign of the diagonal (y = 1 for a
@@ -366,9 +341,19 @@ def _minimal_witness(
     """
     n = len(members)
     if n == 3:
-        adj, det, sums = _adjugate3(rows, members)
+        i, j, k = members[0] - 1, members[1] - 1, members[2] - 1
+        ri, rj, rk = rows[i], rows[j], rows[k]
+        a, b, c = ri[i], ri[j], ri[k]
+        d, e, f = rj[i], rj[j], rj[k]
+        g, h, m = rk[i], rk[j], rk[k]
+        adj = (
+            (e * m - f * h, c * h - b * m, b * f - c * e),
+            (f * g - d * m, a * m - c * g, c * d - a * f),
+            (d * h - e * g, b * g - a * h, a * e - b * d),
+        )
+        det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
         if det:
-            y = [-v if det > 0 else v for v in sums]
+            y = [-sum(r) for r in adj] if det > 0 else [sum(r) for r in adj]
             return y if min(y) > 0 else None
         columns: Iterable[Sequence[int]] = zip(*adj)
     else:

@@ -322,6 +322,28 @@ def test_witness_is_the_public_oracles_certificate():
     assert {1, 2, 3, 4, 5} <= set(sizes)
 
 
+def test_exact_order_reads_orders_1_and_2_in_place(monkeypatch):
+    # M5_ORDER2 has every 1x1 and 2x2 block in E0 and its first failing
+    # support at order 4: the sweep reads the ten pairs where they stand
+    # and slices a block only for the supports of order 3 and up
+    sliced = Counter()
+    pairs = []
+    real_block, real_pair = classify._block, classify._pair_fails
+    monkeypatch.setattr(
+        classify, "_block",
+        lambda rows, members: sliced.update([len(members)]) or real_block(rows, members),
+    )
+    monkeypatch.setattr(
+        classify, "_pair_fails",
+        lambda rows, i, j, strict: pairs.append((i, j)) or real_pair(rows, i, j, strict),
+    )
+    exact_order.cache_clear()
+    result = exact_order(M5_ORDER2, Variant.E0)
+    assert result.k == 2 and len(result.witness.support) == 4
+    assert sorted(pairs) == [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    assert min(sliced) == 3 and sliced[3] == 10
+
+
 def test_first_failing_support_is_solved_once(monkeypatch):
     # every 1x1 and 2x2 block passes and the whole matrix needs the simplex:
     # the sweep's witness becomes the certificate, so one exact_order call

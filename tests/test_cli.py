@@ -160,11 +160,11 @@ def test_classify_reports_deterministic_modulo_timing(tmp_path, capsys):
 
 def test_classify_sweeps_each_support_table_once(tmp_path, capsys, monkeypatch):
     # four (matrix, variant) tables of 31 supports decided by the sweep
-    # (sign tests at orders 1 and 2, _signs_fit on the block, _witness
+    # (sign tests at orders 1 and 2, _pair_fails on each pair, _witness
     # above), one witness for the first failing support of each, plus one
     # full-matrix public oracle call per almost variant
     calls = []
-    for name in ("_signs_fit", "_witness", "feasible_strict", "feasible_semistrict"):
+    for name in ("_pair_fails", "_witness", "feasible_strict", "feasible_semistrict"):
         oracle = getattr(classify, name)
         monkeypatch.setattr(
             classify, name, lambda *args, oracle=oracle: calls.append(args) or oracle(*args)

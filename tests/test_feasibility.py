@@ -16,6 +16,7 @@ from semimono.feasibility import (
     _minimal_feasible,
     _minimal_witness,
     _order2,
+    _pair_fails,
     _signs_fit,
     _witness,
     feasible_semistrict,
@@ -88,12 +89,13 @@ def test_strict_order2_example():
 
 def test_order1_and_order2_sign_tests_match_the_witness_route():
     # The sweeps decide 1x1 blocks, and 2x2 blocks whose 1x1 blocks pass,
-    # by signs alone (_signs_fit): every such block with entries in -3..3,
-    # for both strictnesses, integer rows against the witness route on
-    # Fractions.  Then whole matrices of orders 1-5: _signs_fit(rows,
-    # strict, passing) must say whether every support of size <= passing
-    # passes and every one of size passing + 1 fails, orders 1 and 2 only,
-    # each block decided by the witness route.
+    # by signs alone (_signs_fit, _pair_fails): every such block with
+    # entries in -3..3, for both strictnesses, integer rows against the
+    # witness route on Fractions.  Then whole matrices of orders 1-5:
+    # _signs_fit(rows, strict, passing) must say whether every support of
+    # size <= passing passes and every one of size passing + 1 fails,
+    # orders 1 and 2 only, each block decided by the witness route, and
+    # _pair_fails read in place must match each pair whose 1x1 blocks pass.
     values = range(-3, 4)
     checked = 0
     for strict in (True, False):
@@ -108,6 +110,7 @@ def test_order1_and_order2_sign_tests_match_the_witness_route():
                 expected = _order2([[F(v) for v in row] for row in rows], strict) is not None
                 assert _signs_fit(rows, strict, 1) == expected
                 assert _signs_fit(rows, strict, 2) == (not expected)
+                assert _pair_fails(rows, 0, 1, strict) == expected
                 checked += 1
     assert checked == 16 * 49 + 9 * 49
 
@@ -124,6 +127,10 @@ def test_order1_and_order2_sign_tests_match_the_witness_route():
                 for members in itertools.combinations(range(1, n + 1), size)
             }
             singles = [fails[(i,)] for i in range(1, n + 1)]
+            for (i, j), f in ((m, f) for m, f in fails.items() if len(m) == 2):
+                if not (singles[i - 1] or singles[j - 1]):
+                    assert _pair_fails(rows, i - 1, j - 1, strict) == f
+                    fits["pair"] += 1
             pairs = [f for members, f in fails.items() if len(members) == 2]
             for passing in range(n + 1):
                 if passing == 0:
@@ -132,7 +139,7 @@ def test_order1_and_order2_sign_tests_match_the_witness_route():
                     expected = not any(singles) and all(f == (passing == 1) for f in pairs)
                 assert _signs_fit(rows, strict, passing) == expected
                 fits[passing, expected] += 1
-    assert min(fits[p, e] for p in (0, 1, 2) for e in (True, False)) > 0
+    assert min(fits[p, e] for p in (0, 1, 2) for e in (True, False)) > 0 and fits["pair"]
 
 
 def test_semistrict_examples():
