@@ -21,7 +21,7 @@ from semimono.cli import (
 from semimono.ratcore import RatMatrix
 
 import matrices
-from semimono import classify, explore, ratcore
+from semimono import classify, explore, ratcore, verify
 from matrices import M3_ORDER2_E0, M4_ORDER2_NONZ, M5_ORDER2, NONCLOSURE_A, NONCLOSURE_B
 
 
@@ -680,3 +680,69 @@ def test_orders_over_the_support_budget_exit_2(tmp_path, capsys):
         assert "SUPPORT_BUDGET" in captured.err and "Traceback" not in captured.err
     # the largest admitted order still runs
     assert main(["classify", write_matrix(tmp_path, "b.txt", RatMatrix.identity(n - 1))]) == 0
+
+
+# ---------------------------------------------------------------------------
+# text reports
+
+
+def _text_runs(case):
+    """The argv lists of one text golden case, after writing their input
+    files under fixed names in the current directory, so that the paths
+    the reports echo are the same in every run."""
+    for name in (*CLASSIFY_FIXTURES, "NONCLOSURE_B"):
+        Path(f"{name}.txt").write_text(format_matrix(getattr(matrices, name)))
+    if case == "classify":
+        return [["classify", f"{name}.txt"] for name in CLASSIFY_FIXTURES]
+    if case == "explore":
+        runs = [["explore", "--target", target, *args] for target, (args, _) in GOLDEN_REPORTS.items()]
+        return runs + [["explore", "--target", "exact-order", "--n", "2", "--k", "0", "--seed", "5",
+                        "--attempts", "30", "--template", "nonneg"]]
+    if case == "lcp":
+        runs = []
+        for i, (q, a) in enumerate(_lcp_fixture_instances()):
+            Path(f"q{i}.txt").write_text(format_vector(tuple(F(x) for x in q)))
+            Path(f"a{i}.txt").write_text(format_matrix(a))
+            runs.append(["lcp", f"q{i}.txt", f"a{i}.txt", "--q0-trials", "4", "--seed", str(i)])
+        return runs
+    theorem = case.removeprefix("audit ")
+    extra = ["--matrix-b", "NONCLOSURE_B.txt"] if theorem == "nonclosure" else []
+    return [
+        ["audit", f"{name}.txt", "--theorem", theorem, "--variant", variant, *extra]
+        for name in CLASSIFY_FIXTURES
+        for variant in ("e0", "e")
+    ]
+
+
+# sha256 over (argv, exit code, stdout, stderr) of the human-readable runs,
+# in order: they pin every byte of the text reports and of their errors,
+# which the JSON digests above do not see.
+GOLDEN_TEXT = {
+    "classify": "463ae3d61e6399c95ccf4b3aa6a719a21aac77d80a973a462f7d4ace9f155573",
+    "audit thm3.4": "94351f419dd92942041b455763d8a1ebf333a8cfab51f364237a297582a431a0",
+    "audit thm3.5": "1c254d5d042a1f92f8dd2736846e402f465b51e14be0d570e498d81955517240",
+    "audit prop4.10": "357724fea5acb50c302e0add306a041e25b4ca8a7dfecfb3a544e5e2cf7c50c6",
+    "audit thm4.11": "48caabca57897e49a6ae82cd0ca155e54e58168b1e580885d1738381214e247e",
+    "audit invariance": "875e5d05d9fc52fd1486087860e882a9d3df1a888ae37347a4af289c884ff2a7",
+    "audit n=k+1": "9a3791b068688fba0b060f224fb9bfb3e2d655ce035d6cc9dc6e1096abb64d52",
+    "audit sym-copositive": "033e3cebb49cf02697b7c1bb71c153819d5dd8cd688014e5b7c74e6f5e1e9c55",
+    "audit nonclosure": "934ebe11a1d5fe6ce237981dd784c206e4948d2430e38bc790d4e2e26ad27b0f",
+    "explore": "98746a97257823ac182f2b99cef658d556070033753a9296dd842faf13fb13a8",
+    "lcp": "c22645df53b70a3bef856870ebcd5a8a20a77fd0af6d123eba58ea6d2d095ab4",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_TEXT))
+def test_text_report_golden_digest(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for argv in _text_runs(case):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        h.update(json.dumps([argv, rc, captured.out, captured.err]).encode())
+    assert h.hexdigest() == GOLDEN_TEXT[case]
+
+
+def test_text_golden_covers_every_audit():
+    audits = [case.removeprefix("audit ") for case in GOLDEN_TEXT if case.startswith("audit ")]
+    assert audits == list(verify.AUDIT_IDS)
