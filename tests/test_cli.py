@@ -746,3 +746,20 @@ def test_text_report_golden_digest(case, tmp_path, capsys, monkeypatch):
 def test_text_golden_covers_every_audit():
     audits = [case.removeprefix("audit ") for case in GOLDEN_TEXT if case.startswith("audit ")]
     assert audits == list(verify.AUDIT_IDS)
+
+
+# sha256 over (argv, exit code, stderr) of argparse's usage errors, whose
+# usage line lists each verb's flags in the order they were declared
+GOLDEN_USAGE = "5fab5b142d79efb342dbb89602b827341b0c8b3bdf4594c97b3961106c4c6a23"
+
+
+def test_usage_errors_golden_digest(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage line to the terminal
+    h = hashlib.sha256()
+    for argv in ([], ["bogus"], ["classify"], ["audit", "a.txt"], ["explore", "--n", "3"],
+                 ["lcp", "q.txt"], ["lcp", "q.txt", "a.txt", "--q0-trials", "x"]):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        h.update(json.dumps([argv, rc, captured.err]).encode())
+    assert h.hexdigest() == GOLDEN_USAGE
