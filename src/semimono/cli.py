@@ -6,6 +6,14 @@ the first line and then n rows of n whitespace-separated tokens, each an
 integer or p/q fraction; a vector file holds n and then n tokens.  Floats
 are rejected on sight.
 
+Each verb is a function of the parsed arguments alone.  It returns a
+``Report`` tuple: the canonical texts its input digest hashes, its JSON
+``results``, the human-readable lines it prints without ``--json``, and
+its exit code.  Where ``results`` holds a value, the lines read it from
+there.  ``main`` dispatches to the verb, times the call, wraps ``results``
+in the ``semimono-report/1`` envelope and prints either the JSON or the
+lines; no verb prints.
+
 Exit codes: 0 = ran and every asserted property passed; 1 = a validated
 counterexample or violation was found; 2 = usage or parse error, including
 an order whose 2^n - 1 supports exceed SUPPORT_BUDGET; 141 = stdout was
@@ -22,7 +30,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from . import classify as cls
 from . import explore, lcp, verify
@@ -30,6 +38,8 @@ from .classify import Variant
 from .ratcore import RatMatrix, RatVector, _token_fault, rat
 
 SCHEMA = "semimono-report/1"
+
+T = TypeVar("T")
 
 # Every command sweeps the 2^n - 1 principal supports of its matrix, and the
 # time doubles with each order.  At order 12 a classify took up to 3.6 s, an
@@ -62,30 +72,31 @@ def parse_rational_token(token: str, where: str) -> Fraction:
         raise CliError(f"{where}: {exc}") from exc
 
 
-def _parse_first_line(line: str, source: str, what: str) -> int:
-    """The order or length line of a matrix or vector file, under the
-    entries' ASCII and no-'_' rule (``int`` would accept both)."""
-    token = line.strip()
+def _split_file(text: str, source: str, kind: str, what: str) -> tuple[int, list[str]]:
+    """The order or length on the first nonblank line of a matrix or vector
+    file, under the entries' ASCII and no-'_' rule (``int`` would accept
+    both), and the nonblank lines after it."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise CliError(f"{source}: empty {kind} file")
+    token = lines[0].strip()
     fault = _token_fault(token, f"the {what} must be written in 0-9")
     if fault is not None:
         raise CliError(f"{source}: first line {token!r} {fault}")
     try:
-        return int(token)
+        return int(token), lines[1:]
     except ValueError as exc:
-        raise CliError(f"{source}: first line must be the {what}, got {line!r}") from exc
+        raise CliError(f"{source}: first line must be the {what}, got {lines[0]!r}") from exc
 
 
 def parse_matrix_text(text: str, source: str) -> RatMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise CliError(f"{source}: empty matrix file")
-    n = _parse_first_line(lines[0], source, "order")
+    n, lines = _split_file(text, source, "matrix", "order")
     if n < 1:
         raise CliError(f"{source}: order must be >= 1")
-    if len(lines) != n + 1:
-        raise CliError(f"{source}: expected {n} rows after the order line, got {len(lines) - 1}")
+    if len(lines) != n:
+        raise CliError(f"{source}: expected {n} rows after the order line, got {len(lines)}")
     rows = []
-    for i, line in enumerate(lines[1:], start=1):
+    for i, line in enumerate(lines, start=1):
         tokens = line.split()
         if len(tokens) != n:
             raise CliError(f"{source}: row {i} has {len(tokens)} entries, expected {n}")
@@ -96,11 +107,8 @@ def parse_matrix_text(text: str, source: str) -> RatMatrix:
 
 
 def parse_vector_text(text: str, source: str) -> RatVector:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise CliError(f"{source}: empty vector file")
-    n = _parse_first_line(lines[0], source, "length")
-    tokens = " ".join(lines[1:]).split()
+    n, lines = _split_file(text, source, "vector", "length")
+    tokens = " ".join(lines).split()
     if len(tokens) != n:
         raise CliError(f"{source}: expected {n} entries, got {len(tokens)}")
     return tuple(
@@ -108,20 +116,16 @@ def parse_vector_text(text: str, source: str) -> RatVector:
     )
 
 
+def _load(path: str, parse: Callable[[str, str], T]) -> T:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+    return parse(text, path)
+
+
 def load_matrix(path: str) -> RatMatrix:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    return parse_matrix_text(text, path)
-
-
-def load_vector(path: str) -> RatVector:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    return parse_vector_text(text, path)
+    return _load(path, parse_matrix_text)
 
 
 def format_matrix(m: RatMatrix) -> str:
@@ -131,13 +135,6 @@ def format_matrix(m: RatMatrix) -> str:
 
 def format_vector(v: RatVector) -> str:
     return f"{len(v)}\n{' '.join(str(x) for x in v)}\n"
-
-
-def _digest(*canonical_texts: str) -> str:
-    h = hashlib.sha256()
-    for text in canonical_texts:
-        h.update(text.encode())
-    return f"sha256:{h.hexdigest()}"
 
 
 # ---------------------------------------------------------------------------
@@ -164,26 +161,6 @@ def _verdict_json(v: cls.ClassVerdict) -> dict:
     return {"label": v.label.value, "member": v.member, "witness": _witness_json(v.witness)}
 
 
-def _exact_order_json(r: cls.ExactOrderResult) -> dict:
-    return {
-        "variant": r.variant.value,
-        "k": r.k,
-        "evidence": [s.value for s in r.evidence],
-    }
-
-
-def _audit_json(r: verify.AuditReport) -> dict:
-    return {
-        "audit": r.audit_id,
-        "hypotheses_met": r.hypotheses_met,
-        "hypotheses_note": r.hypotheses_note,
-        "conclusions": [
-            {"name": c.name, "passed": c.passed, "evidence": c.evidence} for c in r.conclusions
-        ],
-        "counterexample": None if r.counterexample is None else _mat_json(r.counterexample),
-    }
-
-
 def _search_json(r: explore.SearchReport) -> dict:
     return {
         "target": r.target,
@@ -198,33 +175,46 @@ def _search_json(r: explore.SearchReport) -> dict:
     }
 
 
-def _emit(report: dict, as_json: bool, human_text: str) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(human_text, end="" if human_text.endswith("\n") else "\n")
+# ---------------------------------------------------------------------------
+# text views
 
 
-def _report_envelope(command: Sequence[str], digest: str, results: dict, started: float) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": list(command),
-        "input_digest": digest,
-        "results": results,
-        "timing_seconds": round(time.monotonic() - started, 6),
-    }
+def _mark(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _support_text(members: Sequence[int]) -> str:
+    """A support as ``{i,j}``, from the member list that ``results`` holds."""
+    return "{" + ",".join(str(i) for i in members) + "}"
+
+
+def _vec_text(v: Sequence[str]) -> str:
+    return f"({', '.join(v)})"
+
+
+def _witness_text(verdict: dict) -> str:
+    """The witness of a verdict that is not a member, read from the verdict's
+    JSON view: the failing support, and for P and P0 its minor."""
+    w = verdict["witness"]
+    if w is None or verdict["member"]:
+        return ""
+    if "vector" in w:
+        return f"  [witness support {_support_text(w['support'])}]"
+    return f"  [witness minor at {_support_text(w['support'])}: {w['minor']}]"
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
+# What a verb returns to ``main``: (digest texts, results, lines, exit code),
+# as the module docstring sets out.
+Report = tuple[list[str], dict, list[str], int]
 
-def _cmd_classify(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    started = time.monotonic()
+
+def _cmd_classify(args: argparse.Namespace) -> Report:
     a = load_matrix(args.matrix)
     n = a.order
     _check_budget(n)
-    results: dict = {"order": n}
     p0, p = cls._minor_verdicts(a)
     # (A + A^T)/2 has A's quadratic form and is its own symmetric part, so
     # the four copositive results below share one build of it
@@ -241,71 +231,72 @@ def _cmd_classify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if n >= 2:
         verdicts["almost_semimonotone"] = cls.is_almost_semimonotone(a, Variant.E0)
         verdicts["almost_strictly_semimonotone"] = cls.is_almost_semimonotone(a, Variant.E)
-    results["verdicts"] = {k: _verdict_json(v) for k, v in verdicts.items()}
-    results["Z"] = cls.is_Z(a)
-    results["nonnegative"] = cls.is_nonnegative(a)
     orders = {
         "E0": cls.exact_order(a, Variant.E0),
         "E": cls.exact_order(a, Variant.E),
         "copositive_E0": cls.copositive_exact_order(sym, Variant.E0),
         "copositive_E": cls.copositive_exact_order(sym, Variant.E),
     }
-    results["exact_order"] = {k: _exact_order_json(r) for k, r in orders.items()}
     profile = cls.negative_entry_profile(a)
-    results["negative_entries"] = {
-        "rows": list(profile.row_counts),
-        "columns": list(profile.column_counts),
+    results = {
+        "order": n,
+        "verdicts": {k: _verdict_json(v) for k, v in verdicts.items()},
+        "Z": cls.is_Z(a),
+        "nonnegative": cls.is_nonnegative(a),
+        "exact_order": {
+            k: {"variant": r.variant.value, "k": r.k, "evidence": [s.value for s in r.evidence]}
+            for k, r in orders.items()
+        },
+        "negative_entries": {
+            "rows": list(profile.row_counts),
+            "columns": list(profile.column_counts),
+        },
     }
 
+    table = [(k, _mark(v["member"]) + _witness_text(v)) for k, v in results["verdicts"].items()]
+    table += [("Z", _mark(results["Z"])), ("nonnegative", _mark(results["nonnegative"]))]
+    table += [("exact order " + k, r.describe()) for k, r in orders.items()]
+    table.append(("negative entries (min row/col)", f"{profile.min_row}/{profile.min_column}"))
     lines = [f"matrix {args.matrix} (order {n})"]
-    for key, verdict in verdicts.items():
-        mark = "yes" if verdict.member else "no"
-        extra = ""
-        if verdict.witness is not None and not verdict.member:
-            if isinstance(verdict.witness, cls.SupportWitness):
-                extra = f"  [witness support {verdict.witness.support}]"
-            else:
-                extra = f"  [witness minor at {verdict.witness.support}: {verdict.witness.minor}]"
-        lines.append(f"  {key:32s} {mark}{extra}")
-    lines.append(f"  {'Z':32s} {'yes' if results['Z'] else 'no'}")
-    lines.append(f"  {'nonnegative':32s} {'yes' if results['nonnegative'] else 'no'}")
-    for key, r in orders.items():
-        lines.append(f"  {('exact order ' + key):32s} {r.describe()}")
-    lines.append(
-        f"  {'negative entries (min row/col)':32s} {profile.min_row}/{profile.min_column}"
-    )
-
-    report = _report_envelope(argv, _digest(format_matrix(a)), results, started)
-    _emit(report, args.json, "\n".join(lines))
-    return 0
+    lines += [f"  {label:32s} {text}" for label, text in table]
+    return [format_matrix(a)], results, lines, 0
 
 
-def _cmd_audit(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    started = time.monotonic()
+def _cmd_audit(args: argparse.Namespace) -> Report:
     a = load_matrix(args.matrix)
     b = load_matrix(args.matrix_b) if args.matrix_b else None
     _check_budget(max(m.order for m in (a, b) if m is not None))
     variant = Variant.E if args.variant == "e" else Variant.E0
     seed = args.seed if args.seed is not None else 0
     try:
-        report = verify.AUDITS[args.theorem](a, variant, seed, b)
+        audit = verify.AUDITS[args.theorem](a, variant, seed, b)
     except ValueError as exc:  # WrongOrderError and NotSymmetricError included
         raise CliError(f"audit {args.theorem}: {exc}") from exc
 
-    lines = [f"audit {args.theorem} on {args.matrix}"]
-    lines.append(f"  hypotheses met: {'yes' if report.hypotheses_met else 'no'} ({report.hypotheses_note})")
-    for c in report.conclusions:
-        lines.append(f"  [{'pass' if c.passed else 'FAIL'}] {c.name}: {c.evidence}")
-    if not report.conclusions and not report.hypotheses_met:
+    results = {
+        "audit": audit.audit_id,
+        "hypotheses_met": audit.hypotheses_met,
+        "hypotheses_note": audit.hypotheses_note,
+        "conclusions": [
+            {"name": c.name, "passed": c.passed, "evidence": c.evidence} for c in audit.conclusions
+        ],
+        "counterexample": None if audit.counterexample is None else _mat_json(audit.counterexample),
+    }
+    lines = [
+        f"audit {args.theorem} on {args.matrix}",
+        f"  hypotheses met: {_mark(results['hypotheses_met'])} ({results['hypotheses_note']})",
+    ]
+    lines += [
+        f"  [{'pass' if c['passed'] else 'FAIL'}] {c['name']}: {c['evidence']}"
+        for c in results["conclusions"]
+    ]
+    if not results["conclusions"] and not results["hypotheses_met"]:
         lines.append("  conclusions skipped")
-    if report.counterexample is not None:
+    if audit.counterexample is not None:
         lines.append("  counterexample matrix:")
-        lines.append("    " + "\n    ".join(str(report.counterexample).splitlines()))
-
-    digests = [format_matrix(a)] + ([format_matrix(b)] if b is not None else [])
-    report_json = _report_envelope(argv, _digest(*digests), _audit_json(report), started)
-    _emit(report_json, args.json, "\n".join(lines))
-    return 0 if report.ok else 1
+        lines += ["    " + row for row in str(audit.counterexample).splitlines()]
+    digest_texts = [format_matrix(m) for m in (a, b) if m is not None]
+    return digest_texts, results, lines, 0 if audit.ok else 1
 
 
 _TEMPLATES = {
@@ -359,8 +350,7 @@ _TARGETS = {
 }
 
 
-def _cmd_explore(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    started = time.monotonic()
+def _cmd_explore(args: argparse.Namespace) -> Report:
     _check_budget(args.n)
     variant = Variant.E if args.variant == "e" else Variant.E0
     target = _TARGETS[args.target]
@@ -388,6 +378,7 @@ def _cmd_explore(args: argparse.Namespace, argv: Sequence[str]) -> int:
     except ValueError as exc:
         raise CliError(f"explore {args.target}: {exc}") from exc
 
+    results = _search_json(report)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -396,19 +387,19 @@ def _cmd_explore(args: argparse.Namespace, argv: Sequence[str]) -> int:
         for i, ce in enumerate(report.counterexamples, start=1):
             (out / f"counterexample_{i:04d}.txt").write_text(format_matrix(ce.matrix))
         (out / "report.json").write_text(
-            json.dumps(_search_json(report), indent=2, sort_keys=True) + "\n"
+            json.dumps(results, indent=2, sort_keys=True) + "\n"
         )
 
     lines = [
         f"explore {args.target} (seed {args.seed}, template {template_name})",
-        f"  attempts: {report.attempts}",
-        f"  hits: {report.hit_count}",
-        f"  counterexamples: {len(report.counterexamples)}",
+        f"  attempts: {results['attempts']}",
+        f"  hits: {results['hit_count']}",
+        f"  counterexamples: {len(results['counterexamples'])}",
     ]
-    for note in report.notes:
-        lines.append(f"  note: {note}")
-    for ce in report.counterexamples:
-        lines.append(f"  COUNTEREXAMPLE: {ce.failed} ({ce.evidence})")
+    lines += [f"  note: {note}" for note in results["notes"]]
+    lines += [
+        f"  COUNTEREXAMPLE: {c['failed']} ({c['evidence']})" for c in results["counterexamples"]
+    ]
 
     config_text = json.dumps(
         {
@@ -422,14 +413,11 @@ def _cmd_explore(args: argparse.Namespace, argv: Sequence[str]) -> int:
         },
         sort_keys=True,
     )
-    report_json = _report_envelope(argv, _digest(config_text), _search_json(report), started)
-    _emit(report_json, args.json, "\n".join(lines))
-    return 1 if report.counterexamples else 0
+    return [config_text], results, lines, 1 if report.counterexamples else 0
 
 
-def _cmd_lcp(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    started = time.monotonic()
-    q = load_vector(args.q)
+def _cmd_lcp(args: argparse.Namespace) -> Report:
+    q = _load(args.q, parse_vector_text)
     a = load_matrix(args.matrix)
     _check_budget(a.order)
     try:
@@ -439,7 +427,6 @@ def _cmd_lcp(args: argparse.Namespace, argv: Sequence[str]) -> int:
     feas = lcp.lcp_feasible(inst)
     enum = lcp.lcp_solve_enum(inst)
     verified = all(sol.satisfies(inst) for sol in enum.solutions)
-
     results = {
         "feasible": feas.feasible,
         "feasible_witness": None if feas.certificate is None else _vec_json(feas.certificate),
@@ -453,19 +440,7 @@ def _cmd_lcp(args: argparse.Namespace, argv: Sequence[str]) -> int:
         ],
         "substitution_verified": verified,
     }
-    lines = [f"LCP(q, A) with q from {args.q}, A from {args.matrix}"]
-    lines.append(f"  feasible: {'yes' if feas.feasible else 'no'}")
-    if feas.certificate is not None:
-        lines.append(f"  feasibility witness z = ({', '.join(_vec_json(feas.certificate))})")
-    lines.append(f"  enumeration solutions: {len(enum.solutions)}")
-    for sol in enum.solutions:
-        lines.append(
-            f"    support {sol.support}: z = ({', '.join(_vec_json(sol.z))}), "
-            f"w = ({', '.join(_vec_json(sol.w))})"
-        )
-    lines.append(f"  substitution check: {'all solutions verified' if verified else 'FAILED'}")
-
-    violation = False
+    exit_code = 0 if verified else 1
     if args.q0_trials:
         try:
             q0 = lcp.q0_falsify(a, args.q0_trials, args.seed if args.seed is not None else 0)
@@ -478,20 +453,30 @@ def _cmd_lcp(args: argparse.Namespace, argv: Sequence[str]) -> int:
             "violations": [_vec_json(v) for v in q0.violations],
             "note": q0.note,
         }
-        lines.append(
-            f"  q0 sampling: {q0.feasible_count} feasible of {q0.trials} trials, "
-            f"{q0.solved_count} solved, {len(q0.violations)} violations"
-        )
-        lines.append(f"  note: {q0.note}")
-        violation = q0.violated
+        if q0.violated:
+            exit_code = 1
 
-    report = _report_envelope(
-        argv, _digest(format_vector(q), format_matrix(a)), results, started
-    )
-    _emit(report, args.json, "\n".join(lines))
-    if not verified:
-        return 1
-    return 1 if violation else 0
+    lines = [
+        f"LCP(q, A) with q from {args.q}, A from {args.matrix}",
+        f"  feasible: {_mark(results['feasible'])}",
+    ]
+    if results["feasible_witness"] is not None:
+        lines.append(f"  feasibility witness z = {_vec_text(results['feasible_witness'])}")
+    lines.append(f"  enumeration solutions: {len(results['solutions'])}")
+    lines += [
+        f"    support {_support_text(s['support'])}: "
+        f"z = {_vec_text(s['z'])}, w = {_vec_text(s['w'])}"
+        for s in results["solutions"]
+    ]
+    lines.append(f"  substitution check: {'all solutions verified' if verified else 'FAILED'}")
+    if "q0" in results:
+        sampled = results["q0"]
+        lines.append(
+            f"  q0 sampling: {sampled['feasible']} feasible of {sampled['trials']} trials, "
+            f"{sampled['solved']} solved, {len(sampled['violations'])} violations"
+        )
+        lines.append(f"  note: {sampled['note']}")
+    return [format_vector(q), format_matrix(a)], results, lines, exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="classify a matrix into every supported class")
     p_classify.add_argument("matrix", help="matrix file (n, then n rows of rationals)")
-    p_classify.add_argument("--json", action="store_true", help="emit the JSON report")
+    p_classify.set_defaults(run=_cmd_classify)
 
     p_audit = sub.add_parser("audit", help="run one theorem audit against a matrix")
     p_audit.add_argument("matrix")
@@ -516,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--matrix-b", help="second matrix (nonclosure audit)")
     p_audit.add_argument("--variant", choices=["e0", "e"], default="e0")
     p_audit.add_argument("--seed", type=int, default=None, help="seed (invariance audit)")
-    p_audit.add_argument("--json", action="store_true")
+    p_audit.set_defaults(run=_cmd_audit)
 
     p_explore = sub.add_parser("explore", help="seeded randomized search")
     p_explore.add_argument("--target", required=True, choices=list(_TARGETS))
@@ -533,34 +518,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--diag-bound", type=int, default=None,
                            help="separate numerator bound for diagonal entries")
     p_explore.add_argument("--out", help="directory for hit/counterexample matrix files")
-    p_explore.add_argument("--json", action="store_true")
+    p_explore.set_defaults(run=_cmd_explore)
 
     p_lcp = sub.add_parser("lcp", help="solve LCP(q, A) by support enumeration")
     p_lcp.add_argument("q", help="vector file")
     p_lcp.add_argument("matrix", help="matrix file")
     p_lcp.add_argument("--q0-trials", type=int, default=0, help="also run q0 sampling")
     p_lcp.add_argument("--seed", type=int, default=None, help="seed for q0 sampling")
-    p_lcp.add_argument("--json", action="store_true")
+    p_lcp.set_defaults(run=_cmd_lcp)
 
+    # declared last on every verb, where each verb had it, so the usage line
+    # that argparse prints with a usage error keeps its order
+    for verb in sub.choices.values():
+        verb.add_argument("--json", action="store_true", help="emit the JSON report")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.monotonic()
     try:
-        if args.command == "classify":
-            rc = _cmd_classify(args, argv)
-        elif args.command == "audit":
-            rc = _cmd_audit(args, argv)
-        elif args.command == "explore":
-            rc = _cmd_explore(args, argv)
+        digest_texts, results, lines, exit_code = args.run(args)
+        if args.json:
+            digest = hashlib.sha256("".join(digest_texts).encode()).hexdigest()
+            envelope = {
+                "schema": SCHEMA,
+                "command": argv,
+                "input_digest": f"sha256:{digest}",
+                "results": results,
+                "timing_seconds": round(time.monotonic() - started, 6),
+            }
+            print(json.dumps(envelope, indent=2, sort_keys=True))
         else:
-            rc = _cmd_lcp(args, argv)
+            print("\n".join(lines))
         sys.stdout.flush()
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -572,7 +566,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141  # 128 + SIGPIPE, as a shell reports a process killed by it
-    return rc
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -70,9 +70,6 @@ class AuditReport:
         """False exactly when a conclusion failed with hypotheses met."""
         return self.counterexample is None
 
-    def failed_conclusions(self) -> tuple[Conclusion, ...]:
-        return tuple(c for c in self.conclusions if not c.passed)
-
 
 def _report(
     audit_id: str,
@@ -83,6 +80,13 @@ def _report(
 ) -> AuditReport:
     counter = a if hypotheses_met and any(not c.passed for c in conclusions) else None
     return AuditReport(audit_id, hypotheses_met, note, tuple(conclusions), counter)
+
+
+def _hypothesis(a: RatMatrix, variant: Variant, k: int, requires: str) -> tuple[bool, str]:
+    """Whether A has exact order k in ``variant``, and the note that prints
+    A's classification against what the audit ``requires``."""
+    result = exact_order(a, variant)
+    return result.k == k, f"classified as {result.describe()}; requires {requires}"
 
 
 def _diagonal_conclusion(a: RatMatrix, variant: Variant) -> Conclusion:
@@ -150,9 +154,7 @@ def audit_thm_3x3_structure(a: RatMatrix, variant: Variant = Variant.E0) -> Audi
     negative (resp. nonpositive) order-2 minors, and irreducible."""
     if a.order != 3:
         raise WrongOrderError("this audit is specific to 3x3 matrices")
-    result = exact_order(a, variant)
-    met = result.k == 2
-    note = f"classified as {result.describe()}; requires exact order 2"
+    met, note = _hypothesis(a, variant, 2, "exact order 2")
     conclusions: list[Conclusion] = []
     if met:
         n = 3
@@ -192,9 +194,7 @@ def audit_thm_3x3_inverse(a: RatMatrix) -> AuditReport:
     complement of the leading 2x2 block."""
     if a.order != 3:
         raise WrongOrderError("this audit is specific to 3x3 matrices")
-    result = exact_order(a, Variant.E0)
-    met = result.k == 2
-    note = f"classified as {result.describe()}; requires E0 exact order 2"
+    met, note = _hypothesis(a, Variant.E0, 2, "E0 exact order 2")
     conclusions: list[Conclusion] = []
     if met:
         read_minor = _principal_minors(a)
@@ -230,9 +230,7 @@ def audit_prop_4_10(a: RatMatrix, variant: Variant = Variant.E0) -> AuditReport:
     n = a.order
     if n < 3:
         return _report("prop4.10", a, False, f"order {n} < 3; statement needs n >= 3", [])
-    result = exact_order(a, variant)
-    met = result.k == 2
-    note = f"classified as {result.describe()}; requires exact order 2"
+    met, note = _hypothesis(a, variant, 2, "exact order 2")
     conclusions: list[Conclusion] = []
     if met:
         conclusions.append(_diagonal_conclusion(a, variant))
@@ -277,9 +275,9 @@ def audit_thm_4_11(a: RatMatrix) -> AuditReport:
     if n < 3:
         return _report("thm4.11", a, False, f"order {n} < 3; statement needs n >= 3", [])
     z = is_Z(a)
-    result = exact_order(a, Variant.E0)
-    met = z and result.k == 2
-    note = f"Z: {z}; classified as {result.describe()}; requires Z and E0 exact order 2"
+    order_two, note = _hypothesis(a, Variant.E0, 2, "Z and E0 exact order 2")
+    met = z and order_two
+    note = f"Z: {z}; {note}"
     conclusions: list[Conclusion] = []
     if met:
         # every minor the conclusions read, all from one row-cleared D A;
@@ -385,9 +383,9 @@ def audit_n_eq_k_plus_1(a: RatMatrix, variant: Variant = Variant.E0) -> AuditRep
     """Matrices of exact order n-1 (n >= 3) must have admissible diagonal
     signs and strictly negative off-diagonal entries."""
     n = a.order
-    result = exact_order(a, variant)
-    met = n >= 3 and result.k == n - 1
-    note = f"classified as {result.describe()}; requires exact order n-1 = {n - 1} and n >= 3"
+    # classified before n >= 3 is tested, since the note prints the class
+    order_n_1, note = _hypothesis(a, variant, n - 1, f"exact order n-1 = {n - 1} and n >= 3")
+    met = n >= 3 and order_n_1
     conclusions: list[Conclusion] = []
     if met:
         off_ok = all(a[i, j] < 0 for i in range(n) for j in range(n) if i != j)

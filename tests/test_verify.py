@@ -46,7 +46,8 @@ from oracles import det_cofactor, random_matrix, random_symmetric, random_z_matr
 def assert_clean(report):
     assert report.hypotheses_met
     assert report.conclusions
-    assert all(c.passed for c in report.conclusions), report.failed_conclusions()
+    failed = [c for c in report.conclusions if not c.passed]
+    assert not failed, failed
     assert report.ok and report.counterexample is None
 
 
