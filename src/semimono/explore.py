@@ -407,15 +407,15 @@ def _negative_entry_violations(a: RatMatrix, k: int) -> list[tuple[str, str]]:
     ]
 
 
-def _transpose_profile_agrees(a: RatMatrix) -> bool:
-    """Second route to the negative-entry counts: the transpose's profile
-    must show the same counts with rows and columns swapped."""
-    profile = negative_entry_profile(a)
-    transposed = negative_entry_profile(a.transpose())
-    return (
-        transposed.row_counts == profile.column_counts
-        and transposed.column_counts == profile.row_counts
-    )
+def _negative_entries_recounted(a: RatMatrix, k: int) -> bool:
+    """Second route to the negative-entry counts, sharing no code with
+    ``negative_entry_profile``: recounted on the row-cleared integer rows
+    D A, whose signs are A's since D > 0, some row or column must have
+    fewer than k negative entries."""
+    rows = _cleared_rows(a.entries)[1]
+    row_counts = [sum(v < 0 for v in row) for row in rows]
+    column_counts = [sum(v < 0 for v in column) for column in zip(*rows)]
+    return min(row_counts) < k or min(column_counts) < k
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +542,7 @@ def search_negative_entries_question(
     attempts, hits, counterexamples = _search(
         config, k, variant, target_hits,
         lambda rows: _has_exact_order(rows, k, variant),
-        lambda m: _negative_entry_violations(m, k), _transpose_profile_agrees,
+        lambda m: _negative_entry_violations(m, k), lambda m: _negative_entries_recounted(m, k),
     )
     return SearchReport(
         f"negative-entries question (exact order k={k}, {variant.value})",

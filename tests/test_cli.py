@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -21,7 +22,7 @@ from semimono.cli import (
 from semimono.ratcore import RatMatrix
 
 import matrices
-from semimono import classify, explore, ratcore, verify
+from semimono import classify, explore, lcp, ratcore, verify
 from matrices import M3_ORDER2_E0, M4_ORDER2_NONZ, M5_ORDER2, NONCLOSURE_A, NONCLOSURE_B
 
 
@@ -106,6 +107,30 @@ def test_broken_pipe_exits_141_without_traceback(tmp_path):
             os.close(write_end)
         assert done.returncode == 141
         assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
+
+
+def test_broken_pipe_in_process_exits_141(tmp_path, monkeypatch):
+    # a stdout whose write fails as a pipe without a reader does: main
+    # points its descriptor, here the write end of a pipe the test owns, at
+    # the null device and exits 141
+    path = write_matrix(tmp_path, "m.txt", M3_ORDER2_E0)
+    for extra in ([], ["--json"]):
+        read_end, write_end = os.pipe()
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return write_end
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            assert main(["classify", path, *extra]) == 141
+            assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        finally:
+            os.close(read_end)
+            os.close(write_end)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +379,27 @@ def test_audit_unknown_theorem_exit_2(tmp_path):
     assert main(["audit", path, "--theorem", "bogus"]) == 2
 
 
+def test_audit_counterexample_text_exit_1(tmp_path, capsys, monkeypatch):
+    # one conclusion of thm3.5 forced to fail: the text names it and prints
+    # A with its columns aligned, the JSON carries A, and both exit 1
+    monkeypatch.setattr(verify, "count_negative_eigenvalues", lambda a: 2)
+    path = write_matrix(tmp_path, "a.txt", M3_ORDER2_E0)
+    assert main(["audit", path, "--theorem", "thm3.5"]) == 1
+    out = capsys.readouterr().out
+    assert "  [FAIL] exactly one negative eigenvalue: count = 2\n" in out
+    assert out.endswith(
+        "  counterexample matrix:\n"
+        "     0  -1  -1\n"
+        "    -2   0  -1\n"
+        "    -3  -4   0\n"
+    )
+    assert main(["audit", path, "--theorem", "thm3.5", "--json"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["counterexample"] == {
+        "order": 3, "entries": [["0", "-1", "-1"], ["-2", "0", "-1"], ["-3", "-4", "0"]]
+    }
+
+
 def test_audit_invariance_with_seed(tmp_path, capsys):
     path = write_matrix(tmp_path, "a.txt", M3_ORDER2_E0)
     assert main(["audit", path, "--theorem", "invariance", "--seed", "3"]) == 0
@@ -584,6 +630,18 @@ def test_lcp_solves_through_a_singular_block(tmp_path, capsys):
     q0 = json.loads(capsys.readouterr().out)["results"]["q0"]
     assert q0["violations"]
     assert all(F(v[0]) > 0 > F(v[1]) for v in q0["violations"])
+
+
+def test_lcp_failed_substitution_exit_1(tmp_path, capsys, monkeypatch):
+    # a solution that fails substitution into w = A z + q is reported, and
+    # the run exits 1
+    monkeypatch.setattr(lcp.LcpSolution, "satisfies", lambda self, inst: False)
+    q = write_vector(tmp_path, "q.txt", [-1, -2])
+    a = write_matrix(tmp_path, "a.txt", RatMatrix.identity(2))
+    assert main(["lcp", q, a]) == 1
+    assert capsys.readouterr().out.endswith("  substitution check: FAILED\n")
+    assert main(["lcp", q, a, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["results"]["substitution_verified"] is False
 
 
 def test_lcp_negative_q0_trials_exit_2(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from semimono import explore
 from semimono import classify, feasibility
-from semimono.classify import Variant, exact_order, is_Z
+from semimono.classify import NegativeEntryProfile, Variant, exact_order, is_Z
 from semimono.cli import _TEMPLATES, main, parse_matrix_text
 from semimono.explore import (
     Counterexample,
@@ -457,7 +457,8 @@ def test_negative_entry_checker_and_the_second_routes_on_degenerate_matrices():
         "row counts (2, 1, 2), column counts (2, 2, 1)",
     )]
     assert explore._negative_entry_violations(a, 1) == []
-    assert explore._transpose_profile_agrees(a)
+    assert explore._negative_entries_recounted(a, 2)
+    assert not explore._negative_entries_recounted(a, 1)
     assert explore._independent_inverse_check(RatMatrix([[1, 2], [2, 4]]))
     assert explore._independent_inverse_check(M4_ORDER2_NONZ)
 
@@ -475,6 +476,19 @@ def test_negative_entries_search_regression_k2():
     report = search_negative_entries_question(c, k=2, target_hits=8)
     assert report.hit_count >= 8
     assert report.counterexamples == ()
+
+
+def test_negative_entries_search_refuses_a_miscounted_profile(monkeypatch):
+    # a checker that counts no negative entry reports a shortfall on every
+    # hit; the recount on the integer rows finds none, so the search stops
+    # rather than report it
+    monkeypatch.setattr(
+        explore, "negative_entry_profile",
+        lambda a: NegativeEntryProfile((0,) * a.order, (0,) * a.order),
+    )
+    c = cfg(2, template_exact_order_pattern(2), max_attempts=400)
+    with pytest.raises(AssertionError, match="counterexample failed re-validation"):
+        search_negative_entries_question(c, k=1, target_hits=10)
 
 
 def test_negative_entries_search_k1_2x2():

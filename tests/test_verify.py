@@ -102,6 +102,28 @@ def test_inverse_audit_wrong_order():
         audit_thm_3x3_inverse(M4_ORDER2)
 
 
+def test_singular_inverses_fail_the_inverse_conclusions(monkeypatch):
+    # with every inverse forced singular, the order-2 blocks of the structure
+    # audit and A itself in the inverse audit fail their inverse conclusion,
+    # and each report carries A as its counterexample
+    def singular(m):
+        raise SingularMatrixError("forced")
+
+    monkeypatch.setattr(verify, "inverse", singular)
+    for report, name, evidence in (
+        (
+            audit_thm_3x3_structure(M3_ORDER2_E0, Variant.E0),
+            "order n-1 blocks: inverse exists and is entrywise nonpositive",
+            "alpha={1,2} block is singular; alpha={1,3} block is singular; "
+            "alpha={2,3} block is singular",
+        ),
+        (audit_thm_3x3_inverse(M3_ORDER2_E0), "inverse exists and is a Z-matrix", "singular"),
+    ):
+        failed = [c for c in report.conclusions if not c.passed]
+        assert [(c.name, c.evidence) for c in failed] == [(name, evidence)]
+        assert report.counterexample == M3_ORDER2_E0 and not report.ok
+
+
 # ---------------------------------------------------------------------------
 # row/column negativity audit
 
