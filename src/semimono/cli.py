@@ -527,8 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lcp.add_argument("--seed", type=int, default=None, help="seed for q0 sampling")
     p_lcp.set_defaults(run=_cmd_lcp)
 
-    # declared last on every verb, where each verb had it, so the usage line
-    # that argparse prints with a usage error keeps its order
+    # added after each verb's own flags, not through a parent parser, whose
+    # flags argparse lists first in the usage line of every usage error
     for verb in sub.choices.values():
         verb.add_argument("--json", action="store_true", help="emit the JSON report")
     return parser
