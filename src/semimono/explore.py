@@ -47,8 +47,8 @@ from .ratcore import (
     RatMatrix,
     SingularMatrixError,
     _cleared_rows,
+    _det_and_inverse,
     count_negative_eigenvalues,
-    det,
     inverse,
     principal_submatrix,
 )
@@ -371,17 +371,16 @@ def conjecture_1_violations(a: RatMatrix) -> list[tuple[str, str]]:
 
 def conjecture_2_violations(a: RatMatrix) -> list[tuple[str, str]]:
     """Failed conclusions of the inverse-Z conjecture on one matrix:
-    det A < 0 and A^{-1} exists and is a Z-matrix."""
+    det A < 0 and A^{-1} exists and is a Z-matrix, both read from one
+    elimination."""
     violations: list[tuple[str, str]] = []
-    d = det(a)
+    d, inv = _det_and_inverse(a)
     if d >= 0:
         violations.append(("det A is not negative", f"det = {d}"))
-    if d == 0:
+    if inv is None:
         violations.append(("inverse does not exist", "det = 0"))
-    else:
-        inv = inverse(a)
-        if not is_Z(inv):
-            violations.append(("inverse is not a Z-matrix", repr(inv)))
+    elif not is_Z(inv):
+        violations.append(("inverse is not a Z-matrix", repr(inv)))
     return violations
 
 

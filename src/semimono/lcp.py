@@ -2,14 +2,17 @@
 a sampling falsifier for the Q0 property.
 
 LCP(q, A) asks for z >= 0 with w = q + Az >= 0 and z^T w = 0.  The solver
-enumerates the 2^n complementary supports alpha, each of which asks for
+sweeps the 2^n complementary supports alpha, each of which asks for
 z_a >= 0 with A_aa z_a = -q_a and q_b + A_ba z_a >= 0, z = 0 off alpha.
-Where A_aa is nonsingular, z_a = -A_aa^{-1} q_a is the only candidate, and
-one fraction-free solve on the row-cleared [A | q] decides the support.
-Where it is singular, one exact phase-1 LP decides the polyhedron and
-gives its point.  Every solution has w = 0 on some support alpha with
-z = 0 off it, so the sweep finds a solution iff one exists, singular
-blocks included.
+The blocks A_aa do not depend on q, so they are factored once per matrix:
+one fraction-free elimination of [(L A)_aa | I], with L the LCM of A's
+denominators, gives p B^{-1} for B = (L A)_aa, or marks B singular.  Every
+q, the enumeration's and each Q0 trial's, is then read against these
+factors.  Where A_aa is nonsingular, z_a = -A_aa^{-1} q_a is the only
+candidate, and one integer product with q decides the support.  Where it
+is singular, one exact phase-1 LP decides the polyhedron and gives its
+point.  Every solution has w = 0 on some support alpha with z = 0 off it,
+so the sweep finds a solution iff one exists, singular blocks included.
 """
 
 from __future__ import annotations
@@ -17,10 +20,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterator
 
 from .feasibility import FeasibilityOutcome, phase1_feasible
-from .ratcore import IndexSet, RatMatrix, RatVector, _cleared_rows, _gauss_jordan, _support_members
+from .ratcore import (
+    IndexSet, RatMatrix, RatVector, _block, _cleared, _gauss_jordan, _scalar_cleared, _support_members,
+)
 
 
 @dataclass(frozen=True)
@@ -78,46 +85,68 @@ def lcp_feasible(inst: LcpInstance) -> FeasibilityOutcome:
     return FeasibilityOutcome(True, tuple(z))
 
 
-def _support_solutions(inst: LcpInstance) -> Iterator[tuple[RatVector, IndexSet]]:
-    """One solution z per complementary support that has one, with the
-    support, in (size, lex) order.
+_Block = tuple[tuple[int, ...], tuple[int, ...], int, list[list[int]], list[tuple[int, list[int]]]]
 
-    alpha = {} contributes z = 0 whenever q >= 0.  For nonempty alpha the
-    rows of M = D [A | q] (D the positive row scales of ``_cleared_rows``,
-    which change no z and no sign of w) give [M_aa | -M_aq] to
-    ``_gauss_jordan``.  A nonsingular block leaves p [I | z_a] with p on
-    the diagonal (the return value is p times the sign of the row swaps),
-    and the support solves iff p z_a >= 0 and p (M_bq + M_ba z_a) >= 0 off
-    alpha, both read against the sign of p.  A singular block goes to
-    ``phase1_feasible``: z_a >= 0 with A_aa z_a <= -q_a and -A_ia z_a <= q_i
-    for every i (the reverse half of the equality on alpha, w_b >= 0 off
-    it), on the rational rows, so Bland's rule meets the tableau it always
-    did.  z outside alpha is zero.
+
+def _factor(a: RatMatrix) -> tuple[int, list[_Block]]:
+    """L of ``_scalar_cleared`` and the factors of every principal block
+    B = (L A)_aa in (size, lex) order, from one ``_gauss_jordan`` on
+    [B | I] each.
+
+    A block is (members, idx, d, N, off): alpha 1-based and 0-based, d = |p|
+    for the last pivot p of the pass, N = -d B^{-1} (the pass leaves
+    p B^{-1} on the right), and the rows (L A)_{i,a} for every i outside
+    alpha; d is 0 and N empty when B is singular.
     """
-    n = inst.order
-    q = inst.q
+    n = a.order
+    scale, rows = _scalar_cleared(a)
+    blocks: list[_Block] = []
+    for members in _support_members(n):
+        idx = tuple(i - 1 for i in members)
+        work = _block(rows, members)
+        work = [row + [int(j == k) for j in range(len(idx))] for k, row in enumerate(work)]
+        d, neg_inv = 0, []
+        if _gauss_jordan(work):
+            p = work[0][0]
+            s = -1 if p > 0 else 1
+            d = abs(p)
+            neg_inv = [[s * v for v in row[len(idx):]] for row in work]
+        off = [(i, [rows[i][j] for j in idx]) for i in range(n) if i + 1 not in members]
+        blocks.append((members, idx, d, neg_inv, off))
+    return scale, blocks
+
+
+def _support_solutions(
+    a: RatMatrix, factors: tuple[int, list[_Block]], q: RatVector
+) -> Iterator[tuple[RatVector, IndexSet]]:
+    """One solution z of LCP(q, A) per complementary support that has one,
+    with the support, in (size, lex) order, read against ``_factor(a)``.
+
+    alpha = {} contributes z = 0 whenever q >= 0.  Otherwise q is cleared
+    by the LCM c of its denominators to the integers q' = c q, and a
+    nonsingular block gives u = N q'_a, so z_a = L u / (d c) >= 0 iff
+    u >= 0, and d c w_i = d q'_i + (L A)_ia u off alpha.  A singular block
+    goes to ``phase1_feasible``: z_a >= 0 with A_aa z_a <= -q_a and
+    -A_ia z_a <= q_i for every i (the reverse half of the equality on
+    alpha, w_b >= 0 off it), on the rational rows, so Bland's rule meets
+    the tableau it always did.  z outside alpha is zero.
+    """
+    n = a.order
     zero = Fraction(0)
     if all(qi >= 0 for qi in q):
         yield tuple([zero] * n), IndexSet.empty(n)
-    rows = inst.a.entries
-    _, m = _cleared_rows(row + (qi,) for row, qi in zip(rows, q))
-    for members in _support_members(n):
-        idx = [i - 1 for i in members]
-        work = [[m[i][j] for j in idx] + [-m[i][n]] for i in idx]
-        if _gauss_jordan(work):
-            p = work[0][0]
-            x = [row[-1] for row in work]  # p z_a
-            if any(v * p < 0 for v in x):
+    scale, blocks = factors
+    c = lcm(*[v.denominator for v in q])
+    qc = _cleared(q, c)
+    for members, idx, d, neg_inv, off in blocks:
+        if d:
+            qa = [qc[j] for j in idx]
+            u = [sum(map(mul, row, qa)) for row in neg_inv]
+            if min(u) < 0 or any(d * qc[i] + sum(map(mul, row, u)) < 0 for i, row in off):
                 continue
-            if any(
-                (p * m[i][n] + sum(m[i][j] * v for j, v in zip(idx, x))) * p < 0
-                for i in range(n)
-                if i + 1 not in members
-            ):
-                continue
-            z_alpha = [Fraction(v, p) for v in x]
+            z_alpha = [Fraction(scale * v, d * c) for v in u]
         else:
-            a_alpha = [[row[j] for j in idx] for row in rows]  # A_{i,alpha}, every i
+            a_alpha = [[row[j] for j in idx] for row in a.entries]  # A_{i,alpha}, every i
             g = [a_alpha[i] for i in idx] + [[-v for v in row] for row in a_alpha]
             h = [-q[i] for i in idx] + list(q)
             ok, z_alpha = phase1_feasible(g, h)
@@ -134,7 +163,7 @@ def lcp_solve_enum(inst: LcpInstance) -> LcpEnumeration:
     (size, lex) order of their first support."""
     solutions: list[LcpSolution] = []
     seen: set[RatVector] = set()
-    for z, support in _support_solutions(inst):
+    for z, support in _support_solutions(inst.a, _factor(inst.a), inst.q):
         if z not in seen:
             seen.add(z)
             w = tuple(qi + wi for qi, wi in zip(inst.q, inst.a @ z))
@@ -178,6 +207,7 @@ def q0_falsify(a: RatMatrix, trials: int, seed: int) -> Q0Report:
     if trials < 0:
         raise ValueError("trials must be >= 0")
     n = a.order
+    factors = _factor(a)
     rng = random.Random(seed)
     feasible_count = 0
     solved_count = 0
@@ -190,11 +220,10 @@ def q0_falsify(a: RatMatrix, trials: int, seed: int) -> Q0Report:
             )
             for _ in range(n)
         )
-        inst = LcpInstance(q, a)
-        if next(_support_solutions(inst), None) is not None:
+        if next(_support_solutions(a, factors, q), None) is not None:
             feasible_count += 1
             solved_count += 1
-        elif lcp_feasible(inst).feasible:
+        elif lcp_feasible(LcpInstance(q, a)).feasible:
             feasible_count += 1
             violations.append(q)
     return Q0Report(trials, feasible_count, solved_count, tuple(violations))

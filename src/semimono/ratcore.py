@@ -21,7 +21,8 @@ block is the scalar det A / det A_aa of two of them.
 The spectrum is the one thing a row scaling does not keep.  Eigenvalue
 counts use ``_scalar_cleared`` instead, L A for one positive scalar L,
 whose roots are L times A's, and run Berkowitz's division-free recurrence
-on it; ``poly`` counts the roots in integers too.
+on it; ``poly`` counts the roots in integers too.  ``lcp`` factors its
+principal blocks on L A as well, so that one cleared q serves every block.
 
 All values here are immutable after construction and safe to share across
 threads.
@@ -368,21 +369,31 @@ def det(a: RatMatrix) -> Fraction:
     return Fraction(_int_det(rows), prod(scales))
 
 
-def inverse(a: RatMatrix) -> RatMatrix:
-    """Exact inverse: fraction-free pivots turn [D A | D], with D the row
-    denominator LCMs, into p [I | A^{-1}]; the right block is divided by the
-    last pivot p once.
-
-    Raises :class:`SingularMatrixError` when det(A) = 0.
-    """
+def _det_and_inverse(a: RatMatrix) -> tuple[Fraction, Optional[RatMatrix]]:
+    """det A and A^{-1} (None when det A = 0) from one pass: fraction-free
+    pivots turn [D A | D], with D the row denominator LCMs, into
+    p [I | A^{-1}] and return det (D A); the right block is divided by the
+    last pivot p once, and det (D A) by the product of D."""
     n = a.order
     scales, rows = _cleared_rows(a.entries)
     for i, d in enumerate(scales):
         rows[i] += [d if j == i else 0 for j in range(n)]
-    if _gauss_jordan(rows) == 0:
-        raise SingularMatrixError("matrix is singular")
+    det_da = _gauss_jordan(rows)
+    if det_da == 0:
+        return Fraction(0), None
     p = rows[0][0]
-    return RatMatrix([[Fraction(v, p) for v in row[n:]] for row in rows])
+    return Fraction(det_da, prod(scales)), RatMatrix([[Fraction(v, p) for v in row[n:]] for row in rows])
+
+
+def inverse(a: RatMatrix) -> RatMatrix:
+    """Exact inverse, from ``_det_and_inverse``.
+
+    Raises :class:`SingularMatrixError` when det(A) = 0.
+    """
+    inv = _det_and_inverse(a)[1]
+    if inv is None:
+        raise SingularMatrixError("matrix is singular")
+    return inv
 
 
 def _scalar_cleared(a: RatMatrix) -> tuple[int, list[list[int]]]:

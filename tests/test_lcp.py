@@ -185,10 +185,9 @@ def _counting(monkeypatch, name):
 
 def test_q0_falsify_stops_at_the_first_solving_support(monkeypatch):
     # every q is feasible for this matrix and none of its principal blocks is
-    # singular: each trial solves its supports up to the first solving one
-    # (all 7 for the 10 violations, 23 in total for the 20 solved trials),
-    # and only the 10 unsolved trials ask lcp_feasible, whose LP is the only
-    # one run
+    # singular: its 7 blocks are eliminated once for all 30 trials, each trial
+    # reads the factors up to its first solving support, and only the 10
+    # unsolved trials ask lcp_feasible, whose LP is the only one run
     a = RatMatrix([[1, -1, 2], [2, 1, -3], [1, -2, 1]])
     assert all(det_cofactor(principal_submatrix(a, alpha)) for alpha in all_supports(3))
     solves = _counting(monkeypatch, "_gauss_jordan")
@@ -196,16 +195,56 @@ def test_q0_falsify_stops_at_the_first_solving_support(monkeypatch):
     feasibility_checks = _counting(monkeypatch, "lcp_feasible")
     report = q0_falsify(a, trials=30, seed=4)
     assert (report.feasible_count, report.solved_count, len(report.violations)) == (30, 20, 10)
-    assert len(solves) == 7 * 10 + 23
+    assert len(solves) == 7
     assert len(feasibility_checks) == 10
     assert len(lps) == 10
 
 
+def _q0_oracle(a, trials, seed):
+    """q0_falsify's report recomputed trial by trial on its q stream: a q
+    solves iff the all-LP support oracle finds a support, and is feasible iff
+    it solves or lcp_feasible finds a point."""
+    rng = random.Random(seed)
+    feasible = solved = 0
+    violations = []
+    bound = lcp.Q0_NUMERATOR_BOUND
+    for _ in range(trials):
+        q = tuple(F(rng.randint(-bound, bound), rng.randint(1, lcp.Q0_DENOMINATOR_BOUND)) for _ in range(a.order))
+        instance = LcpInstance(q, a)
+        if next(lcp_support_solutions_lp(instance), None) is not None:
+            feasible += 1
+            solved += 1
+        elif lcp_feasible(instance).feasible:
+            feasible += 1
+            violations.append(q)
+    return lcp.Q0Report(trials, feasible, solved, tuple(violations))
+
+
+def test_q0_falsify_matches_a_per_trial_oracle():
+    # entries in {-1, 0, 1} make many blocks singular; q's denominators 2..4
+    # divide none of L = 1, and 2 and 4 none of L = 3 for the matrices with
+    # thirds
+    rng = random.Random(14)
+    matrices = [NON_Q0_MATRIX]
+    for n, count in ((1, 6), (2, 20), (3, 20), (4, 8)):
+        for k in range(count):
+            den = 3 if k % 2 else 1
+            rows = [[F(rng.randint(-1, 1), rng.choice((1, den))) for _ in range(n)] for _ in range(n)]
+            matrices.append(RatMatrix(rows))
+    singular = violated = 0
+    for seed, a in enumerate(matrices):
+        report = q0_falsify(a, trials=20, seed=seed)
+        assert report == _q0_oracle(a, 20, seed)
+        violated += report.violated
+        singular += sum(not det_cofactor(principal_submatrix(a, alpha)) for alpha in all_supports(a.order))
+    assert violated > 10 and singular > 100
+
+
 def _sweeps_agree(instance, monkeypatch):
-    """The solve-first sweep and the all-LP oracle give the same supports and
+    """The factored sweep and the all-LP oracle give the same supports and
     points, and the sweep runs one LP per singular block and no other."""
     lps = _counting(monkeypatch, "phase1_feasible")
-    got = list(lcp._support_solutions(instance))
+    got = list(lcp._support_solutions(instance.a, lcp._factor(instance.a), instance.q))
     assert got == list(lcp_support_solutions_lp(instance))
     singular = sum(
         det_cofactor(principal_submatrix(instance.a, alpha)) == 0
@@ -257,3 +296,5 @@ def test_solution_satisfies_rejects_wrong_data():
     instance = inst([1, 1], RatMatrix.identity(2))
     bogus = LcpSolution((F(1), F(0)), (F(0), F(1)), IndexSet(2, (1,)))
     assert not bogus.satisfies(instance)
+    short = LcpSolution((F(0),), (F(1), F(1)), IndexSet(2, ()))
+    assert not short.satisfies(instance)
