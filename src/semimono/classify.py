@@ -15,15 +15,15 @@ the certificate of the first failing support normalizes that raw
 witness.  The semimonotone, copositive and almost verdicts read the
 witness off the profile.  ``has_exact_order`` does not prune: on integer
 rows D A, D a positive diagonal, whose supports fail exactly where A's do
-((D A)_aa = D_a A_aa), it settles every support
-of order 1 and 2 in one ``_signs_fit`` pass over the rows, then loops over
-the larger ones, and returns at the first verdict that rules k out, so
-every support it decides is minimal and ``feasibility._minimal_feasible``
-decides the orders above 2 with no simplex and no witness.  It is the
-screen of every search in ``explore``, whose hits are then proven by
-substituted certificates (``feasibility._certified_exact_order``), not by
-a second sweep; README "How it works" describes the search pipeline.  The
-P0 and P verdicts read every principal minor from one D A
+((D A)_aa = D_a A_aa), it settles every support of order 1 and 2 in one
+``feasibility._signs_fit`` pass over the rows, then loops over the larger
+ones, and returns at the first verdict that rules k out, so every support
+it decides is minimal and ``feasibility._minimal_witness`` decides the
+orders above 2 with no simplex: a block fails iff it returns a witness.
+It is the screen of every search in ``explore``, whose hits are then
+proven by substituted certificates (``feasibility._certified_exact_order``),
+not by a second sweep; README "How it works" describes the search
+pipeline.  The P0 and P verdicts read every principal minor from one D A
 (``ratcore._principal_minors``).
 
 All procedures are pure; the fixed order makes the first witness
@@ -40,7 +40,7 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .feasibility import (
-    _minimal_feasible,
+    _minimal_witness,
     _normalize_certificate,
     _pair_fails,
     _signs_fit,
@@ -52,12 +52,11 @@ from .ratcore import (
     IndexSet,
     RatMatrix,
     RatVector,
-    SingularMatrixError,
     _block,
     _cleared_rows,
+    _det_and_inverse,
     _principal_minors,
     _support_members,
-    inverse,
 )
 
 
@@ -241,7 +240,7 @@ def _has_exact_order(rows: Sequence[Sequence[int]], k: int, variant: Variant) ->
     It returns at the first verdict that rules k out, so every support it
     decides is minimal: all supports of smaller size have passed by then.
     That is the condition under which ``_signs_fit`` decides all supports
-    of order 1 and 2 in one pass over the rows, and ``_minimal_feasible``
+    of order 1 and 2 in one pass over the rows, and ``_minimal_witness``
     the orders above.  Heredity never prunes here, so no set of failing
     supports is kept.
     """
@@ -257,10 +256,10 @@ def _has_exact_order(rows: Sequence[Sequence[int]], k: int, variant: Variant) ->
     indices = range(1, n + 1)
     for size in range(3, passing + 1):
         for key in itertools.combinations(indices, size):
-            if _minimal_feasible(rows, key, strict):
+            if _minimal_witness(rows, key, strict) is not None:
                 return False
     for key in itertools.combinations(indices, passing + 1):
-        if not _minimal_feasible(rows, key, strict):
+        if _minimal_witness(rows, key, strict) is None:
             return False
     return True
 
@@ -354,11 +353,8 @@ def copositive_exact_order(a: RatMatrix, variant: Variant) -> ExactOrderResult:
 
 def is_inverse_Z(a: RatMatrix) -> ClassVerdict:
     """Nonsingular with a Z-matrix inverse."""
-    try:
-        inv = inverse(a)
-    except SingularMatrixError:
-        return ClassVerdict(ClassLabel.INVERSE_Z, False)
-    return ClassVerdict(ClassLabel.INVERSE_Z, is_Z(inv))
+    inv = _det_and_inverse(a)[1]
+    return ClassVerdict(ClassLabel.INVERSE_Z, inv is not None and is_Z(inv))
 
 
 @dataclass(frozen=True)

@@ -124,10 +124,6 @@ def _load(path: str, parse: Callable[[str, str], T]) -> T:
     return parse(text, path)
 
 
-def load_matrix(path: str) -> RatMatrix:
-    return _load(path, parse_matrix_text)
-
-
 def format_matrix(m: RatMatrix) -> str:
     body = "\n".join(" ".join(str(v) for v in row) for row in m.entries)
     return f"{m.order}\n{body}\n"
@@ -212,7 +208,7 @@ Report = tuple[list[str], dict, list[str], int]
 
 
 def _cmd_classify(args: argparse.Namespace) -> Report:
-    a = load_matrix(args.matrix)
+    a = _load(args.matrix, parse_matrix_text)
     n = a.order
     _check_budget(n)
     p0, p = cls._minor_verdicts(a)
@@ -263,8 +259,8 @@ def _cmd_classify(args: argparse.Namespace) -> Report:
 
 
 def _cmd_audit(args: argparse.Namespace) -> Report:
-    a = load_matrix(args.matrix)
-    b = load_matrix(args.matrix_b) if args.matrix_b else None
+    a = _load(args.matrix, parse_matrix_text)
+    b = _load(args.matrix_b, parse_matrix_text) if args.matrix_b else None
     _check_budget(max(m.order for m in (a, b) if m is not None))
     variant = Variant.E if args.variant == "e" else Variant.E0
     seed = args.seed if args.seed is not None else 0
@@ -323,13 +319,7 @@ class _Target(NamedTuple):
 # Conjecture targets use calibrated bounds: they want diagonals that dominate
 # the off-diagonal magnitudes, and conjecture 2's free template leans negative.
 _TARGETS = {
-    "exact-order": _Target(
-        "pattern",
-        lambda config, k, variant, hits: explore.search_exact_order(
-            config.order, k, variant, config, target_hits=hits
-        ),
-        needs_k=True,
-    ),
+    "exact-order": _Target("pattern", explore.search_exact_order, needs_k=True),
     "conjecture1": _Target(
         "z",
         lambda config, k, variant, hits: explore.search_conjecture_1(config, target_hits=hits),
@@ -340,13 +330,7 @@ _TARGETS = {
         lambda config, k, variant, hits: explore.search_conjecture_2(config, target_hits=hits),
         num_bound=4, den_bound=2, diag_bound=8, weights=(12, 1, 2),
     ),
-    "neg-entries": _Target(
-        "pattern",
-        lambda config, k, variant, hits: explore.search_negative_entries_question(
-            config, k, variant, target_hits=hits
-        ),
-        needs_k=True,
-    ),
+    "neg-entries": _Target("pattern", explore.search_negative_entries_question, needs_k=True),
 }
 
 
@@ -418,7 +402,7 @@ def _cmd_explore(args: argparse.Namespace) -> Report:
 
 def _cmd_lcp(args: argparse.Namespace) -> Report:
     q = _load(args.q, parse_vector_text)
-    a = load_matrix(args.matrix)
+    a = _load(args.matrix, parse_matrix_text)
     _check_budget(a.order)
     try:
         inst = lcp.LcpInstance(q, a)

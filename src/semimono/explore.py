@@ -7,16 +7,16 @@ conjectured conclusions on every verified hit.  Searches can only falsify a
 conjecture or accumulate evidence for it, never prove it; reports carry that
 caveat.
 
-Every public search is a thin caller of one loop, ``_search``: the
-generator ``_draws`` yields each candidate as integer rows L A (one
-constant L per config), one screen decides the target exact order, every
-pass is proven by certificates substituted into the hit's own row-cleared
-D A (``feasibility._certified_exact_order``; no second sweep), and a
-counterexample is reported only after a triple check.  README "How it
-works" gives the full account of this pipeline.
+Every public search is one call of one loop, ``_search``, which returns
+its report: the generator ``_draws`` yields each candidate as integer rows
+L A (one constant L per config), the ``has_exact_order`` sweep screens it
+(the ``classify`` module docstring describes both sweeps), each hit's
+exact order is proven by substituted certificates
+(``feasibility._certified_exact_order``), and a counterexample is reported
+only after a triple check.  README "How it works" gives the full account.
 
 Conjecture 1 is stated with the partitioned inverse formula; its checker
-reads the blocks of one ``inverse(A)`` instead, which agrees wherever the
+reads the blocks of one inverse of A instead, which agrees wherever the
 formula is defined.  The formula itself is a test oracle.
 
 Determinism contract: a report is a pure function of its configuration
@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -45,11 +45,9 @@ from .feasibility import _certified_exact_order
 from .ratcore import (
     IndexSet,
     RatMatrix,
-    SingularMatrixError,
     _cleared_rows,
     _det_and_inverse,
     count_negative_eigenvalues,
-    inverse,
     principal_submatrix,
 )
 
@@ -346,10 +344,7 @@ def conjecture_1_violations(a: RatMatrix) -> list[tuple[str, str]]:
     """
     n = a.order
     violations: list[tuple[str, str]] = []
-    try:
-        inv: Optional[RatMatrix] = inverse(a)
-    except SingularMatrixError:
-        inv = None
+    inv = _det_and_inverse(a)[1]
     for combo in itertools.combinations(range(1, n + 1), n - 1):
         alpha = IndexSet(n, combo)
         i = n * (n + 1) // 2 - sum(combo) - 1
@@ -387,11 +382,8 @@ def conjecture_2_violations(a: RatMatrix) -> list[tuple[str, str]]:
 def _independent_inverse_check(a: RatMatrix) -> bool:
     """Second route to the inverse: substituted back, A A^{-1} must be I
     exactly.  A singular A has no inverse to check."""
-    try:
-        inv = inverse(a)
-    except SingularMatrixError:
-        return True
-    return a @ inv == RatMatrix.identity(a.order)
+    inv = _det_and_inverse(a)[1]
+    return inv is None or a @ inv == RatMatrix.identity(a.order)
 
 
 def _negative_entry_violations(a: RatMatrix, k: int) -> list[tuple[str, str]]:
@@ -422,6 +414,7 @@ def _negative_entries_recounted(a: RatMatrix, k: int) -> bool:
 
 
 def _search(
+    target: str,
     config: GeneratorConfig,
     k: int,
     variant: Variant,
@@ -429,9 +422,9 @@ def _search(
     screen: Callable[[_IntRows], bool],
     violations: Callable[[RatMatrix], list[tuple[str, str]]],
     second_route: Callable[[RatMatrix], bool],
-) -> tuple[int, tuple[RatMatrix, ...], tuple[Counterexample, ...]]:
-    """The one search loop (see the module docstring); returns
-    (attempts, hits, counterexamples)."""
+) -> SearchReport:
+    """The one search loop (see the module docstring); its report on
+    ``target`` carries the evidence note."""
     if target_hits is not None and target_hits < 1:
         raise ValueError("target_hits must be >= 1")
     if not 0 <= k <= config.order:
@@ -459,25 +452,21 @@ def _search(
         counterexamples.extend(Counterexample(m, failed, evidence) for failed, evidence in found)
         if target_hits is not None and len(hits) >= target_hits:
             break
-    return attempts, tuple(hits), tuple(counterexamples)
+    return SearchReport(
+        target, attempts, tuple(hits), tuple(counterexamples), (_EVIDENCE_NOTE,)
+    )
 
 
 def search_exact_order(
-    n: int,
+    config: GeneratorConfig,
     k: int,
     variant: Variant,
-    config: GeneratorConfig,
     target_hits: Optional[int] = None,
 ) -> SearchReport:
     """Filter the generator stream through the exact-order classifier."""
-    if config.order != n:
-        raise ValueError("config order must match n")
-    attempts, hits, _ = _search(
-        config, k, variant, target_hits,
+    return _search(
+        f"exact-order k={k} ({variant.value})", config, k, variant, target_hits,
         lambda rows: _has_exact_order(rows, k, variant), lambda m: [], lambda m: True,
-    )
-    return SearchReport(
-        f"exact-order k={k} ({variant.value})", attempts, hits, (), (_EVIDENCE_NOTE,)
     )
 
 
@@ -492,16 +481,10 @@ def search_conjecture_1(
     Order 2 is refused before sampling; order 1 as for every search."""
     if config.order == 2:
         raise ValueError("conjecture 1 needs n >= 3")
-    attempts, hits, counterexamples = _search(
+    return _search(
+        "conjecture-1 (Z exact order 2: inverse blocks Z, one negative eigenvalue)",
         config, 2, Variant.E0, target_hits,
         _conjecture_1_screen, conjecture_1_violations, _independent_inverse_check,
-    )
-    return SearchReport(
-        "conjecture-1 (Z exact order 2: inverse blocks Z, one negative eigenvalue)",
-        attempts,
-        hits,
-        counterexamples,
-        (_EVIDENCE_NOTE,),
     )
 
 
@@ -511,19 +494,14 @@ def search_conjecture_2(
     """Hunt for E0-exact-order-2 matrices (no Z restriction) violating
     det < 0 or inverse-Z-ness.  The report notes how many hits escape the
     Z class, since those are the informative ones."""
-    attempts, hits, counterexamples = _search(
+    report = _search(
+        "conjecture-2 (exact order 2: det < 0, inverse exists and is Z)",
         config, 2, Variant.E0, target_hits,
         lambda rows: _has_exact_order(rows, 2, Variant.E0),
         conjecture_2_violations, _independent_inverse_check,
     )
-    non_z_hits = sum(1 for m in hits if not is_Z(m))
-    return SearchReport(
-        "conjecture-2 (exact order 2: det < 0, inverse exists and is Z)",
-        attempts,
-        hits,
-        counterexamples,
-        (_EVIDENCE_NOTE, f"hits outside the Z class: {non_z_hits}"),
-    )
+    non_z_hits = sum(1 for m in report.hits if not is_Z(m))
+    return replace(report, notes=report.notes + (f"hits outside the Z class: {non_z_hits}",))
 
 
 def search_negative_entries_question(
@@ -538,15 +516,9 @@ def search_negative_entries_question(
     n = config.order
     if not 1 <= k < n:
         raise ValueError("k must satisfy 1 <= k < n")
-    attempts, hits, counterexamples = _search(
+    return _search(
+        f"negative-entries question (exact order k={k}, {variant.value})",
         config, k, variant, target_hits,
         lambda rows: _has_exact_order(rows, k, variant),
         lambda m: _negative_entry_violations(m, k), lambda m: _negative_entries_recounted(m, k),
-    )
-    return SearchReport(
-        f"negative-entries question (exact order k={k}, {variant.value})",
-        attempts,
-        hits,
-        counterexamples,
-        (_EVIDENCE_NOTE,),
     )

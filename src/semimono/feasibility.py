@@ -16,17 +16,12 @@ degeneracy, no tolerances anywhere) on the closed system.  The simplex
 pivots an integer tableau fraction-free through ``ratcore._pivot``, the one
 exact kernel that ``det`` and ``inverse`` use too.
 
-Both support sweeps decide orders 1 and 2 by sign tests on a matrix's
-rows where they stand: the diagonal sign, and ``_pair_fails``, valid where
-both 1x1 blocks pass, which each sweep guarantees: ``exact_order`` by
-heredity, block by block, ``has_exact_order`` by reading the pairs only
-once every diagonal entry has passed, in one ``_signs_fit`` pass over the
-rows (a positive row scaling changes no sign of My, so rational and
-row-cleared integer rows decide alike).  Above order 2, ``exact_order`` hands the sliced block
-(``ratcore._block``) to ``_witness``, and ``has_exact_order`` decides it
-by ``_minimal_feasible`` on integer rows, with no simplex: every block it
-asks is minimal, with no failing proper principal block (the lemma and
-its proof are in that docstring).
+The two support sweeps that ask these questions, ``exact_order`` and
+``has_exact_order``, are described once, in the ``classify`` module
+docstring.  ``_pair_fails`` and ``_signs_fit`` decide their orders 1 and
+2, ``_witness`` the larger blocks of ``exact_order``, and
+``_minimal_witness`` those of ``has_exact_order`` (its docstring holds the
+lemma and its proof).
 
 ``_normalize_certificate`` scales a raw witness onto the closed system
 above; it runs only where a certificate is read: behind the public oracles,
@@ -286,10 +281,13 @@ def _adjugate_column(rows: Sequence[Sequence[int]], j: int) -> list[int]:
     ]
 
 
-def _minimal_feasible(rows: Sequence[Sequence[int]], members: tuple[int, ...], strict: bool) -> bool:
-    """The search screen's decision, on integer rows, at a *minimal* support:
-    does the system of the principal block B on ``members`` have a
-    solution, given that every proper principal block of B has none?
+def _minimal_witness(
+    rows: Sequence[Sequence[int]], members: tuple[int, ...], strict: bool
+) -> Optional[list[int]]:
+    """The witness of a *minimal* support, on integer rows: y > 0 with
+    B y < 0 (``strict``) or B y <= 0 for the principal block B on
+    ``members``, or None when B passes, given that every proper principal
+    block of B passes.  So the block fails iff the result is not None.
 
     ``has_exact_order`` asks only such blocks: it decides a support only
     after every smaller support has passed.  There the system needs no
@@ -317,22 +315,9 @@ def _minimal_feasible(rows: Sequence[Sequence[int]], members: tuple[int, ...], s
     parallel to y would make a proper block fail along y + t v, so
     ker B = span(y) and By = 0.
 
-    ``_minimal_witness`` computes the witness the lemma names, or None,
-    and decides the block by it.
-    """
-    return _minimal_witness(rows, members, strict) is not None
-
-
-def _minimal_witness(
-    rows: Sequence[Sequence[int]], members: tuple[int, ...], strict: bool
-) -> Optional[list[int]]:
-    """The witness of the lemma in ``_minimal_feasible`` at a minimal
-    support, on integer rows: y > 0 with B y < 0 (``strict``) or B y <= 0,
-    or None when B passes.
-
-    A nonsingular B gives y = |det B| x, x = -B^{-1} 1, so B y = -|det B| 1.
-    At order 3 that is y = -sign(det B) adj(B) 1, read in place in closed
-    form.  At other orders, one fraction-free solve of [B | -1]
+    A nonsingular B gives y = |det B| x, so B y = -|det B| 1.  At order 3
+    that is y = -sign(det B) adj(B) 1, read in place in closed form.  At
+    other orders, one fraction-free solve of [B | -1]
     (``ratcore._gauss_jordan``) leaves p [I | x] with p on the diagonal;
     its return value is det B, which is p up to the sign of the row swaps,
     so y is the last column times the sign of the diagonal (y = 1 for a

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
 from typing import Iterator
@@ -88,10 +89,12 @@ def lcp_feasible(inst: LcpInstance) -> FeasibilityOutcome:
 _Block = tuple[tuple[int, ...], tuple[int, ...], int, list[list[int]], list[tuple[int, list[int]]]]
 
 
+@lru_cache(maxsize=1)
 def _factor(a: RatMatrix) -> tuple[int, list[_Block]]:
     """L of ``_scalar_cleared`` and the factors of every principal block
     B = (L A)_aa in (size, lex) order, from one ``_gauss_jordan`` on
-    [B | I] each.
+    [B | I] each.  The last matrix's factors are kept, so ``lcp_solve_enum``
+    and ``q0_falsify`` on one A factor it once; callers only read them.
 
     A block is (members, idx, d, N, off): alpha 1-based and 0-based, d = |p|
     for the last pivot p of the pass, N = -d B^{-1} (the pass leaves

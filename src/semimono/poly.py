@@ -127,9 +127,8 @@ def _sign(x: int) -> int:
 
 
 def _distinct_neg_pos_counts(p: IntPoly) -> tuple[int, int]:
-    """Distinct roots of a square-free p with p(0) != 0 in (-inf,0) and (0,inf)."""
-    if len(p) <= 1:
-        return 0, 0
+    """Distinct roots of a square-free p with p(0) != 0 and degree >= 1 in
+    (-inf,0) and (0,inf)."""
     chain = sturm_chain(p)
     v_minus = _variations(_sign(q[-1]) * (-1 if len(q) % 2 == 0 else 1) for q in chain)
     v_zero = _variations(_sign(q[0]) for q in chain)

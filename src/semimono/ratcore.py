@@ -7,16 +7,16 @@ All class memberships downstream are strict sign conditions, so determinants,
 inverses and eigenvalue counts must be certified exactly.
 Determinants, inverses and the feasibility simplex all eliminate through one
 fraction-free integer pivot step, ``_pivot``, on denominator-cleared copies.
-There is no second elimination route: callers read a principal block of
-A^{-1} from one ``inverse(A)``.
+There is no second elimination route: callers read det A and A^{-1}, or
+None for a singular A, from one ``_det_and_inverse(A)``.
 
 ``_cleared_rows`` gives the row-cleared integer matrix D A, each row times
-the LCM of its denominators.  ``det`` and ``inverse`` pivot it, and since D
-is positive, exact order and the sign of every principal minor can be read
-from it too: the searches decide candidates on these integer rows and
-build Fractions only for hits.  ``_principal_minors`` reads every
-principal minor from one D A, so a Schur complement over an order-(n-1)
-block is the scalar det A / det A_aa of two of them.
+the LCM of its denominators.  ``det`` and ``_det_and_inverse`` pivot it,
+and since D is positive, exact order and the sign of every principal
+minor can be read from it too: the searches decide candidates on these
+integer rows and build Fractions only for hits.  ``_principal_minors``
+reads every principal minor from one D A, so a Schur complement over an
+order-(n-1) block is the scalar det A / det A_aa of two of them.
 
 The spectrum is the one thing a row scaling does not keep.  Eigenvalue
 counts use ``_scalar_cleared`` instead, L A for one positive scalar L,

@@ -11,9 +11,9 @@ Theorem 4.11's minor characterization is checked here only, in
 ``audit_thm_4_11``.
 
 The Schur complements of Theorems 3.5 and 4.11 are taken over order-(n-1)
-blocks, so each is the scalar det A / det A_aa of two principal minors
-read from one row-cleared D A (``ratcore._principal_minors``), and no
-partitioned formula is evaluated; evidence still prints it as the 1x1
+blocks, so each is the scalar det A / det A_aa of two principal minors of
+the row-cleared D A (Theorem 3.5 reads det A off the pass that inverts A),
+and no partitioned formula is evaluated; evidence still prints it as the 1x1
 ``RatMatrix[v]`` that reports have always carried.
 """
 
@@ -36,10 +36,9 @@ from .classify import (
 from .ratcore import (
     IndexSet,
     RatMatrix,
-    SingularMatrixError,
+    _det_and_inverse,
     _principal_minors,
     count_negative_eigenvalues,
-    inverse,
     is_irreducible,
     permutation_similarity,
     principal_submatrix,
@@ -122,13 +121,11 @@ def _almost_block_conclusions(a: RatMatrix, variant: Variant) -> list[Conclusion
             neg_ok = False
             neg_evidence.append(f"alpha={alpha} has a nonnegative row or column")
         if variant is Variant.E0:
-            try:
-                block_inv = inverse(block)
-            except SingularMatrixError:
+            block_inv = _det_and_inverse(block)[1]
+            if block_inv is None:
                 inv_ok = False
                 inv_evidence.append(f"alpha={alpha} block is singular")
-                continue
-            if any(v > 0 for row in block_inv.entries for v in row):
+            elif any(v > 0 for row in block_inv.entries for v in row):
                 inv_ok = False
                 inv_evidence.append(f"alpha={alpha} inverse has a positive entry")
     out.append(
@@ -197,22 +194,18 @@ def audit_thm_3x3_inverse(a: RatMatrix) -> AuditReport:
     met, note = _hypothesis(a, Variant.E0, 2, "E0 exact order 2")
     conclusions: list[Conclusion] = []
     if met:
-        read_minor = _principal_minors(a)
-        d = read_minor((1, 2, 3))
+        d, inv = _det_and_inverse(a)
         conclusions.append(Conclusion("det A < 0", d < 0, f"det = {d}"))
-        try:
-            inv = inverse(a)
-            conclusions.append(
-                Conclusion("inverse exists and is a Z-matrix", is_Z(inv), f"inverse = {inv!r}")
-            )
-        except SingularMatrixError:
-            conclusions.append(Conclusion("inverse exists and is a Z-matrix", False, "singular"))
+        evidence = "singular" if inv is None else f"inverse = {inv!r}"
+        conclusions.append(
+            Conclusion("inverse exists and is a Z-matrix", inv is not None and is_Z(inv), evidence)
+        )
         negatives = count_negative_eigenvalues(a)
         conclusions.append(
             Conclusion("exactly one negative eigenvalue", negatives == 1, f"count = {negatives}")
         )
         # det A / det A_aa by Schur's determinant identity
-        leading = read_minor((1, 2))
+        leading = _principal_minors(a)((1, 2))
         schur = d / leading if leading else None
         conclusions.append(
             Conclusion(

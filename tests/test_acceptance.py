@@ -121,7 +121,7 @@ def test_criterion_3_inverse_theorem_on_explored_3x3():
         seed=301,
         max_attempts=10_000,
     )
-    search = search_exact_order(3, 2, Variant.E0, config, target_hits=100)
+    search = search_exact_order(config, 2, Variant.E0, target_hits=100)
     corpus = [M3_ORDER2_E0, *search.hits]
     failures = 0
     for m in corpus:

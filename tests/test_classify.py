@@ -386,9 +386,9 @@ def test_search_sweep_solves_no_lp(monkeypatch):
             lambda *args, real=real, name=name:
                 calls.update([(name, bool(inside))]) or real(*args),
         )
-    real_decide = classify._minimal_feasible
+    real_decide = classify._minimal_witness
     monkeypatch.setattr(
-        classify, "_minimal_feasible",
+        classify, "_minimal_witness",
         lambda rows, members, strict:
             calls.update([("order >= 3", len(members) >= 3)]) or real_decide(rows, members, strict),
     )

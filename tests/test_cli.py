@@ -656,6 +656,24 @@ def test_lcp_negative_q0_trials_exit_2(tmp_path, capsys):
     assert "q0" not in json.loads(capsys.readouterr().out)["results"]
 
 
+def test_lcp_q0_trials_eliminate_each_block_once_per_op(tmp_path, capsys, monkeypatch):
+    # lcp_solve_enum and q0_falsify share one factoring of A: one elimination
+    # per principal block per op, also when ops alternate between matrices
+    calls = []
+    real = lcp._gauss_jordan
+    monkeypatch.setattr(lcp, "_gauss_jordan", lambda rows: calls.append(1) or real(rows))
+    lcp._factor.cache_clear()
+    q = write_vector(tmp_path, "q.txt", [-1, 1, F(1, 2)])
+    # two P-matrices, so every trial solves and each op exits 0
+    first = write_matrix(tmp_path, "a.txt", RatMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))
+    second = write_matrix(tmp_path, "b.txt", RatMatrix([[3, 1, 0], [F(1, 2), 2, 1], [0, -1, 4]]))
+    for a in (first, second, first):
+        calls.clear()
+        assert main(["lcp", q, a, "--q0-trials", "30", "--seed", "2", "--json"]) == 0
+        assert len(calls) == 2 ** 3 - 1
+    capsys.readouterr()
+
+
 def test_cli_entry_module_runs(tmp_path, capsys):
     path = write_matrix(tmp_path, "a.txt", RatMatrix.identity(2))
     assert main(["classify", path]) == 0

@@ -307,7 +307,7 @@ def test_z_minor_screen_agrees_with_classifier():
 
 def test_search_exact_order_finds_3x3_hits():
     c = cfg(3, template_exact_order_pattern(3), max_attempts=500)
-    report = search_exact_order(3, 2, Variant.E0, c, target_hits=10)
+    report = search_exact_order(c, 2, Variant.E0, target_hits=10)
     assert report.hit_count == 10
     assert not report.counterexamples
     for hit in report.hits:
@@ -316,22 +316,20 @@ def test_search_exact_order_finds_3x3_hits():
 
 def test_search_exact_order_nonneg_template_all_hits():
     c = cfg(2, template_nonneg(2), max_attempts=50)
-    report = search_exact_order(2, 0, Variant.E0, c)
+    report = search_exact_order(c, 0, Variant.E0)
     assert report.hit_count == report.attempts == 50
 
 
 def test_search_exact_order_validates_inputs():
     c = cfg(3, template_free(3))
     with pytest.raises(ValueError):
-        search_exact_order(4, 2, Variant.E0, c)
-    with pytest.raises(ValueError):
-        search_exact_order(3, 7, Variant.E0, c)
+        search_exact_order(c, 7, Variant.E0)
 
 
 def test_search_reports_are_reproducible():
     c = cfg(3, template_exact_order_pattern(3), max_attempts=300)
-    a = search_exact_order(3, 2, Variant.E0, c, target_hits=5)
-    b = search_exact_order(3, 2, Variant.E0, c, target_hits=5)
+    a = search_exact_order(c, 2, Variant.E0, target_hits=5)
+    b = search_exact_order(c, 2, Variant.E0, target_hits=5)
     assert a == b and isinstance(a, SearchReport)
 
 
@@ -345,7 +343,7 @@ def test_hit_rate_calibration_pattern_template():
         seed=99,
         max_attempts=2000,
     )
-    report = search_exact_order(3, 2, Variant.E0, c, target_hits=1)
+    report = search_exact_order(c, 2, Variant.E0, target_hits=1)
     assert report.hit_count >= 1
 
 
@@ -658,7 +656,7 @@ def test_hits_with_three_passing_orders_get_farkas_member_certificates(monkeypat
     monkeypatch.setattr(feasibility, "phase1_feasible", phase1)
     monkeypatch.setattr(explore, "_certified_exact_order", check)
     config = cfg(4, template_exact_order_pattern(4, variant), **_SEARCH_BOUNDS)
-    report = search_exact_order(4, 1, variant, config, target_hits=5)
+    report = search_exact_order(config, 1, variant, target_hits=5)
     assert report.hit_count == 5
     assert calls[True] >= 4 * 5 and calls[False] == 0
     assert all(exact_order(m, variant).k == 1 for m in report.hits)
@@ -672,7 +670,7 @@ def test_a_singular_failing_E_block_passes_the_hit_check(monkeypatch, n):
     # cofactors above)
     rows = [[(n * (i == j) - 1) * (j + 1) for j in range(n)] for i in range(n)]
     monkeypatch.setattr(explore, "_draws", lambda config: iter([(1, rows)]))
-    report = search_exact_order(n, 1, Variant.E, cfg(n, template_free(n), max_attempts=1))
+    report = search_exact_order(cfg(n, template_free(n), max_attempts=1), 1, Variant.E)
     assert report.hits == (RatMatrix(rows),)
     assert exact_order(report.hits[0], Variant.E).k == 1
 
@@ -758,7 +756,7 @@ def test_entry_cache_stays_bounded():
     c = cfg(2, template_nonneg(2), numerator_bound=2**31, denominator_bound=255,
             max_attempts=400)
     explore._entry.cache_clear()
-    report = search_exact_order(2, 0, Variant.E0, c)
+    report = search_exact_order(c, 0, Variant.E0)
     assert report.hit_count == 400
     info = explore._entry.cache_info()
     assert info.misses > maxsize and info.currsize <= maxsize

@@ -13,7 +13,6 @@ from semimono.feasibility import (
     _certifies_failure,
     _certifies_member,
     _member_certificate,
-    _minimal_feasible,
     _minimal_witness,
     _order2,
     _pair_fails,
@@ -296,10 +295,11 @@ def test_phase1_ties_follow_bland(g, h, witness):
 
 def minimal_decisions(rows, variant):
     """(members, strict, fails) for every support of the integer ``rows``
-    with no failing immediate sub-support, decided by
-    ``_minimal_feasible``, in (size, lex) order.  A support with a failing
-    sub-support fails by heredity and is not decided, so every decided
-    support is minimal: these are the blocks the lemma speaks about."""
+    with no failing immediate sub-support, decided by whether
+    ``_minimal_witness`` finds a witness, in (size, lex) order.  A support
+    with a failing sub-support fails by heredity and is not decided, so
+    every decided support is minimal: these are the blocks the lemma
+    speaks about."""
     strict = variant.strict_system
     failing = set()
     seen = []
@@ -307,7 +307,7 @@ def minimal_decisions(rows, variant):
         if any(members[:i] + members[i + 1:] in failing for i in range(len(members))):
             failing.add(members)
             continue
-        fails = _minimal_feasible(rows, members, strict)
+        fails = _minimal_witness(rows, members, strict) is not None
         seen.append((members, strict, fails))
         if fails:
             failing.add(members)

@@ -193,6 +193,7 @@ def test_q0_falsify_stops_at_the_first_solving_support(monkeypatch):
     solves = _counting(monkeypatch, "_gauss_jordan")
     lps = _counting(monkeypatch, "phase1_feasible")
     feasibility_checks = _counting(monkeypatch, "lcp_feasible")
+    lcp._factor.cache_clear()
     report = q0_falsify(a, trials=30, seed=4)
     assert (report.feasible_count, report.solved_count, len(report.violations)) == (30, 20, 10)
     assert len(solves) == 7

@@ -78,6 +78,12 @@ def test_primitive_is_positive_and_content_free():
     assert poly.primitive(()) == ()
 
 
+def test_sturm_chain_ends_at_a_zero_remainder():
+    # (x - 1)^2 is not square-free: p' = 2x - 2 divides it, so the chain
+    # stops at p' instead of appending a zero polynomial
+    assert poly.sturm_chain((1, -2, 1)) == [(1, -2, 1), (-2, 2)]
+
+
 def test_root_counts_simple_factors():
     # (x - 1)(x + 2)(x + 3)
     q = mul(p(-1, 1), p(2, 1), p(3, 1))

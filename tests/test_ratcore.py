@@ -246,14 +246,13 @@ def test_block_inverse_inverts_each_block_once(monkeypatch):
     # conjecture 1 on a 4x4 matrix reads all four size-3 blocks from one
     # inverse of A, not from an inverse of each block and its complement
     orders = []
-    real_inverse = ratcore.inverse
+    real_inverse = ratcore._det_and_inverse
 
     def counting(m):
         orders.append(m.order)
         return real_inverse(m)
 
-    monkeypatch.setattr(ratcore, "inverse", counting)
-    monkeypatch.setattr(explore, "inverse", counting)
+    monkeypatch.setattr(explore, "_det_and_inverse", counting)
     assert explore.conjecture_1_violations(M4_ORDER2_NONZ) == []
     assert orders == [4]
 

@@ -1,12 +1,15 @@
 """The line counter in tools/src_lines.py, which the code/docstring/
-comment/blank accounting of the project's changes is read from, and the
-line collector in tools/src_coverage.py."""
+comment/blank accounting of the project's changes is read from, the line
+collector in tools/src_coverage.py, and a scan of the package for imports
+that nothing uses."""
 
+import ast
 import importlib.util
 import threading
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 # every kind of line the counter tells apart
 SOURCE = '''"""Module docstring.
@@ -83,3 +86,30 @@ def test_coverage_lists_the_lines_no_call_reaches(tmp_path):
     missed = cov.executable_lines(path) - reached[path.resolve()]
     assert sorted(missed) == [5]
     assert cov.ranges([3, 5, 7, 8, 9, 12]) == "3, 5, 7-9, 12"
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that ``source`` imports and never reads as a name (an
+    attribute chain reads its first name); ``from __future__`` is not an
+    import of a name."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export, so it is exempt
+    sample = "from __future__ import annotations\nimport os.path\nfrom .m import a, b as c\nc(os)\n"
+    assert unused_imports(sample) == ["a"]
+    found = {
+        path.name: names
+        for path in sorted((ROOT / "src" / "semimono").glob("*.py"))
+        if path.name != "__init__.py" and (names := unused_imports(path.read_text()))
+    }
+    assert found == {}

@@ -105,11 +105,9 @@ def test_inverse_audit_wrong_order():
 def test_singular_inverses_fail_the_inverse_conclusions(monkeypatch):
     # with every inverse forced singular, the order-2 blocks of the structure
     # audit and A itself in the inverse audit fail their inverse conclusion,
-    # and each report carries A as its counterexample
-    def singular(m):
-        raise SingularMatrixError("forced")
-
-    monkeypatch.setattr(verify, "inverse", singular)
+    # and each report carries A as its counterexample; det A stays real
+    real = verify._det_and_inverse
+    monkeypatch.setattr(verify, "_det_and_inverse", lambda m: (real(m)[0], None))
     for report, name, evidence in (
         (
             audit_thm_3x3_structure(M3_ORDER2_E0, Variant.E0),
