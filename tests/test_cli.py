@@ -556,6 +556,48 @@ def test_explore_report_golden_digest(target, tmp_path, capsys):
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
 
 
+# The `explore --json` input digest of each GOLDEN_REPORTS run, without a
+# bound flag and with each bound flag in turn: it hashes the generator bounds
+# the run used, so these pin how the flags merge over a target's defaults.
+EXPLORE_BOUND_FLAGS = ([], ["--num-bound", "3"], ["--den-bound", "1"], ["--diag-bound", "6"])
+GOLDEN_INPUT_DIGESTS = {
+    "exact-order": (
+        "9a21cc824019fe00efb333d0b77e81dd32e430d860dcb3aeaae07f8d1e89256d",
+        "d364c9b2b55e4f2af737be6524aab714e1fba1dd44d53b7900d3582287a48394",
+        "38e1083602f91eb5b060e5dc8cd4d93357bc47f37edc6208951fe8259de16b2d",
+        "e500a3a51c1b762f696aaed7b652279e40985e24d040b70ec26f4613a76cbe7f",
+    ),
+    "conjecture1": (
+        "cd463e63576ed411c39b43bc8521bf632345487079948231a96d66c1ea94851f",
+        "388410513f6147dddc9338e3babf46cb07f8112511df6bff7ad85b1827d7de46",
+        "d8ab85dbfe38275a42103b6920639d1f81a0000bab2767f06a57b34b33bb6270",
+        "0f90f1cf893db946253e590c26019a1ce786eae9cb0554dadeb00b95cb02888a",
+    ),
+    "conjecture2": (
+        "71d490861083ebd5be585affbee8b5f6d5e5ffa14835c3e77c8237c88eaa900f",
+        "0bc08a6a22e227a2c27a7ab392e5534bff6beeac091e5b4d1075795b92c784fb",
+        "575e3cb3922aa17a155ff9ffb61f6954b954456795f61008908532703c878b42",
+        "4eaa605ab877847150aaa1f384cba631669402069323486abb5de11ef6179c9b",
+    ),
+    "neg-entries": (
+        "ad770463769a11db0edc899168f8f65f2fe208ee6adb09769abd408e70a0b60c",
+        "3a698b5f99a95608494880b6be0f187b0bb930518812c0db69fb12f799ec44ae",
+        "80fe9ba815eb46dbad92822c4cf5f731f569b335282fdec208de016d8e0fc3dd",
+        "b134b30e88d0d2a65c24281a900bb9fa517c03f6a352fe93435d43c4c81b6752",
+    ),
+}
+
+
+@pytest.mark.parametrize("target", list(GOLDEN_REPORTS))
+def test_explore_input_digest_golden(target, capsys):
+    args = GOLDEN_REPORTS[target][0]
+    digests = []
+    for flags in EXPLORE_BOUND_FLAGS:
+        assert main(["explore", "--target", target, *args, *flags, "--json"]) == 0
+        digests.append(json.loads(capsys.readouterr().out)["input_digest"].removeprefix("sha256:"))
+    assert tuple(digests) == GOLDEN_INPUT_DIGESTS[target]
+
+
 def test_explore_conjecture2_small(capsys):
     code = main(
         [
@@ -738,6 +780,17 @@ def test_lcp_results_golden_digest(case, tmp_path, capsys):
         results = json.loads(capsys.readouterr().out)["results"]
         h.update(json.dumps(results, sort_keys=True).encode())
     assert h.hexdigest() == digest
+
+
+def test_lcp_q0_seed_defaults_to_zero(tmp_path, capsys):
+    for i, (q, a) in enumerate(_lcp_fixture_instances()):
+        argv = ["lcp", write_vector(tmp_path, f"q{i}.txt", q), write_matrix(tmp_path, f"a{i}.txt", a),
+                "--q0-trials", "4", "--json"]
+        results = []
+        for extra in ([], ["--seed", "0"]):
+            main(argv + extra)
+            results.append(json.loads(capsys.readouterr().out)["results"])
+        assert "q0" in results[0] and results[0] == results[1]
 
 
 def test_orders_over_the_support_budget_exit_2(tmp_path, capsys):
