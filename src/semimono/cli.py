@@ -207,6 +207,10 @@ def _witness_text(verdict: dict) -> str:
 Report = tuple[list[str], dict, list[str], int]
 
 
+# the --variant choices of audit and explore
+_VARIANTS = {"e0": Variant.E0, "e": Variant.E}
+
+
 def _cmd_classify(args: argparse.Namespace) -> Report:
     a = _load(args.matrix, parse_matrix_text)
     n = a.order
@@ -262,10 +266,8 @@ def _cmd_audit(args: argparse.Namespace) -> Report:
     a = _load(args.matrix, parse_matrix_text)
     b = _load(args.matrix_b, parse_matrix_text) if args.matrix_b else None
     _check_budget(max(m.order for m in (a, b) if m is not None))
-    variant = Variant.E if args.variant == "e" else Variant.E0
-    seed = args.seed if args.seed is not None else 0
     try:
-        audit = verify.AUDITS[args.theorem](a, variant, seed, b)
+        audit = verify.AUDITS[args.theorem](a, _VARIANTS[args.variant], args.seed, b)
     except ValueError as exc:  # WrongOrderError and NotSymmetricError included
         raise CliError(f"audit {args.theorem}: {exc}") from exc
 
@@ -303,62 +305,56 @@ _TEMPLATES = {
     "nonneg": lambda n, variant: explore.template_nonneg(n),
 }
 
+
 class _Target(NamedTuple):
-    """One explore target: its default template, generator defaults, and its
-    search behind one signature (config, k, variant, hits)."""
+    """One explore target: its default template, its search, whether that
+    search takes (config, k, variant, hits) or only (config, hits), and the
+    ``GeneratorConfig`` fields it calibrates."""
 
     template: str
     search: Callable[..., explore.SearchReport]
-    needs_k: bool = False
-    num_bound: int = 5
-    den_bound: int = 3
-    diag_bound: Optional[int] = None
-    weights: tuple[int, int, int] = (4, 1, 4)
+    needs_k: bool
+    calibration: dict[str, object]
 
 
 # Conjecture targets use calibrated bounds: they want diagonals that dominate
 # the off-diagonal magnitudes, and conjecture 2's free template leans negative.
+_CONJECTURE_BOUNDS = {"numerator_bound": 4, "denominator_bound": 2, "diagonal_numerator_bound": 8}
 _TARGETS = {
-    "exact-order": _Target("pattern", explore.search_exact_order, needs_k=True),
-    "conjecture1": _Target(
-        "z",
-        lambda config, k, variant, hits: explore.search_conjecture_1(config, target_hits=hits),
-        num_bound=4, den_bound=2, diag_bound=8,
-    ),
+    "exact-order": _Target("pattern", explore.search_exact_order, True, {}),
+    "conjecture1": _Target("z", explore.search_conjecture_1, False, _CONJECTURE_BOUNDS),
     "conjecture2": _Target(
-        "diag-free",
-        lambda config, k, variant, hits: explore.search_conjecture_2(config, target_hits=hits),
-        num_bound=4, den_bound=2, diag_bound=8, weights=(12, 1, 2),
+        "diag-free", explore.search_conjecture_2, False,
+        {**_CONJECTURE_BOUNDS, "free_weights": (12, 1, 2)},
     ),
-    "neg-entries": _Target("pattern", explore.search_negative_entries_question, needs_k=True),
+    "neg-entries": _Target("pattern", explore.search_negative_entries_question, True, {}),
 }
 
 
 def _cmd_explore(args: argparse.Namespace) -> Report:
     _check_budget(args.n)
-    variant = Variant.E if args.variant == "e" else Variant.E0
+    variant = _VARIANTS[args.variant]
     target = _TARGETS[args.target]
     template_name = args.template or target.template
-    template = _TEMPLATES[template_name](args.n, variant)
-    num_bound = args.num_bound if args.num_bound is not None else target.num_bound
-    den_bound = args.den_bound if args.den_bound is not None else target.den_bound
-    diag_bound = args.diag_bound if args.diag_bound is not None else target.diag_bound
     if target.needs_k and args.k is None:
         raise CliError(f"explore {args.target} needs --k")
+    # the bound flags the user gave, over the target's calibration, over
+    # GeneratorConfig's defaults
+    flags = dict(numerator_bound=args.num_bound, denominator_bound=args.den_bound,
+                 diagonal_numerator_bound=args.diag_bound)
+    bounds = {**target.calibration, **{f: v for f, v in flags.items() if v is not None}}
     # The config and the searches check their arguments before sampling, so
     # a ValueError here is a usage error, not a finding.
     try:
         config = explore.GeneratorConfig(
             order=args.n,
-            template=template,
-            numerator_bound=num_bound,
-            denominator_bound=den_bound,
+            template=_TEMPLATES[template_name](args.n, variant),
             seed=args.seed,
             max_attempts=args.attempts,
-            free_weights=target.weights,
-            diagonal_numerator_bound=diag_bound,
+            **bounds,
         )
-        report = target.search(config, args.k, variant, args.hits)
+        k_args = (args.k, variant) if target.needs_k else ()
+        report = target.search(config, *k_args, args.hits)
     except ValueError as exc:
         raise CliError(f"explore {args.target}: {exc}") from exc
 
@@ -387,13 +383,13 @@ def _cmd_explore(args: argparse.Namespace) -> Report:
 
     config_text = json.dumps(
         {
-            "order": args.n,
+            "order": config.order,
             "template": template_name,
-            "seed": args.seed,
-            "attempts": args.attempts,
-            "num_bound": num_bound,
-            "den_bound": den_bound,
-            "diag_bound": diag_bound,
+            "seed": config.seed,
+            "attempts": config.max_attempts,
+            "num_bound": config.numerator_bound,
+            "den_bound": config.denominator_bound,
+            "diag_bound": config.diagonal_numerator_bound,
         },
         sort_keys=True,
     )
@@ -427,7 +423,7 @@ def _cmd_lcp(args: argparse.Namespace) -> Report:
     exit_code = 0 if verified else 1
     if args.q0_trials:
         try:
-            q0 = lcp.q0_falsify(a, args.q0_trials, args.seed if args.seed is not None else 0)
+            q0 = lcp.q0_falsify(a, args.q0_trials, args.seed)
         except ValueError as exc:
             raise CliError(f"lcp --q0-trials: {exc}") from exc
         results["q0"] = {
@@ -483,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("matrix")
     p_audit.add_argument("--theorem", required=True, choices=list(verify.AUDIT_IDS))
     p_audit.add_argument("--matrix-b", help="second matrix (nonclosure audit)")
-    p_audit.add_argument("--variant", choices=["e0", "e"], default="e0")
-    p_audit.add_argument("--seed", type=int, default=None, help="seed (invariance audit)")
+    p_audit.add_argument("--variant", choices=list(_VARIANTS), default="e0")
+    p_audit.add_argument("--seed", type=int, default=0, help="seed (invariance audit)")
     p_audit.set_defaults(run=_cmd_audit)
 
     p_explore = sub.add_parser("explore", help="seeded randomized search")
@@ -494,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--seed", type=int, required=True, help="generator seed (mandatory)")
     p_explore.add_argument("--attempts", type=int, default=10_000)
     p_explore.add_argument("--hits", type=int, default=None, help="stop after this many hits")
-    p_explore.add_argument("--variant", choices=["e0", "e"], default="e0")
+    p_explore.add_argument("--variant", choices=list(_VARIANTS), default="e0")
     p_explore.add_argument("--template", choices=list(_TEMPLATES), default=None)
     p_explore.add_argument("--num-bound", type=int, default=None)
     p_explore.add_argument("--den-bound", type=int, default=None,
@@ -508,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lcp.add_argument("q", help="vector file")
     p_lcp.add_argument("matrix", help="matrix file")
     p_lcp.add_argument("--q0-trials", type=int, default=0, help="also run q0 sampling")
-    p_lcp.add_argument("--seed", type=int, default=None, help="seed for q0 sampling")
+    p_lcp.add_argument("--seed", type=int, default=0, help="seed for q0 sampling")
     p_lcp.set_defaults(run=_cmd_lcp)
 
     # added after each verb's own flags, not through a parent parser, whose

@@ -38,6 +38,7 @@ from .ratcore import (
     RatMatrix,
     _det_and_inverse,
     _principal_minors,
+    _support_members,
     count_negative_eigenvalues,
     is_irreducible,
     permutation_similarity,
@@ -99,6 +100,12 @@ def _diagonal_conclusion(a: RatMatrix, variant: Variant) -> Conclusion:
     )
 
 
+def _conclusion(name: str, failures: list[str], all_clear: str) -> Conclusion:
+    """The conclusion ``name``: passed iff nothing is in ``failures``, with
+    the failures, or else ``all_clear``, as its evidence."""
+    return Conclusion(name, not failures, "; ".join(failures) or all_clear)
+
+
 def _almost_block_conclusions(a: RatMatrix, variant: Variant) -> list[Conclusion]:
     """Auxiliary checks on the order-(n-1) principal blocks.
 
@@ -108,41 +115,27 @@ def _almost_block_conclusions(a: RatMatrix, variant: Variant) -> list[Conclusion
     are additionally invertible with entrywise nonpositive inverses.
     """
     n = a.order
-    out: list[Conclusion] = []
-    neg_ok = True
-    neg_evidence = []
-    inv_ok = True
-    inv_evidence = []
+    neg_bad: list[str] = []
+    inv_bad: list[str] = []
     for combo in itertools.combinations(range(1, n + 1), n - 1):
         alpha = IndexSet(n, combo)
         block = principal_submatrix(a, alpha)
         profile = negative_entry_profile(block)
         if profile.min_row < 1 or profile.min_column < 1:
-            neg_ok = False
-            neg_evidence.append(f"alpha={alpha} has a nonnegative row or column")
+            neg_bad.append(f"alpha={alpha} has a nonnegative row or column")
         if variant is Variant.E0:
             block_inv = _det_and_inverse(block)[1]
             if block_inv is None:
-                inv_ok = False
-                inv_evidence.append(f"alpha={alpha} block is singular")
+                inv_bad.append(f"alpha={alpha} block is singular")
             elif any(v > 0 for row in block_inv.entries for v in row):
-                inv_ok = False
-                inv_evidence.append(f"alpha={alpha} inverse has a positive entry")
-    out.append(
-        Conclusion(
-            "order n-1 blocks: negative entry in every row and column",
-            neg_ok,
-            "; ".join(neg_evidence) or "holds for every block",
-        )
-    )
+                inv_bad.append(f"alpha={alpha} inverse has a positive entry")
+    out = [
+        _conclusion("order n-1 blocks: negative entry in every row and column", neg_bad,
+                    "holds for every block")
+    ]
     if variant is Variant.E0:
-        out.append(
-            Conclusion(
-                "order n-1 blocks: inverse exists and is entrywise nonpositive",
-                inv_ok,
-                "; ".join(inv_evidence) or "holds for every block",
-            )
-        )
+        out.append(_conclusion("order n-1 blocks: inverse exists and is entrywise nonpositive",
+                               inv_bad, "holds for every block"))
     return out
 
 
@@ -273,29 +266,20 @@ def audit_thm_4_11(a: RatMatrix) -> AuditReport:
     note = f"Z: {z}; {note}"
     conclusions: list[Conclusion] = []
     if met:
-        # every minor the conclusions read, all from one row-cleared D A;
-        # the order-(n-1) ones are kept for the inverse diagonal and the
-        # Schur complements
-        minors: dict[tuple[int, ...], Fraction] = {}
+        # every principal minor, det A included, each read once from one
+        # row-cleared D A
         read_minor = _principal_minors(a)
-        breaks = list(_minor_breaks(n, lambda key: minors.setdefault(key, read_minor(key))))
+        minors = {key: read_minor(key) for key in _support_members(n)}
+        breaks = list(_minor_breaks(n, minors.__getitem__))
         small_bad = [f"det A_{alpha} = {minor}" for alpha, minor in breaks if len(alpha) <= n - 2]
         middle_bad = [f"det A_{alpha} = {minor}" for alpha, minor in breaks if len(alpha) == n - 1]
         conclusions.append(
-            Conclusion(
-                "principal minors of order <= n-2 nonnegative",
-                not small_bad,
-                "; ".join(small_bad) or "all nonnegative",
-            )
+            _conclusion("principal minors of order <= n-2 nonnegative", small_bad, "all nonnegative")
         )
         conclusions.append(
-            Conclusion(
-                "principal minors of order n-1 negative",
-                not middle_bad,
-                "; ".join(middle_bad) or "all negative",
-            )
+            _conclusion("principal minors of order n-1 negative", middle_bad, "all negative")
         )
-        d = read_minor(tuple(range(1, n + 1)))
+        d = minors[tuple(range(1, n + 1))]
         conclusions.append(Conclusion("det A < 0", d < 0, f"det = {d}"))
         combos = list(itertools.combinations(range(1, n + 1), n - 1))
         if d == 0:
@@ -313,19 +297,14 @@ def audit_thm_4_11(a: RatMatrix) -> AuditReport:
             )
         schur_bad = []
         for combo in combos:
-            alpha = IndexSet(n, combo)
             # det A / det A_aa by Schur's determinant identity
             schur = d / minors[combo] if minors[combo] else None
-            if schur is None:
-                schur_bad.append(f"alpha={alpha}: block singular")
-            elif schur <= 0:
-                schur_bad.append(f"alpha={alpha}: A/A_aa = RatMatrix[{schur}]")
+            if schur is None or schur <= 0:
+                value = "block singular" if schur is None else f"A/A_aa = RatMatrix[{schur}]"
+                schur_bad.append(f"alpha={IndexSet(n, combo)}: {value}")
         conclusions.append(
-            Conclusion(
-                "Schur complement positive for every size-(n-1) alpha",
-                not schur_bad,
-                "; ".join(schur_bad) or "all positive",
-            )
+            _conclusion("Schur complement positive for every size-(n-1) alpha", schur_bad,
+                        "all positive")
         )
     return _report("thm4.11", a, met, note, conclusions)
 
