@@ -323,12 +323,21 @@ _CONJECTURE_BOUNDS = {"numerator_bound": 4, "denominator_bound": 2, "diagonal_nu
 _TARGETS = {
     "exact-order": _Target("pattern", explore.search_exact_order, True, {}),
     "conjecture1": _Target("z", explore.search_conjecture_1, False, _CONJECTURE_BOUNDS),
-    "conjecture2": _Target(
-        "diag-free", explore.search_conjecture_2, False,
-        {**_CONJECTURE_BOUNDS, "free_weights": (12, 1, 2)},
-    ),
+    "conjecture2": _Target("diag-free", explore.search_conjecture_2, False,
+                           {**_CONJECTURE_BOUNDS, "free_weights": (12, 1, 2)}),
     "neg-entries": _Target("pattern", explore.search_negative_entries_question, True, {}),
 }
+
+
+def _write_out(directory: str, files: dict[str, str]) -> None:
+    """Write each (name, text) of ``files`` into ``directory``, creating it;
+    a path that cannot be that directory is a usage error."""
+    try:
+        Path(directory).mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (Path(directory) / name).write_text(text)
+    except OSError as exc:
+        raise CliError(f"explore --out: {exc}") from exc
 
 
 def _cmd_explore(args: argparse.Namespace) -> Report:
@@ -353,6 +362,8 @@ def _cmd_explore(args: argparse.Namespace) -> Report:
             max_attempts=args.attempts,
             **bounds,
         )
+        if args.out:
+            _write_out(args.out, {})  # before the search, so a bad path costs no search
         k_args = (args.k, variant) if target.needs_k else ()
         report = target.search(config, *k_args, args.hits)
     except ValueError as exc:
@@ -360,15 +371,11 @@ def _cmd_explore(args: argparse.Namespace) -> Report:
 
     results = _search_json(report)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for i, hit in enumerate(report.hits, start=1):
-            (out / f"hit_{i:04d}.txt").write_text(format_matrix(hit))
+        files = {f"hit_{i:04d}.txt": format_matrix(hit) for i, hit in enumerate(report.hits, 1)}
         for i, ce in enumerate(report.counterexamples, start=1):
-            (out / f"counterexample_{i:04d}.txt").write_text(format_matrix(ce.matrix))
-        (out / "report.json").write_text(
-            json.dumps(results, indent=2, sort_keys=True) + "\n"
-        )
+            files[f"counterexample_{i:04d}.txt"] = format_matrix(ce.matrix)
+        files["report.json"] = json.dumps(results, indent=2, sort_keys=True) + "\n"
+        _write_out(args.out, files)
 
     lines = [
         f"explore {args.target} (seed {args.seed}, template {template_name})",

@@ -508,6 +508,33 @@ def test_explore_bounds_past_2_31_exit_2(flag, capsys):
     assert err.startswith("error: explore") and "2**31" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["existing-file", "under-a-file"])
+def test_explore_out_that_cannot_be_a_directory_exits_2_before_searching(
+    sub, tmp_path, capsys, monkeypatch
+):
+    searched = []
+    monkeypatch.setattr(explore, "_search", lambda *args: searched.append(args))
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / sub if sub else tmp_path / "file"
+    argv = ["explore", "--target", "conjecture1", "--n", "3", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not searched
+    assert captured.err.startswith("error: explore --out: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_explore_out_write_fault_exits_2(tmp_path, capsys):
+    # a directory where report.json should go: the search runs, the write fails
+    (tmp_path / "report.json").mkdir()
+    argv = ["explore", "--target", "conjecture1", "--n", "3", "--seed", "1", "--attempts", "5",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: explore --out: ")
+    assert "Traceback" not in captured.err
+
+
 def test_explore_nonneg_template_all_hits(capsys):
     code = main(
         [
