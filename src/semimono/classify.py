@@ -88,8 +88,6 @@ class ClassLabel(Enum):
     E = "E"
     ALMOST_E0 = "almost E0"
     ALMOST_E = "almost E"
-    Z = "Z"
-    NONNEGATIVE = "nonnegative"
     P0 = "P0"
     P = "P"
     COPOSITIVE = "copositive"
