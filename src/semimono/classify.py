@@ -23,7 +23,8 @@ orders above 2 with no simplex: a block fails iff it returns a witness.
 It is the screen of every search in ``explore``, whose hits are then
 proven by substituted certificates (``feasibility._certified_exact_order``),
 not by a second sweep; README "How it works" describes the search
-pipeline.  The P0 and P verdicts read every principal minor from one D A
+pipeline.  The audits in ``verify`` decide their exact-order hypotheses
+with it too.  The P0 and P verdicts read every principal minor from one D A
 (``ratcore._principal_minors``).
 
 All procedures are pure; the fixed order makes the first witness

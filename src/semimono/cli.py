@@ -362,8 +362,12 @@ def _cmd_explore(args: argparse.Namespace) -> Report:
             max_attempts=args.attempts,
             **bounds,
         )
+        # the search's own checks before --out makes its directory, and the
+        # directory before the search: a usage error leaves no directory
+        # behind, and a bad path costs no search
+        explore.check_search(target.search, args.n, args.k, args.hits)
         if args.out:
-            _write_out(args.out, {})  # before the search, so a bad path costs no search
+            _write_out(args.out, {})
         k_args = (args.k, variant) if target.needs_k else ()
         report = target.search(config, *k_args, args.hits)
     except ValueError as exc:

@@ -413,7 +413,33 @@ def _negative_entries_recounted(a: RatMatrix, k: int) -> bool:
 # searches
 
 
+def check_search(
+    search: Callable[..., SearchReport], order: int, k: Optional[int], target_hits: Optional[int]
+) -> None:
+    """Raise the ValueError that ``search`` raises, before it samples, on
+    these arguments, if any: conjecture 1 at n = 2, a negative-entries k
+    outside 1..n-1, a ``target_hits`` below 1, and an exact order outside
+    0..n.  The conjecture searches fix k = 2 and ignore ``k``.
+
+    ``_search`` calls it first, so a caller can refuse what a search would
+    refuse before a side effect of its own.
+    """
+    if search is search_conjecture_1 and order == 2:
+        # exact order 2 at n = 2 needs a11, a22 < 0, and -I, with two
+        # negative eigenvalues, would count as a counterexample
+        raise ValueError("conjecture 1 needs n >= 3")
+    if search in (search_conjecture_1, search_conjecture_2):
+        k = 2
+    elif search is search_negative_entries_question and not 1 <= k < order:
+        raise ValueError("k must satisfy 1 <= k < n")
+    if target_hits is not None and target_hits < 1:
+        raise ValueError("target_hits must be >= 1")
+    if not 0 <= k <= order:
+        raise ValueError(f"exact order must lie in 0..{order}")
+
+
 def _search(
+    search: Callable[..., SearchReport],
     target: str,
     config: GeneratorConfig,
     k: int,
@@ -423,12 +449,9 @@ def _search(
     violations: Callable[[RatMatrix], list[tuple[str, str]]],
     second_route: Callable[[RatMatrix], bool],
 ) -> SearchReport:
-    """The one search loop (see the module docstring); its report on
-    ``target`` carries the evidence note."""
-    if target_hits is not None and target_hits < 1:
-        raise ValueError("target_hits must be >= 1")
-    if not 0 <= k <= config.order:
-        raise ValueError(f"exact order must lie in 0..{config.order}")
+    """The one search loop of the public ``search`` (see the module
+    docstring); its report on ``target`` carries the evidence note."""
+    check_search(search, config.order, k, target_hits)
     hits: list[RatMatrix] = []
     counterexamples: list[Counterexample] = []
     attempts = 0
@@ -465,7 +488,8 @@ def search_exact_order(
 ) -> SearchReport:
     """Filter the generator stream through the exact-order classifier."""
     return _search(
-        f"exact-order k={k} ({variant.value})", config, k, variant, target_hits,
+        search_exact_order, f"exact-order k={k} ({variant.value})",
+        config, k, variant, target_hits,
         lambda rows: _has_exact_order(rows, k, variant), lambda m: [], lambda m: True,
     )
 
@@ -476,12 +500,10 @@ def search_conjecture_1(
     """Hunt for Z-matrices of E0 exact order 2 violating the inverse-block
     conjecture (Z principal blocks of the inverse, one negative eigenvalue).
 
-    The conjecture needs n >= 3: at n = 2 exact order 2 means a11, a22 < 0,
-    and -I, with two negative eigenvalues, would count as a counterexample.
-    Order 2 is refused before sampling; order 1 as for every search."""
-    if config.order == 2:
-        raise ValueError("conjecture 1 needs n >= 3")
+    The conjecture needs n >= 3, which ``check_search`` states: order 2 is
+    refused before sampling, and order 1 as for every search."""
     return _search(
+        search_conjecture_1,
         "conjecture-1 (Z exact order 2: inverse blocks Z, one negative eigenvalue)",
         config, 2, Variant.E0, target_hits,
         _conjecture_1_screen, conjecture_1_violations, _independent_inverse_check,
@@ -495,6 +517,7 @@ def search_conjecture_2(
     det < 0 or inverse-Z-ness.  The report notes how many hits escape the
     Z class, since those are the informative ones."""
     report = _search(
+        search_conjecture_2,
         "conjecture-2 (exact order 2: det < 0, inverse exists and is Z)",
         config, 2, Variant.E0, target_hits,
         lambda rows: _has_exact_order(rows, 2, Variant.E0),
@@ -513,10 +536,8 @@ def search_negative_entries_question(
     """Probe whether exact-order-k matrices always carry at least k negative
     entries in every row and column; a verified violation would settle the
     question negatively."""
-    n = config.order
-    if not 1 <= k < n:
-        raise ValueError("k must satisfy 1 <= k < n")
     return _search(
+        search_negative_entries_question,
         f"negative-entries question (exact order k={k}, {variant.value})",
         config, k, variant, target_hits,
         lambda rows: _has_exact_order(rows, k, variant),

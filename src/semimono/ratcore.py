@@ -149,12 +149,6 @@ def _block(rows: Sequence[Sequence[_T]], members: tuple[int, ...]) -> list[list[
     return [[row[j - 1] for j in members] for row in picked]
 
 
-def all_supports(n: int) -> Iterator[IndexSet]:
-    """All nonempty subsets of {1..n} in deterministic (size, lex) order."""
-    for members in _support_members(n):
-        yield IndexSet(n, members)
-
-
 class RatMatrix:
     """Square matrix of exact rationals; immutable and hashable.
 

@@ -4,11 +4,13 @@ becomes a hypotheses/conclusions check runnable on arbitrary input.
 Hypothesis checking is kept strictly separate from conclusion checking: a
 failed conclusion *with hypotheses met* is genuine evidence against the
 audited statement and is surfaced as a counterexample with re-checkable
-data, while unmet hypotheses simply skip the conclusions.  The randomized
-searches in ``explore`` run their own conclusion checkers and decide
-their candidates with ``classify._has_exact_order`` on integer rows;
-Theorem 4.11's minor characterization is checked here only, in
-``audit_thm_4_11``.
+data, while unmet hypotheses simply skip the conclusions.  The audits of
+one exact order (``_hypothesis``) decide it as the randomized searches in
+``explore`` decide their candidates: by the ``has_exact_order`` sweep on
+A's row-cleared integer rows, with no LP; only an unmet hypothesis reads
+the full ``exact_order`` profile, which its note prints.  The searches run
+their own conclusion checkers; Theorem 4.11's minor characterization is
+checked here only, in ``audit_thm_4_11``.
 
 The Schur complements of Theorems 3.5 and 4.11 are taken over order-(n-1)
 blocks, so each is the scalar det A / det A_aa of two principal minors of
@@ -30,6 +32,7 @@ from .classify import (
     WrongOrderError,
     copositive_exact_order,
     exact_order,
+    has_exact_order,
     is_Z,
     negative_entry_profile,
 )
@@ -50,14 +53,14 @@ class NotSymmetricError(ValueError):
     """The symmetric-equivalence audit needs symmetric input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conclusion:
     name: str
     passed: bool
     evidence: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditReport:
     audit_id: str
     hypotheses_met: bool
@@ -84,7 +87,17 @@ def _report(
 
 def _hypothesis(a: RatMatrix, variant: Variant, k: int, requires: str) -> tuple[bool, str]:
     """Whether A has exact order k in ``variant``, and the note that prints
-    A's classification against what the audit ``requires``."""
+    A's classification against what the audit ``requires``.
+
+    The hypothesis is decided by ``has_exact_order`` on A's row-cleared
+    integer rows, which solves no LP, and a met one prints what
+    ``ExactOrderResult.describe()`` prints for exact order k.  Only an unmet
+    one calls ``exact_order``, for the profile its note prints; the answer
+    is then that result's k == k, which agrees with the integer test on
+    every input.
+    """
+    if has_exact_order(a, k, variant):
+        return True, f"classified as {variant.value} exact order {k}; requires {requires}"
     result = exact_order(a, variant)
     return result.k == k, f"classified as {result.describe()}; requires {requires}"
 

@@ -31,10 +31,16 @@ from semimono.ratcore import (
     RatVector,
     _berkowitz,
     _scalar_cleared,
-    all_supports,
+    _support_members,
     inverse,
     principal_submatrix,
 )
+
+
+def all_supports(n: int) -> Iterator[IndexSet]:
+    """All nonempty subsets of {1..n} in deterministic (size, lex) order."""
+    for members in _support_members(n):
+        yield IndexSet(n, members)
 
 
 def det_cofactor(a: RatMatrix) -> Fraction:

@@ -28,7 +28,7 @@ from semimono.classify import (
     negative_entry_profile,
 )
 from semimono.feasibility import feasible_semistrict, feasible_strict
-from semimono.ratcore import IndexSet, RatMatrix, all_supports, det, principal_submatrix
+from semimono.ratcore import IndexSet, RatMatrix, det, principal_submatrix
 from semimono.verify import audit_thm_3x3_structure
 
 from matrices import (
@@ -47,6 +47,7 @@ from matrices import (
 )
 from oracles import (
     PLANTED_KINDS,
+    all_supports,
     fm_feasible,
     planted_singular,
     random_matrix,
@@ -207,7 +208,8 @@ def test_exact_order_evidence_monotone():
 
 def test_has_exact_order_matches_full_classifier():
     # has_exact_order sweeps the row-cleared integer matrix, exact_order the
-    # Fraction blocks.  Orders 1-5 with fractional entries: half of them
+    # Fraction blocks, and an audit's hypothesis must read as the profile
+    # route would print it.  Orders 1-5 with fractional entries: half of them
     # random, half with a nonnegative diagonal over mostly negative
     # off-diagonal entries (the shape of the exact-order classes); some with
     # a zero row, and each again with its rows scaled by positive rationals.
@@ -228,11 +230,15 @@ def test_has_exact_order_matches_full_classifier():
         scales = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
         scaled = RatMatrix([[d * v for v in row] for d, row in zip(scales, rows)])
         for variant in (Variant.E0, Variant.E):
-            k_full = exact_order(m, variant).k
+            profile = exact_order(m, variant)
+            k_full = profile.k
             seen[k_full is not None and 0 < k_full < n] += 1
             for k in range(n + 1):
                 assert has_exact_order(m, k, variant) == (k_full == k)
                 assert has_exact_order(scaled, k, variant) == (k_full == k)
+                assert verify._hypothesis(m, variant, k, "k") == (
+                    k_full == k, f"classified as {profile.describe()}; requires k"
+                )
     # the corpus reaches exact orders strictly between 0 and n
     assert seen[True] >= 10
     # an order outside 0..n is a usage error, not a verdict

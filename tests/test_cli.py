@@ -493,10 +493,14 @@ def test_explore_exact_order_requires_k(capsys):
     ids=["k-above-n", "zero-attempts", "neg-entries-k-equals-n", "order-zero",
          "conjecture1-order-two", "zero-hits", "den-bound-256"],
 )
-def test_explore_usage_errors_exit_2(extra, capsys):
+def test_explore_usage_errors_exit_2(extra, tmp_path, capsys):
     assert main(["explore", "--seed", "1", *extra]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: explore") and "Traceback" not in err
+    # every check runs before --out makes its directory
+    out = tmp_path / "d"
+    assert main(["explore", "--seed", "1", *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == err and not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--num-bound", "--den-bound", "--diag-bound"])

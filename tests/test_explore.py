@@ -391,6 +391,37 @@ def test_conjecture_checkers_on_fixtures():
     assert conjecture_2_violations(M4_ORDER2_NONZ_B) == []
 
 
+# Z-matrices of E0 exact order 3 = n - 1: the 3x3 theorems' hypothesis read
+# along n - k = 1 instead of at k = 2.  det A1 = -874 with (A1^{-1})_31 =
+# 39/874 > 0; det A2 = 25 > 0, with two negative eigenvalues.
+Z_ORDER3_A1 = RatMatrix([[1, -5, -1, -4], [-1, 2, -2, -4], [-4, -3, 0, -1], [-1, -5, -5, 2]])
+Z_ORDER3_A2 = RatMatrix([[0, -2, -1, -1], [-5, 1, -2, -2], [-1, -2, 0, -4], [-2, -3, -5, 0]])
+
+
+@pytest.mark.parametrize(
+    "a, conjecture_1, conjecture_2",
+    [
+        (Z_ORDER3_A1,
+         ["inverse principal block for alpha={1,2,3} is not Z",
+          "inverse principal block for alpha={1,3,4} is not Z"],
+         ["inverse is not a Z-matrix"]),
+        (Z_ORDER3_A2,
+         [f"inverse principal block for alpha={{{alpha}}} is not Z"
+          for alpha in ("1,2,3", "1,2,4", "1,3,4", "2,3,4")]
+         + ["negative eigenvalue count != 1"],
+         ["det A is not negative", "inverse is not a Z-matrix"]),
+    ],
+    ids=["A1", "A2"],
+)
+def test_conjecture_checkers_fail_at_exact_order_n_minus_1(a, conjecture_1, conjecture_2):
+    # the conjectures rest on k = 2, not on n - k = 1: only the exact order
+    # sets these Z-matrices apart from conjecture 1's class, and between
+    # them they break both conclusions of each checker
+    assert is_Z(a) and exact_order(a, Variant.E0).k == 3
+    assert [failed for failed, _ in conjecture_1_violations(a)] == conjecture_1
+    assert [failed for failed, _ in conjecture_2_violations(a)] == conjecture_2
+
+
 def test_conjecture_1_checker_reports_non_z_and_undefined_blocks():
     # frozen: a positive off-diagonal entry of A^{-1} fails exactly the
     # size-(n-1) blocks that hold it, a singular A_aa (A nonsingular) or a

@@ -11,10 +11,16 @@ from semimono.lcp import (
     lcp_solve_enum,
     q0_falsify,
 )
-from semimono.ratcore import IndexSet, RatMatrix, all_supports, principal_submatrix, ratvec
+from semimono.ratcore import IndexSet, RatMatrix, principal_submatrix, ratvec
 
 from matrices import M3_ORDER2_E0, NON_Q0_MATRIX, NON_Q0_Q
-from oracles import det_cofactor, fm_point, lcp_support_solutions_lp, random_p_matrix
+from oracles import (
+    all_supports,
+    det_cofactor,
+    fm_point,
+    lcp_support_solutions_lp,
+    random_p_matrix,
+)
 
 
 def inst(q, a):

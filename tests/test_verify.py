@@ -12,7 +12,6 @@ from semimono.ratcore import (
     IndexSet,
     RatMatrix,
     SingularMatrixError,
-    all_supports,
     det,
     inverse,
     principal_submatrix,
@@ -40,7 +39,7 @@ from matrices import (
     NONCLOSURE_A,
     NONCLOSURE_B,
 )
-from oracles import det_cofactor, random_matrix, random_symmetric, random_z_matrix
+from oracles import all_supports, det_cofactor, random_matrix, random_symmetric, random_z_matrix
 
 
 def assert_clean(report):
@@ -368,6 +367,42 @@ def test_nonclosure_non_witnessing_pair_is_not_a_counterexample():
 def test_nonclosure_dimension_mismatch():
     with pytest.raises(ValueError):
         audit_nonclosure(RatMatrix.identity(2), RatMatrix.identity(3))
+
+
+# ---------------------------------------------------------------------------
+# hypotheses and reports
+
+
+@pytest.mark.parametrize(
+    "audit, a, n",
+    [
+        (lambda a: audit_thm_3x3_structure(a, Variant.E0), M3_ORDER2_E0, 3),
+        (lambda a: audit_thm_3x3_structure(a, Variant.E), M3_ORDER2_E, 3),
+        (audit_thm_3x3_inverse, M3_ORDER2_E0, 3),
+        (audit_prop_4_10, M5_ORDER2, 4),
+        (audit_thm_4_11, M5_ORDER2, 4),
+        (audit_n_eq_k_plus_1, M4_ORDER3, 3),
+    ],
+    ids=["thm3.4-E0", "thm3.4-E", "thm3.5", "prop4.10", "thm4.11", "n=k+1"],
+)
+def test_a_met_hypothesis_reads_no_profile(audit, a, n, monkeypatch):
+    # a met hypothesis is decided on integer rows; only the note of an
+    # unmet one (here the identity's) sweeps the exact_order profile
+    swept = []
+    real = verify.exact_order
+    monkeypatch.setattr(
+        verify, "exact_order", lambda m, variant: swept.append(m) or real(m, variant)
+    )
+    assert_clean(audit(a))
+    assert swept == []
+    assert_skipped(audit(RatMatrix.identity(n)))
+    assert swept == [RatMatrix.identity(n)]
+
+
+def test_reports_keep_no_instance_dict():
+    report = audit_thm_4_11(M5_ORDER2)
+    for value in (report, *report.conclusions):
+        assert not hasattr(value, "__dict__")
 
 
 def test_audit_registry_is_complete():
