@@ -347,6 +347,8 @@ def _cmd_explore(args: argparse.Namespace) -> Report:
     template_name = args.template or target.template
     if target.needs_k and args.k is None:
         raise CliError(f"explore {args.target} needs --k")
+    if not target.needs_k and args.k is not None:
+        raise CliError(f"explore {args.target} searches exact order 2 and takes no --k")
     # the bound flags the user gave, over the target's calibration, over
     # GeneratorConfig's defaults
     flags = dict(numerator_bound=args.num_bound, denominator_bound=args.den_bound,
@@ -497,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore = sub.add_parser("explore", help="seeded randomized search")
     p_explore.add_argument("--target", required=True, choices=list(_TARGETS))
     p_explore.add_argument("--n", type=int, required=True, help="matrix order")
-    p_explore.add_argument("--k", type=int, default=None, help="exact order target")
+    p_explore.add_argument("--k", type=int, default=None,
+                           help="exact order target (exact-order and neg-entries only)")
     p_explore.add_argument("--seed", type=int, required=True, help="generator seed (mandatory)")
     p_explore.add_argument("--attempts", type=int, default=10_000)
     p_explore.add_argument("--hits", type=int, default=None, help="stop after this many hits")

@@ -13,6 +13,16 @@ candidate, and one integer product with q decides the support.  Where it
 is singular, one exact phase-1 LP decides the polyhedron and gives its
 point.  Every solution has w = 0 on some support alpha with z = 0 off it,
 so the sweep finds a solution iff one exists, singular blocks included.
+
+Q0 sampling asks, for each q that no support solves, whether FEA(q, A) =
+{z >= 0 : q + Az >= 0} is empty, and one LP per matrix answers most of
+these questions (Cottle, Pang & Stone, The Linear Complementarity Problem,
+1992, ch. 3).  Phase 1 on FEA(-1, A) = {z >= 0 : Az >= 1} either finds a
+point z, and then A is an S-matrix and FEA(q, A) holds t z for every q, with
+t = max(0, -min q), since q + t Az >= q + t 1 >= 0; or it returns Farkas
+multipliers y >= 0, y != 0, with A^T y <= 0.  Then every z in FEA(q, A)
+has 0 <= y^T (q + Az) = y^T q + (A^T y)^T z <= y^T q, so y^T q < 0 empties
+FEA(q, A), and only a q with y^T q >= 0 needs its own LP.
 """
 
 from __future__ import annotations
@@ -197,6 +207,12 @@ Q0_NUMERATOR_BOUND = 9
 Q0_DENOMINATOR_BOUND = 4
 
 
+def _s_certificate(a: RatMatrix) -> tuple[bool, list]:
+    """Phase 1 on FEA(-1, A): (True, z) with z >= 0 and Az >= 1 when A is an
+    S-matrix, else (False, y) with integer y >= 0, y != 0 and A^T y <= 0."""
+    return phase1_feasible([[-v for v in row] for row in a.entries], [Fraction(-1)] * a.order)
+
+
 def q0_falsify(a: RatMatrix, trials: int, seed: int) -> Q0Report:
     """Sample rational q vectors and demand that feasible instances solve.
 
@@ -204,7 +220,12 @@ def q0_falsify(a: RatMatrix, trials: int, seed: int) -> Q0Report:
     p/r with |p| <= Q0_NUMERATOR_BOUND and 1 <= r <= Q0_DENOMINATOR_BOUND.
     A violation is a q with FEA nonempty but no solution.  Each trial sweeps
     its supports up to the first solving one; a solution is a feasible
-    point, so ``lcp_feasible`` runs only on trials that no support solves.
+    point, so ``lcp_feasible`` runs only on trials that no support solves
+    and that the matrix's one certificate does not decide.  The first
+    unsolved trial computes that certificate (``_s_certificate``): a z >= 0
+    with Az >= 1 makes every q feasible (the module docstring has the
+    lemma), and otherwise Farkas multipliers y >= 0, y != 0, with
+    A^T y <= 0 make every q with y^T q < 0 infeasible.
     Raises ValueError when ``trials`` is negative.
     """
     if trials < 0:
@@ -215,6 +236,7 @@ def q0_falsify(a: RatMatrix, trials: int, seed: int) -> Q0Report:
     feasible_count = 0
     solved_count = 0
     violations: list[RatVector] = []
+    certificate = None
     for _ in range(trials):
         q = tuple(
             Fraction(
@@ -226,7 +248,11 @@ def q0_falsify(a: RatMatrix, trials: int, seed: int) -> Q0Report:
         if next(_support_solutions(a, factors, q), None) is not None:
             feasible_count += 1
             solved_count += 1
-        elif lcp_feasible(LcpInstance(q, a)).feasible:
+            continue
+        if certificate is None:
+            certificate = _s_certificate(a)
+        s_matrix, y = certificate
+        if s_matrix or (sum(map(mul, y, q)) >= 0 and lcp_feasible(LcpInstance(q, a)).feasible):
             feasible_count += 1
             violations.append(q)
     return Q0Report(trials, feasible_count, solved_count, tuple(violations))

@@ -16,11 +16,14 @@ pseudo-remainders.  The candidate stream oracle draws every value with
 ``random.Random.randrange``, where the package reads bulk 32-bit generator
 outputs.  The LCP support oracle hands every complementary support to
 the phase-1 simplex, where the package solves each nonsingular block
-fraction-free and keeps the LP for singular ones.
+fraction-free and keeps the LP for singular ones.  The S-matrix
+certificate of Q0 sampling is checked by substitution on integers: A and
+the certificate are cleared by the LCMs of their denominators.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from semimono.explore import EntrySign, GeneratorConfig
@@ -369,6 +372,23 @@ def lcp_support_solutions_lp(inst) -> Iterator[tuple[RatVector, IndexSet]]:
         for i, v in zip(idx, z_alpha):
             z[i] = v
         yield tuple(z), alpha
+
+
+def s_certificate_holds(a: RatMatrix, s_matrix: bool, v: Sequence[Fraction]) -> bool:
+    """Substitute ``lcp._s_certificate``'s answer on integers: with B = L A
+    and u = c v integer, z = v >= 0 with Az >= 1 reads u >= 0 and
+    Bu >= L c, and a Farkas vector y = v >= 0, y != 0 with A^T y <= 0 reads
+    u >= 0, u != 0 and B^T u <= 0."""
+    n = a.order
+    big_l = lcm(*(x.denominator for row in a.entries for x in row))
+    b = [[int(x * big_l) for x in row] for row in a.entries]
+    c = lcm(*(Fraction(x).denominator for x in v))
+    u = [int(x * c) for x in v]
+    if len(u) != n or min(u) < 0:
+        return False
+    if s_matrix:
+        return all(sum(b[i][j] * u[j] for j in range(n)) >= big_l * c for i in range(n))
+    return any(u) and all(sum(b[i][j] * u[i] for i in range(n)) <= 0 for j in range(n))
 
 
 def draws_randrange(cfg: GeneratorConfig) -> Iterator[list[list[tuple[int, int]]]]:

@@ -479,6 +479,21 @@ def test_explore_exact_order_requires_k(capsys):
     assert main(["explore", "--target", "exact-order", "--n", "3", "--seed", "1"]) == 2
 
 
+@pytest.mark.parametrize("target, k", [("conjecture1", "7"), ("conjecture2", "-4"), ("conjecture1", "2")])
+def test_explore_conjecture_targets_refuse_k(target, k, tmp_path, capsys, monkeypatch):
+    # the conjectures fix k = 2, so any --k, even 2, is a usage error, raised
+    # before the search and before --out makes its directory
+    searched = []
+    monkeypatch.setattr(explore, "_search", lambda *args: searched.append(args))
+    out = tmp_path / "d"
+    argv = ["explore", "--target", target, "--n", "3", "--k", k, "--seed", "1", "--attempts", "5",
+            "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not searched and not out.exists()
+    assert captured.err == f"error: explore {target} searches exact order 2 and takes no --k\n"
+
+
 @pytest.mark.parametrize(
     "extra",
     [

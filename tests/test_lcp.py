@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semimono import lcp
 from semimono.lcp import (
@@ -20,6 +21,7 @@ from oracles import (
     fm_point,
     lcp_support_solutions_lp,
     random_p_matrix,
+    s_certificate_holds,
 )
 
 
@@ -190,10 +192,11 @@ def _counting(monkeypatch, name):
 
 
 def test_q0_falsify_stops_at_the_first_solving_support(monkeypatch):
-    # every q is feasible for this matrix and none of its principal blocks is
-    # singular: its 7 blocks are eliminated once for all 30 trials, each trial
-    # reads the factors up to its first solving support, and only the 10
-    # unsolved trials ask lcp_feasible, whose LP is the only one run
+    # every q is feasible for this S-matrix and none of its principal blocks
+    # is singular: its 7 blocks are eliminated once for all 30 trials, each
+    # trial reads the factors up to its first solving support, and the first
+    # of the 10 unsolved trials runs the one LP, on FEA(-1, A), whose point
+    # makes all 10 violations without lcp_feasible
     a = RatMatrix([[1, -1, 2], [2, 1, -3], [1, -2, 1]])
     assert all(det_cofactor(principal_submatrix(a, alpha)) for alpha in all_supports(3))
     solves = _counting(monkeypatch, "_gauss_jordan")
@@ -203,8 +206,23 @@ def test_q0_falsify_stops_at_the_first_solving_support(monkeypatch):
     report = q0_falsify(a, trials=30, seed=4)
     assert (report.feasible_count, report.solved_count, len(report.violations)) == (30, 20, 10)
     assert len(solves) == 7
-    assert len(feasibility_checks) == 10
-    assert len(lps) == 10
+    assert len(feasibility_checks) == 0
+    assert len(lps) == 1
+
+
+def test_q0_falsify_refutes_by_the_farkas_vector_of_a_non_s_matrix(monkeypatch):
+    # -I is no S-matrix: phase 1 on FEA(-1, -I) returns y = (1, 1, 1), and
+    # FEA(q, -I) is empty iff some q_i < 0, which is also when no support
+    # solves.  Of the 8 unsolved trials, the 6 with q_1 + q_2 + q_3 < 0 are
+    # refuted by y; the 2 others ask lcp_feasible, whose LP finds FEA empty.
+    a = -RatMatrix.identity(3)
+    assert lcp._s_certificate(a) == (False, [1, 1, 1])
+    lps = _counting(monkeypatch, "phase1_feasible")
+    feasibility_checks = _counting(monkeypatch, "lcp_feasible")
+    report = q0_falsify(a, trials=10, seed=0)
+    assert (report.feasible_count, report.solved_count, report.violations) == (2, 2, ())
+    assert len(feasibility_checks) == 2
+    assert len(lps) == 1 + 2
 
 
 def _q0_oracle(a, trials, seed):
@@ -240,11 +258,42 @@ def test_q0_falsify_matches_a_per_trial_oracle():
             matrices.append(RatMatrix(rows))
     singular = violated = 0
     for seed, a in enumerate(matrices):
+        assert s_certificate_holds(a, *lcp._s_certificate(a))
         report = q0_falsify(a, trials=20, seed=seed)
         assert report == _q0_oracle(a, 20, seed)
         violated += report.violated
         singular += sum(not det_cofactor(principal_submatrix(a, alpha)) for alpha in all_supports(a.order))
     assert violated > 10 and singular > 100
+
+
+@st.composite
+def _negative_leaning_matrices(draw):
+    """Orders 2..4, entries p/r with p in [-9, 3] and r in [1, 4]: about 17
+    in 18 of these matrices are no S-matrix, so Q0 sampling mostly reads
+    the Farkas vector and the LPs of the trials it does not refute."""
+    n = draw(st.integers(2, 4))
+    entry = st.builds(F, st.integers(-9, 3), st.integers(1, 4))
+    return RatMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_negative_leaning_matrices(), st.integers(0, 2**16))
+def test_q0_falsify_matches_the_oracle_on_mostly_non_s_matrices(a, seed):
+    assert s_certificate_holds(a, *lcp._s_certificate(a))
+    assert q0_falsify(a, 20, seed) == _q0_oracle(a, 20, seed)
+
+
+def test_s_certificate_check_rejects_wrong_vectors():
+    a = RatMatrix([[1, -1], [0, F(1, 2)]])
+    s_matrix, z = lcp._s_certificate(a)
+    assert s_matrix and s_certificate_holds(a, True, z)
+    assert not s_certificate_holds(a, True, [F(0), F(0)])
+    assert not s_certificate_holds(a, False, z)
+    b = -RatMatrix.identity(2)
+    assert s_certificate_holds(b, False, [1, 0])
+    assert not s_certificate_holds(b, False, [0, 0])
+    assert not s_certificate_holds(b, False, [1, -1])
+    assert not s_certificate_holds(RatMatrix.identity(2), False, [1, 0])
 
 
 def _sweeps_agree(instance, monkeypatch):
