@@ -13,19 +13,21 @@ diagonal sign, and ``feasibility._pair_fails``); a larger block is sliced
 and solved by ``feasibility._witness`` (shortcuts and the simplex), and
 the certificate of the first failing support normalizes that raw
 witness.  The semimonotone, copositive and almost verdicts read the
-witness off the profile.  ``has_exact_order`` does not prune: on integer
-rows D A, D a positive diagonal, whose supports fail exactly where A's do
-((D A)_aa = D_a A_aa), it settles every support of order 1 and 2 in one
-``feasibility._signs_fit`` pass over the rows, then loops over the larger
-ones, and returns at the first verdict that rules k out, so every support
-it decides is minimal and ``feasibility._minimal_witness`` decides the
-orders above 2 with no simplex: a block fails iff it returns a witness.
-It is the screen of every search in ``explore``, whose hits are then
-proven by substituted certificates (``feasibility._certified_exact_order``),
-not by a second sweep; README "How it works" describes the search
-pipeline.  The audits in ``verify`` decide their exact-order hypotheses
-with it too.  The P0 and P verdicts read every principal minor from one D A
-(``ratcore._principal_minors``).
+witness off the profile.  ``has_exact_order`` does not prune: it runs the
+screen that ``_exact_order_screen(n, k, strict)`` builds once per shape,
+over a precomputed diagonal range, pair list and support lists.  On
+integer rows D A, D a positive diagonal, whose supports fail exactly where
+A's do ((D A)_aa = D_a A_aa), the screen reads the diagonal signs and
+each pair (``feasibility._pair_fails``) in place, then loops over the
+larger supports, and returns at the first verdict that rules k out, so
+every support it decides is minimal and ``feasibility._minimal_witness``
+decides the orders above 2 with no simplex: a block fails iff it returns
+a witness.  Every search in ``explore`` builds it once and screens each
+candidate with it; the hits are then proven by substituted certificates
+(``feasibility._certified_exact_order``), not by a second sweep; README
+"How it works" describes the search pipeline.  The audits in ``verify``
+decide their exact-order hypotheses with it too.  The P0 and P verdicts
+read every principal minor from one D A (``ratcore._principal_minors``).
 
 All procedures are pure; the fixed order makes the first witness
 deterministic.
@@ -38,13 +40,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .feasibility import (
     _minimal_witness,
     _normalize_certificate,
     _pair_fails,
-    _signs_fit,
     _witness,
     feasible_semistrict,
     feasible_strict,
@@ -224,43 +225,63 @@ def has_exact_order(a: RatMatrix, k: int, variant: Variant) -> bool:
 
     Equivalent to ``exact_order(a, variant).k == k``: the orders up to n-k
     must show no failing support, and every support of size n-k+1 must fail
-    (heredity settles all larger orders).  It loops over the supports of
-    the row-cleared integer matrix D A, solves no LP and reads no witness.
+    (heredity settles all larger orders).  It runs the screen of
+    ``_exact_order_screen`` on the row-cleared integer matrix D A, which
+    solves no LP and reads no witness.
     """
-    return _has_exact_order(_cleared_rows(a.entries)[1], k, variant)
+    return _exact_order_screen(a.order, k, variant.strict_system)(_cleared_rows(a.entries)[1])
 
 
-def _has_exact_order(rows: Sequence[Sequence[int]], k: int, variant: Variant) -> bool:
-    """``has_exact_order`` on integer rows D A (D a positive diagonal: the
-    row-cleared rows, or the generator's L A), in (size, lex) order: every
-    support of size <= n-k must pass, and every support of size n-k+1 must
-    fail.
+# One closure per (n, k, strict): a search builds its screen once, and the
+# audits and ``has_exact_order`` ask for a handful of shapes.
+@lru_cache(maxsize=64)
+def _exact_order_screen(n: int, k: int, strict: bool) -> Callable[[Sequence[Sequence[int]]], bool]:
+    """The screen for exact order k on n x n integer rows D A (D a positive
+    diagonal: the row-cleared rows, or the generator's L A), whose supports
+    fail exactly where A's do ((D A)_aa = D_a A_aa): in (size, lex) order,
+    every support of size <= n-k must pass, and every support of size
+    n-k+1 must fail.
 
-    It returns at the first verdict that rules k out, so every support it
-    decides is minimal: all supports of smaller size have passed by then.
-    That is the condition under which ``_signs_fit`` decides all supports
-    of order 1 and 2 in one pass over the rows, and ``_minimal_witness``
-    the orders above.  Heredity never prunes here, so no set of failing
-    supports is kept.
+    The diagonal range, the pair list and the support lists depend on the
+    shape alone and are built once here.  The screen returns at the first
+    verdict that rules k out, so every support it decides is minimal: all
+    supports of smaller size have passed by then.  A 1x1 block fails iff
+    a11 < 0 (a11 <= 0, that is < 1 on integers, when not ``strict``); a
+    pair whose 1x1 blocks pass is read in place by ``_pair_fails``; and
+    ``_minimal_witness`` decides the supports above order 2 with no
+    simplex.  Heredity never prunes here, so no set of failing supports is
+    kept.
     """
-    n = len(rows)
     if not 0 <= k <= n:
         raise ValueError(f"exact order must lie in 0..{n}")
-    strict = variant.strict_system
     passing = n - k
-    if not _signs_fit(rows, strict, passing):
-        return False
-    if passing < 2:
-        return True
+    low = 0 if strict else 1
+    diagonal = range(n)
+    pairs = tuple(itertools.combinations(diagonal, 2))
+    pairs_fail = passing == 1
     indices = range(1, n + 1)
-    for size in range(3, passing + 1):
-        for key in itertools.combinations(indices, size):
+    inner = [key for size in range(3, passing + 1) for key in itertools.combinations(indices, size)]
+    outer = list(itertools.combinations(indices, passing + 1)) if passing >= 2 else []
+
+    def screen(rows: Sequence[Sequence[int]]) -> bool:
+        if not passing:
+            return all(rows[i][i] < low for i in diagonal)
+        for i in diagonal:
+            if rows[i][i] < low:
+                return False
+        # _pair_fails and _minimal_witness are read as module globals per call
+        for i, j in pairs:
+            if _pair_fails(rows, i, j, strict) is not pairs_fail:
+                return False
+        for key in inner:
             if _minimal_witness(rows, key, strict) is not None:
                 return False
-    for key in itertools.combinations(indices, passing + 1):
-        if _minimal_witness(rows, key, strict) is None:
-            return False
-    return True
+        for key in outer:
+            if _minimal_witness(rows, key, strict) is None:
+                return False
+        return True
+
+    return screen
 
 
 def is_almost_semimonotone(a: RatMatrix, variant: Variant = Variant.E0) -> ClassVerdict:

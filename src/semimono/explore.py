@@ -9,9 +9,10 @@ caveat.
 
 Every public search is one call of one loop, ``_search``, which returns
 its report: the generator ``_draws`` yields each candidate as integer rows
-L A (one constant L per config), the ``has_exact_order`` sweep screens it
-(the ``classify`` module docstring describes both sweeps), each hit's
-exact order is proven by substituted certificates
+L A (one constant L per config), the screen that
+``classify._exact_order_screen`` builds once per search screens it (the
+``classify`` module docstring describes both sweeps), each hit's exact
+order is proven by substituted certificates
 (``feasibility._certified_exact_order``), and a counterexample is reported
 only after a triple check.  README "How it works" gives the full account.
 
@@ -37,7 +38,7 @@ from typing import Callable, Iterator, Optional
 
 from .classify import (
     Variant,
-    _has_exact_order,
+    _exact_order_screen,
     is_Z,
     negative_entry_profile,
 )
@@ -181,11 +182,70 @@ def _words(seed: int, bits: int = 32) -> Iterator[int]:
     return itertools.chain.from_iterable(map(unpack, refills))
 
 
+class _WordTable:
+    """A draw table over 32-bit words, read by computing the entry: what a
+    list over all 2^32 words would hold."""
+
+    __slots__ = ("width", "shift", "entry")
+
+    def __init__(self, width: int, shift: int, entry: Callable[[int], object]) -> None:
+        self.width, self.shift, self.entry = width, shift, entry
+
+    def __getitem__(self, word: int) -> object:
+        r = word >> self.shift
+        return self if r >= self.width else self.entry(r)
+
+
+def _table(bits: int, width: int, entry: Callable[[int], object]):
+    """The draw of r from [0, width) on ``bits``-bit stream items, each
+    item mapped to ``entry(r)`` for r = item >> (bits - k), k =
+    ``width.bit_length()``, or to the table itself (a redraw) when that r
+    is >= width: ``randrange(width)`` as ``_draws`` reads it.  A list over
+    the 256 bytes, or a ``_WordTable`` over 32-bit words."""
+    shift = bits - width.bit_length()
+    if bits == 32:
+        return _WordTable(width, shift, entry)
+    entries = [entry(r) for r in range(width)]
+    table: list = []
+    table.extend(table if b >> shift >= width else entries[b >> shift] for b in range(256))
+    return table
+
+
+# Each cache holds the tables of a few dozen configs; an 8-bit table is a
+# 256-entry list, and a 32-bit config may bring one numerator per draw.
+@lru_cache(maxsize=512)
+def _denominator_table(bits: int, db: int, num: int):
+    """The denominator draw after the nonzero numerator ``num``: q - 1
+    from [0, db) maps to the entry num * (L // q), L = lcm(1, ..., db)."""
+    scale = lcm(*range(1, db + 1))
+    return _table(bits, db, lambda r: num * (scale // (r + 1)))
+
+
+@lru_cache(maxsize=64)
+def _numerator_table(bits: int, db: int, sign: int, offset: int, width: int):
+    """The numerator draw sign * (offset + r), r from [0, width): a zero
+    numerator is the entry 0, any other leads to its denominator table."""
+    return _table(
+        bits, width, lambda r: (num := sign * (offset + r)) and _denominator_table(bits, db, num)
+    )
+
+
+@lru_cache(maxsize=64)
+def _free_table(bits: int, db: int, weights: tuple[int, int, int], width: int):
+    """A FREE cell's sign class from [0, wn + wz + wp): negative, zero (the
+    entry 0) or positive, each nonzero class leading to the numerator
+    table of magnitudes 1..width."""
+    wn, wz, wp = weights
+    neg = _numerator_table(bits, db, -1, 1, width)
+    pos = _numerator_table(bits, db, 1, 1, width)
+    return _table(bits, wn + wz + wp, lambda r: neg if r < wn else 0 if r < wn + wz else pos)
+
+
 def _draws(cfg: GeneratorConfig) -> Iterator[tuple[int, _IntRows]]:
     """The candidate stream as (L, rows): rows is the drawn matrix A times
     L = lcm(1, ..., denominator bound), one constant per config, so an
-    entry p/q is the integer p * (L // q), read from a per-denominator
-    table.  L A has the exact order and principal-minor signs of A.
+    entry p/q is the integer p * (L // q).  L A has the exact order and
+    principal-minor signs of A.
 
     Per entry: a FREE position first draws its sign class from
     ``randrange(wn + wz + wp)``; a nonzero class draws the numerator
@@ -195,75 +255,55 @@ def _draws(cfg: GeneratorConfig) -> Iterator[tuple[int, _IntRows]]:
     ``w.bit_length()`` bits from ``getrandbits(k)``, redrawing while the
     result is >= w, and for k <= 32 ``getrandbits(k)`` is the top k bits of
     one 32-bit output.  So each draw here is ``word >> (32 - k)``, redrawn
-    while >= w, with the shift precomputed per width: the same values as
-    ``randrange``, and the same ones ``randint(lo, lo + w - 1)`` gives.
-    When the free-weight sum and each numerator bound + 1 are below 2^8,
-    as with every default, every k is at most 8 (the denominator bound is
-    at most 255), so the draws read only the top byte of each output and
-    shift by 8 - k: the same values at the same stream positions.  Wider
-    configs read the 32-bit words.  ``GeneratorConfig`` keeps every width
-    below 2^32.  Outputs drawn past the last candidate are discarded.
+    while >= w: the same values as ``randrange``, and the same ones
+    ``randint(lo, lo + w - 1)`` gives.  When the free-weight sum and each
+    numerator bound + 1 are below 2^8, as with every default, every k is
+    at most 8 (the denominator bound is at most 255), so the draws read
+    only the top byte of each output and shift by 8 - k: the same values
+    at the same stream positions.  Wider configs read the 32-bit words.
+    ``GeneratorConfig`` keeps every width below 2^32.
+
+    Every draw is a lookup in a table (``_table``) that maps each stream
+    item to the entry it decides: a numerator's denominator table, a
+    sign class's numerator table, the cleared entry itself, or the table
+    again for a redraw.  One loop follows each cell's chain of tables
+    until an entry is an int; a ZERO cell starts at the entry 0.  The
+    tables are cached per (width, sign, offset), per numerator and
+    denominator bound, and per free weights, so configs share them.  On
+    the byte stream they are lists over the 256 bytes; on the 32-bit
+    words they are ``_WordTable``s, which compute the entry, so both
+    streams go through the same loop.  Outputs drawn past the last
+    candidate are discarded.
     """
-    neg, pos, zero, nonneg, free = (
-        EntrySign.NEG, EntrySign.POS, EntrySign.ZERO, EntrySign.NONNEG, EntrySign.FREE
-    )
     db = cfg.denominator_bound
     scale = lcm(*range(1, db + 1))
-    # mult[r] = L // q for the denominator q = r + 1 drawn as r
-    mult = [scale // q for q in range(1, db + 1)]
-    wn, wz, wp = cfg.free_weights
-    wnz = wn + wz
-    ws = wnz + wp
+    ws = sum(cfg.free_weights)
     nb_off = cfg.numerator_bound
     nb_diag = nb_off if cfg.diagonal_numerator_bound is None else cfg.diagonal_numerator_bound
     bits = 8 if max(ws, nb_off + 1, nb_diag + 1) < 2**8 else 32
     word = _words(cfg.seed, bits).__next__
-    d_shift = bits - db.bit_length()
-    s_shift = bits - ws.bit_length()
-    # per cell (is FREE, numerator sign, offset, width, shift): the
-    # numerator is sign * (offset + r) for r drawn from [0, width); width 0
-    # draws none.  A FREE cell's sign class picks the numerator sign (or
-    # zero) first.
-    cells = []
-    for i, signs in enumerate(cfg.template):
-        cell_row = []
-        for j, sign in enumerate(signs):
-            nb = nb_diag if i == j else nb_off
-            if sign is zero:
-                sgn, off, w = 1, 0, 0
-            elif sign in (neg, pos, free):
-                sgn, off, w = -1 if sign is neg else 1, 1, nb
-            else:
-                sgn, off, w = 1 if sign is nonneg else -1, 0, nb + 1
-            cell_row.append((sign is free, sgn, off, w, bits - w.bit_length()))
-        cells.append(cell_row)
+    # each cell's first table: the numerator is sign * (offset + r), r
+    # drawn from [0, width), after a FREE cell's sign class
+    starts = {
+        EntrySign.NEG: lambda nb: _numerator_table(bits, db, -1, 1, nb),
+        EntrySign.POS: lambda nb: _numerator_table(bits, db, 1, 1, nb),
+        EntrySign.NONNEG: lambda nb: _numerator_table(bits, db, 1, 0, nb + 1),
+        EntrySign.NONPOS: lambda nb: _numerator_table(bits, db, -1, 0, nb + 1),
+        EntrySign.ZERO: lambda nb: 0,
+        EntrySign.FREE: lambda nb: _free_table(bits, db, cfg.free_weights, nb),
+    }
+    cells = [
+        [starts[sign](nb_diag if i == j else nb_off) for j, sign in enumerate(signs)]
+        for i, signs in enumerate(cfg.template)
+    ]
     for _ in range(cfg.max_attempts):
         rows = []
         for cell_row in cells:
             row = []
-            for is_free, sgn, off, w, shift in cell_row:
-                if is_free:
-                    r = word() >> s_shift
-                    while r >= ws:
-                        r = word() >> s_shift
-                    if r < wn:
-                        sgn = -1
-                    elif r < wnz:
-                        row.append(0)
-                        continue
-                elif not w:
-                    row.append(0)
-                    continue
-                r = word() >> shift
-                while r >= w:
-                    r = word() >> shift
-                num = sgn * (off + r)
-                if num:
-                    r = word() >> d_shift
-                    while r >= db:
-                        r = word() >> d_shift
-                    num *= mult[r]
-                row.append(num)
+            for entry in cell_row:
+                while entry.__class__ is not int:
+                    entry = entry[word()]
+                row.append(entry)
             rows.append(row)
         yield scale, rows
 
@@ -314,17 +354,15 @@ _EVIDENCE_NOTE = "randomized search accumulates evidence or counterexamples; it 
 
 
 # ---------------------------------------------------------------------------
-# the conjecture-1 screen on the integer rows (every pass is proven by certificates)
+# conjecture 1's Z test on the integer rows (every pass is proven by certificates)
 
 
-def _conjecture_1_screen(rows: _IntRows) -> bool:
-    """The exact-order-2 sweep, then the Z test on the few candidates that
-    pass it.  Under the ``z`` and ``pattern`` templates every candidate is
-    Z; templates with a ``POS``, ``NONNEG`` or ``FREE`` off-diagonal cell
-    need the Z test."""
-    return _has_exact_order(rows, 2, Variant.E0) and all(
-        max(row[:i] + row[i + 1:]) <= 0 for i, row in enumerate(rows)
-    )
+def _z_rows(rows: _IntRows) -> bool:
+    """Are the rows of a Z-matrix: every off-diagonal entry <= 0?  Under
+    the ``z`` and ``pattern`` templates every candidate is Z; templates
+    with a ``POS``, ``NONNEG`` or ``FREE`` off-diagonal cell need the
+    test."""
+    return all(max(row[:i] + row[i + 1:]) <= 0 for i, row in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -445,19 +483,23 @@ def _search(
     k: int,
     variant: Variant,
     target_hits: Optional[int],
-    screen: Callable[[_IntRows], bool],
     violations: Callable[[RatMatrix], list[tuple[str, str]]],
     second_route: Callable[[RatMatrix], bool],
+    z_only: bool = False,
 ) -> SearchReport:
     """The one search loop of the public ``search`` (see the module
-    docstring); its report on ``target`` carries the evidence note."""
+    docstring); its report on ``target`` carries the evidence note.  The
+    screen is ``classify._exact_order_screen``'s for (n, k, variant),
+    built once k is checked, then, with ``z_only``, the Z test on the few
+    candidates that pass it."""
     check_search(search, config.order, k, target_hits)
+    screen = _exact_order_screen(config.order, k, variant.strict_system)
     hits: list[RatMatrix] = []
     counterexamples: list[Counterexample] = []
     attempts = 0
     for scale, rows in _draws(config):
         attempts += 1
-        if not screen(rows):
+        if not screen(rows) or z_only and not _z_rows(rows):
             continue
         m = _rat_matrix(scale, rows)
         # the hit's exact order, proven by certificates substituted into its
@@ -489,8 +531,7 @@ def search_exact_order(
     """Filter the generator stream through the exact-order classifier."""
     return _search(
         search_exact_order, f"exact-order k={k} ({variant.value})",
-        config, k, variant, target_hits,
-        lambda rows: _has_exact_order(rows, k, variant), lambda m: [], lambda m: True,
+        config, k, variant, target_hits, lambda m: [], lambda m: True,
     )
 
 
@@ -506,7 +547,7 @@ def search_conjecture_1(
         search_conjecture_1,
         "conjecture-1 (Z exact order 2: inverse blocks Z, one negative eigenvalue)",
         config, 2, Variant.E0, target_hits,
-        _conjecture_1_screen, conjecture_1_violations, _independent_inverse_check,
+        conjecture_1_violations, _independent_inverse_check, z_only=True,
     )
 
 
@@ -520,7 +561,6 @@ def search_conjecture_2(
         search_conjecture_2,
         "conjecture-2 (exact order 2: det < 0, inverse exists and is Z)",
         config, 2, Variant.E0, target_hits,
-        lambda rows: _has_exact_order(rows, 2, Variant.E0),
         conjecture_2_violations, _independent_inverse_check,
     )
     non_z_hits = sum(1 for m in report.hits if not is_Z(m))
@@ -540,6 +580,5 @@ def search_negative_entries_question(
         search_negative_entries_question,
         f"negative-entries question (exact order k={k}, {variant.value})",
         config, k, variant, target_hits,
-        lambda rows: _has_exact_order(rows, k, variant),
         lambda m: _negative_entry_violations(m, k), lambda m: _negative_entries_recounted(m, k),
     )

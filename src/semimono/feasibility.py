@@ -17,11 +17,11 @@ pivots an integer tableau fraction-free through ``ratcore._pivot``, the one
 exact kernel that ``det`` and ``inverse`` use too.
 
 The two support sweeps that ask these questions, ``exact_order`` and
-``has_exact_order``, are described once, in the ``classify`` module
-docstring.  ``_pair_fails`` and ``_signs_fit`` decide their orders 1 and
-2, ``_witness`` the larger blocks of ``exact_order``, and
-``_minimal_witness`` those of ``has_exact_order`` (its docstring holds the
-lemma and its proof).
+the screen behind ``has_exact_order``, are described once, in the
+``classify`` module docstring.  Both read order 1 from the diagonal sign
+and order 2 by ``_pair_fails``; ``_witness`` decides the larger blocks of
+``exact_order``, and ``_minimal_witness`` those of the screen (its
+docstring holds the lemma and its proof).
 
 ``_normalize_certificate`` scales a raw witness onto the closed system
 above; it runs only where a certificate is read: behind the public oracles,
@@ -232,29 +232,6 @@ def _pair_fails(rows: _AnyRows, i: int, j: int, strict: bool) -> bool:
     return diag < off if strict else diag <= off
 
 
-def _signs_fit(rows: _AnyRows, strict: bool, passing: int) -> bool:
-    """Do the supports of order 1 and 2 fit exact order n - ``passing``:
-    does every one of size <= ``passing`` pass and every one of size
-    ``passing`` + 1 fail?  One pass over the rows where they stand,
-    returning at the first support that does not fit: the diagonal first
-    (a 1x1 block fails iff a11 < 0, <= 0 when not ``strict``), then, once
-    every 1x1 block has passed, the pairs (``_pair_fails``).
-    """
-    singles_fail = passing == 0
-    for i, row in enumerate(rows):
-        if (row[i] < 0 if strict else row[i] <= 0) is not singles_fail:
-            return False
-    if singles_fail:
-        return True
-    pairs_fail = passing == 1
-    n = len(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _pair_fails(rows, i, j, strict) is not pairs_fail:
-                return False
-    return True
-
-
 def _positive_kernel(columns: Iterable[Sequence[int]]) -> Optional[list[int]]:
     """For the columns of adj(B), B singular: a vector y > 0 spanning
     ker B when ker B is one-dimensional and has one, else None.
@@ -289,8 +266,8 @@ def _minimal_witness(
     ``members``, or None when B passes, given that every proper principal
     block of B passes.  So the block fails iff the result is not None.
 
-    ``has_exact_order`` asks only such blocks: it decides a support only
-    after every smaller support has passed.  There the system needs no
+    The screen behind ``has_exact_order`` asks only such blocks: it
+    decides a support only after every smaller support has passed.  There the system needs no
     simplex.
 
     *Lemma.*  Let B be nonsingular with no proper principal block failing.

@@ -98,3 +98,12 @@ STRICTLY_COPOSITIVE_ONLY = RatMatrix([[1, -3, -3], [0, 1, -3], [0, 0, 1]])
 # empty (every complementary support fails, including the singular one)
 NON_Q0_MATRIX = RatMatrix([[2, 1], [1, 0]])
 NON_Q0_Q = (F(3, 4), F(-9, 4))
+
+# The fixtures that the golden digests of `classify --json` cover, in order.
+CLASSIFY_FIXTURES = (
+    "M3_ORDER2_E0", "M3_ORDER2_E", "M4_ORDER2_NONZ", "M4_ORDER2_NONZ_INV",
+    "M4_ORDER2_NONZ_B", "M4_ORDER2_NONZ_B_INV", "M4_ORDER3", "M5_ORDER3",
+    "M4_ORDER2", "M5_ORDER2", "NONCLOSURE_A", "NONCLOSURE_SUM",
+    "NONCLOSURE_PRODUCT", "SHIFT_BASE", "SHIFT_SUM", "COPOSITIVE_ONLY",
+    "STRICTLY_COPOSITIVE_ONLY", "NON_Q0_MATRIX",
+)

@@ -12,6 +12,7 @@ from semimono.classify import (
     SupportWitness,
     Variant,
     WrongOrderError,
+    _exact_order_screen,
     copositive_exact_order,
     exact_order,
     has_exact_order,
@@ -28,7 +29,7 @@ from semimono.classify import (
     negative_entry_profile,
 )
 from semimono.feasibility import feasible_semistrict, feasible_strict
-from semimono.ratcore import IndexSet, RatMatrix, det, principal_submatrix
+from semimono.ratcore import IndexSet, RatMatrix, _cleared_rows, det, principal_submatrix
 from semimono.verify import audit_thm_3x3_structure
 
 from matrices import (
@@ -206,15 +207,12 @@ def test_exact_order_evidence_monotone():
                     seen_none = True
 
 
-def test_has_exact_order_matches_full_classifier():
-    # has_exact_order sweeps the row-cleared integer matrix, exact_order the
-    # Fraction blocks, and an audit's hypothesis must read as the profile
-    # route would print it.  Orders 1-5 with fractional entries: half of them
-    # random, half with a nonnegative diagonal over mostly negative
-    # off-diagonal entries (the shape of the exact-order classes); some with
-    # a zero row, and each again with its rows scaled by positive rationals.
+def exact_order_corpus():
+    """Orders 1-5 with fractional entries: half of them random, half with a
+    nonnegative diagonal over mostly negative off-diagonal entries (the
+    shape of the exact-order classes); some with a zero row.  Each comes
+    with its rows scaled by positive rationals."""
     rng = random.Random(43)
-    seen = Counter()
     for _ in range(200):
         n = rng.randint(1, 5)
         rows = [list(row) for row in random_matrix(rng, n, num_bound=3, den_bound=3).entries]
@@ -226,9 +224,17 @@ def test_has_exact_order_matches_full_classifier():
             ]
         if rng.randrange(4) == 0:
             rows[rng.randrange(n)] = [F(0)] * n
-        m = RatMatrix(rows)
         scales = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
-        scaled = RatMatrix([[d * v for v in row] for d, row in zip(scales, rows)])
+        yield RatMatrix(rows), RatMatrix([[d * v for v in row] for d, row in zip(scales, rows)])
+
+
+def test_has_exact_order_matches_full_classifier():
+    # has_exact_order sweeps the row-cleared integer matrix, exact_order the
+    # Fraction blocks, and an audit's hypothesis must read as the profile
+    # route would print it, on the corpus and its scaled rows.
+    seen = Counter()
+    for m, scaled in exact_order_corpus():
+        n = m.order
         for variant in (Variant.E0, Variant.E):
             profile = exact_order(m, variant)
             k_full = profile.k
@@ -244,6 +250,50 @@ def test_has_exact_order_matches_full_classifier():
     # an order outside 0..n is a usage error, not a verdict
     with pytest.raises(ValueError, match=r"exact order must lie in 0\.\.2"):
         has_exact_order(RatMatrix.identity(2), 3, Variant.E0)
+
+
+def test_exact_order_screen_matches_full_classifier_at_every_k():
+    # The screen itself, at every k in 0..n and for both variants, on the
+    # integer rows D A of the corpus: row-cleared, cleared from the scaled
+    # rows, and those times positive integers.  Its branches all run: every
+    # single must fail at k = n, every pair at k = n - 1, and every support
+    # of size n - k + 1 above 2 at the smaller k; each is met and missed.
+    rng = random.Random(44)
+    seen = Counter()
+    for m, scaled in exact_order_corpus():
+        n = m.order
+        rows = _cleared_rows(m.entries)[1]
+        weights = [rng.randint(1, 5) for _ in range(n)]
+        row_sets = (rows, _cleared_rows(scaled.entries)[1],
+                    [[w * v for v in row] for w, row in zip(weights, rows)])
+        for variant in (Variant.E0, Variant.E):
+            k_full = exact_order(m, variant).k
+            for k in range(n + 1):
+                screen = _exact_order_screen(n, k, variant.strict_system)
+                expected = k_full == k
+                assert all(screen(r) == expected for r in row_sets), (m, variant, k)
+                branch = "singles" if k == n else "pairs" if k == n - 1 else "larger"
+                seen[branch, expected] += 1
+    assert min(seen[b, e] for b in ("singles", "pairs", "larger") for e in (True, False)) >= 5
+
+
+def test_exact_order_screen_is_built_once_per_shape():
+    # one closure per (n, k, strict), kept while the shape is in use, and a
+    # cache that stays bounded however many shapes are asked for
+    maxsize = classify._exact_order_screen.cache_parameters()["maxsize"]
+    classify._exact_order_screen.cache_clear()
+    screen = classify._exact_order_screen(4, 2, True)
+    assert classify._exact_order_screen(4, 2, True) is screen
+    assert classify._exact_order_screen(4, 2, False) is not screen
+    shapes = [(n, k, strict) for n in range(1, 10) for k in range(n + 1) for strict in (True, False)]
+    assert len(shapes) > maxsize
+    for shape in shapes:
+        classify._exact_order_screen(*shape)
+    info = classify._exact_order_screen.cache_info()
+    assert info.misses > maxsize and info.currsize <= maxsize
+    # an order outside 0..n is refused when the screen is built
+    with pytest.raises(ValueError, match=r"exact order must lie in 0\.\.3"):
+        classify._exact_order_screen(3, 4, True)
 
 
 def witness_support(result):
@@ -374,11 +424,11 @@ def test_first_failing_support_is_solved_once(monkeypatch):
 
 
 def test_search_sweep_solves_no_lp(monkeypatch):
-    # _has_exact_order, the sweep behind has_exact_order and every search,
-    # decides every support by sign tests and one integer solve: no simplex
-    # and no _witness while it runs.  The exact_order calls on the planted
-    # matrices below still run them, which shows that the counters are
-    # live.
+    # The screen of _exact_order_screen, behind has_exact_order and every
+    # search, runs once per attempt and decides every support by sign
+    # tests and one integer solve: no simplex and no _witness while it
+    # runs.  The exact_order calls on the planted matrices below still run
+    # them, which shows that the counters are live.
     inside = []
     calls = Counter()
     for module, name in (
@@ -398,18 +448,23 @@ def test_search_sweep_solves_no_lp(monkeypatch):
         lambda rows, members, strict:
             calls.update([("order >= 3", len(members) >= 3)]) or real_decide(rows, members, strict),
     )
-    real_sweep = classify._has_exact_order
+    real_factory = classify._exact_order_screen
 
-    def sweep(*args):
-        inside.append(True)
-        calls.update(["sweeps"])
-        try:
-            return real_sweep(*args)
-        finally:
-            inside.pop()
+    def factory(n, k, strict):
+        real_screen = real_factory(n, k, strict)
 
-    monkeypatch.setattr(classify, "_has_exact_order", sweep)
-    monkeypatch.setattr(explore, "_has_exact_order", sweep)
+        def screen(rows):
+            inside.append(True)
+            calls.update(["sweeps"])
+            try:
+                return real_screen(rows)
+            finally:
+                inside.pop()
+
+        return screen
+
+    monkeypatch.setattr(classify, "_exact_order_screen", factory)
+    monkeypatch.setattr(explore, "_exact_order_screen", factory)
     exact_order.cache_clear()
 
     conj2 = explore.search_conjecture_2(explore.GeneratorConfig(

@@ -23,7 +23,14 @@ from semimono.ratcore import RatMatrix
 
 import matrices
 from semimono import classify, explore, lcp, ratcore, verify
-from matrices import M3_ORDER2_E0, M4_ORDER2_NONZ, M5_ORDER2, NONCLOSURE_A, NONCLOSURE_B
+from matrices import (
+    CLASSIFY_FIXTURES,
+    M3_ORDER2_E0,
+    M4_ORDER2_NONZ,
+    M5_ORDER2,
+    NONCLOSURE_A,
+    NONCLOSURE_B,
+)
 
 
 def write_matrix(tmp_path, name, m):
@@ -245,14 +252,6 @@ def _nonneg_diagonal_matrices(n, count):
         for _ in range(count)
     ]
 
-
-CLASSIFY_FIXTURES = (
-    "M3_ORDER2_E0", "M3_ORDER2_E", "M4_ORDER2_NONZ", "M4_ORDER2_NONZ_INV",
-    "M4_ORDER2_NONZ_B", "M4_ORDER2_NONZ_B_INV", "M4_ORDER3", "M5_ORDER3",
-    "M4_ORDER2", "M5_ORDER2", "NONCLOSURE_A", "NONCLOSURE_SUM",
-    "NONCLOSURE_PRODUCT", "SHIFT_BASE", "SHIFT_SUM", "COPOSITIVE_ONLY",
-    "STRICTLY_COPOSITIVE_ONLY", "NON_Q0_MATRIX",
-)
 
 # sha256 over the `results` objects of `classify --json`, in order, computed
 # before the exact kernel moved to integer pivots: they pin every verdict

@@ -3,20 +3,27 @@ import hashlib
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from semimono import explore
 from semimono import classify, feasibility
-from semimono.classify import NegativeEntryProfile, Variant, exact_order, is_Z
+from semimono.classify import (
+    NegativeEntryProfile,
+    Variant,
+    _exact_order_screen,
+    exact_order,
+    is_Z,
+)
 from semimono.cli import _TEMPLATES, main, parse_matrix_text
 from semimono.explore import (
     Counterexample,
     EntrySign,
     GeneratorConfig,
     SearchReport,
-    _conjecture_1_screen,
+    _z_rows,
     conjecture_1_violations,
     conjecture_2_violations,
     generate,
@@ -297,7 +304,8 @@ def test_z_minor_screen_agrees_with_classifier():
         large_hits += expected and n >= 5
         breaks = _minor_breaks(n, lambda key: det(principal_submatrix(m, IndexSet(n, key))))
         assert (next(breaks, None) is None) == expected
-        assert _conjecture_1_screen(_cleared_rows(m.entries)[1]) == expected
+        rows = _cleared_rows(m.entries)[1]
+        assert (_exact_order_screen(n, 2, True)(rows) and _z_rows(rows)) == expected
     assert min(verdicts.values()) > 20 and large_hits
 
 
@@ -608,7 +616,7 @@ CONJ2_CONFIG = GeneratorConfig(
 )
 def test_a_screen_pass_the_classifier_rejects_raises(monkeypatch, search, config):
     # Each search's screen decides exact order 2 on the integer rows with
-    # _has_exact_order (followed by a Z test for conjecture 1), and every
+    # _exact_order_screen (followed by a Z test for conjecture 1), and every
     # pass is proven by certificates substituted into the hit's own D A.
     # One certificate that does not hold, here the first witness of the
     # third hit with its signs flipped, must stop the search, not drop the
@@ -643,19 +651,24 @@ def test_a_screen_pass_the_classifier_rejects_raises(monkeypatch, search, config
     ids=["conjecture1", "conjecture2"],
 )
 def test_a_wrong_sweep_verdict_raises(monkeypatch, search, config):
-    # the sweep passes one candidate it should reject: the exact_order
+    # the screen passes one candidate it should reject: the exact_order
     # re-check catches it
-    real = classify._has_exact_order
+    real_factory = classify._exact_order_screen
     flipped = []
 
-    def wrong_once(rows, k, variant):
-        verdict = real(rows, k, variant)
-        if not verdict and not flipped and all(row[i] > 0 for i, row in enumerate(rows)):
-            flipped.append(rows)
-            return True
-        return verdict
+    def wrong_factory(n, k, strict):
+        real = real_factory(n, k, strict)
 
-    monkeypatch.setattr(explore, "_has_exact_order", wrong_once)
+        def wrong_once(rows):
+            verdict = real(rows)
+            if not verdict and not flipped and all(row[i] > 0 for i, row in enumerate(rows)):
+                flipped.append(rows)
+                return True
+            return verdict
+
+        return wrong_once
+
+    monkeypatch.setattr(explore, "_exact_order_screen", wrong_factory)
     with pytest.raises(AssertionError, match="screen and full classifier disagree"):
         search(config, target_hits=5)
     assert len(flipped) == 1
@@ -777,6 +790,32 @@ def test_hits_share_their_entries():
         fresh.setdefault(m, m)
     for hit in report.hits:
         assert hit in fresh and hash(hit) == hash(fresh[hit])
+
+
+def test_draw_tables_are_shared_and_stay_bounded():
+    # A search draws from tables cached per shape, not per config: a
+    # second seed of the criterion-10 conjecture-2 config builds none.
+    # Every cache stays bounded: 32-bit draws bring a new denominator
+    # table with almost every numerator, and configs of many widths and
+    # weights bring more numerator and free tables than the caches hold.
+    caches = (explore._denominator_table, explore._numerator_table, explore._free_table)
+    for cache in caches:
+        cache.cache_clear()
+    conj2 = cfg(4, template_diag_nonneg_off_free(4), numerator_bound=4, denominator_bound=2,
+                diagonal_numerator_bound=8, free_weights=(12, 1, 2), max_attempts=50)
+    list(explore._draws(conj2))
+    built = [cache.cache_info().misses for cache in caches]
+    assert all(built)
+    list(explore._draws(replace(conj2, seed=6)))
+    assert [cache.cache_info().misses for cache in caches] == built
+    list(explore._draws(cfg(2, template_nonneg(2), numerator_bound=2**31, denominator_bound=3,
+                            max_attempts=200)))
+    for width in range(1, 90):
+        list(explore._draws(cfg(2, template_free(2), numerator_bound=width,
+                                free_weights=(1, 0, width), max_attempts=1)))
+    for cache in caches:
+        info, maxsize = cache.cache_info(), cache.cache_parameters()["maxsize"]
+        assert info.misses > maxsize and info.currsize <= maxsize, cache
 
 
 def test_entry_cache_stays_bounded():

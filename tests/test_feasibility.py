@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semimono.classify import Variant, exact_order
+from semimono.classify import Variant, _exact_order_screen, exact_order
 from semimono.feasibility import (
     FeasibilityOutcome,
     _certified_exact_order,
@@ -16,7 +16,6 @@ from semimono.feasibility import (
     _minimal_witness,
     _order2,
     _pair_fails,
-    _signs_fit,
     _witness,
     feasible_semistrict,
     feasible_strict,
@@ -87,28 +86,32 @@ def test_strict_order2_example():
 
 
 def test_order1_and_order2_sign_tests_match_the_witness_route():
-    # The sweeps decide 1x1 blocks, and 2x2 blocks whose 1x1 blocks pass,
-    # by signs alone (_signs_fit, _pair_fails): every such block with
+    # The screens decide 1x1 blocks, and 2x2 blocks whose 1x1 blocks pass,
+    # by signs alone (the diagonal, _pair_fails): every such block with
     # entries in -3..3, for both strictnesses, integer rows against the
-    # witness route on Fractions.  Then whole matrices of orders 1-5:
-    # _signs_fit(rows, strict, passing) must say whether every support of
-    # size <= passing passes and every one of size passing + 1 fails,
-    # orders 1 and 2 only, each block decided by the witness route, and
-    # _pair_fails read in place must match each pair whose 1x1 blocks pass.
+    # witness route on Fractions, as 1x1 and 2x2 screens at each number of
+    # passing orders.  Then the 1x1 and 2x2 blocks of whole matrices of
+    # orders 1-5: _exact_order_screen(m, m - passing, strict) on a block of
+    # order m must say whether every support of size <= passing passes and
+    # every one of size passing + 1 fails, each support decided by the
+    # witness route; so must the screen on the whole matrix where it reads
+    # orders 1 and 2 only (passing <= 1); and _pair_fails read in place
+    # must match each pair whose 1x1 blocks pass.
     values = range(-3, 4)
     checked = 0
     for strict in (True, False):
         for a in values:
             expected = _witness([[F(a)]], strict) is not None
-            assert _signs_fit([[a]], strict, 0) == expected
-            assert _signs_fit([[a]], strict, 1) == (not expected)
+            assert _exact_order_screen(1, 1, strict)([[a]]) == expected
+            assert _exact_order_screen(1, 0, strict)([[a]]) == (not expected)
         passing = [a for a in values if (a >= 0 if strict else a > 0)]
         for a11, a22 in itertools.product(passing, repeat=2):
             for a12, a21 in itertools.product(values, repeat=2):
                 rows = [[a11, a12], [a21, a22]]
                 expected = _order2([[F(v) for v in row] for row in rows], strict) is not None
-                assert _signs_fit(rows, strict, 1) == expected
-                assert _signs_fit(rows, strict, 2) == (not expected)
+                assert not _exact_order_screen(2, 2, strict)(rows)
+                assert _exact_order_screen(2, 1, strict)(rows) == expected
+                assert _exact_order_screen(2, 0, strict)(rows) == (not expected)
                 assert _pair_fails(rows, 0, 1, strict) == expected
                 checked += 1
     assert checked == 16 * 49 + 9 * 49
@@ -130,15 +133,30 @@ def test_order1_and_order2_sign_tests_match_the_witness_route():
                 if not (singles[i - 1] or singles[j - 1]):
                     assert _pair_fails(rows, i - 1, j - 1, strict) == f
                     fits["pair"] += 1
+            for members in fails:
+                block = _block(rows, members)
+                for passing in range(len(members) + 1):
+                    if passing == 0:
+                        expected = all(fails[(i,)] for i in members)
+                    else:
+                        expected = not any(fails[(i,)] for i in members) and (
+                            len(members) == 1 or fails[members] == (passing == 1)
+                        )
+                    screen = _exact_order_screen(len(members), len(members) - passing, strict)
+                    assert screen(block) == expected
+                    fits["block", len(members), passing, expected] += 1
             pairs = [f for members, f in fails.items() if len(members) == 2]
-            for passing in range(n + 1):
+            for passing in (0, 1):
                 if passing == 0:
                     expected = all(singles)
                 else:
-                    expected = not any(singles) and all(f == (passing == 1) for f in pairs)
-                assert _signs_fit(rows, strict, passing) == expected
-                fits[passing, expected] += 1
-    assert min(fits[p, e] for p in (0, 1, 2) for e in (True, False)) > 0 and fits["pair"]
+                    expected = not any(singles) and all(pairs)
+                assert _exact_order_screen(n, n - passing, strict)(rows) == expected
+                fits["whole", passing, expected] += 1
+    assert fits["pair"] and all(
+        fits["block", m, p, e] for m in (1, 2) for p in range(m + 1) for e in (True, False)
+    )
+    assert all(fits["whole", p, e] for p in (0, 1) for e in (True, False))
 
 
 def test_semistrict_examples():

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semimono import lcp
+from semimono.classify import Variant, exact_order
 from semimono.lcp import (
     LcpInstance,
     LcpSolution,
@@ -14,7 +16,8 @@ from semimono.lcp import (
 )
 from semimono.ratcore import IndexSet, RatMatrix, principal_submatrix, ratvec
 
-from matrices import M3_ORDER2_E0, NON_Q0_MATRIX, NON_Q0_Q
+import matrices
+from matrices import CLASSIFY_FIXTURES, M3_ORDER2_E0, NON_Q0_MATRIX, NON_Q0_Q
 from oracles import (
     all_supports,
     det_cofactor,
@@ -141,6 +144,50 @@ def test_enum_solves_iff_some_support_system_is_feasible():
         result = lcp_solve_enum(instance)
         assert bool(result.solutions) == solvable
         assert all(sol.satisfies(instance) for sol in result.solutions)
+
+
+# The enumeration yields one point per complementary support, and on a
+# singular support with q_alpha = 0 phase 1's point is z = 0, so it misses
+# the nonzero solution of these two E witnesses (alpha = {i}, a_ii = 0).
+ENUMERATION_MISSES = {("COPOSITIVE_ONLY", Variant.E), ("NON_Q0_MATRIX", Variant.E)}
+
+
+def test_classify_failure_witnesses_solve_an_lcp():
+    # A second route from classify to lcp: A is E0 iff LCP(q, A) has only
+    # the solution 0 for every q > 0, and E iff it does for every q >= 0
+    # (Cottle, Pang & Stone 1992, 3.9).  Each failure witness (alpha, y) of
+    # a golden fixture, y > 0 with A_aa y < 0 (<= 0 for E), gives q with
+    # q_alpha = -A_aa y and q_i = max(1, -(A x)_i) off alpha, x = y padded
+    # with zeros: then z = x is a nonzero solution, which substitution
+    # must re-check.  The enumeration must find a nonzero solution too,
+    # each re-checked, for every E0 witness (q > 0) and every E witness
+    # but the known misses above.
+    witnesses = Counter()
+    misses = set()
+    for name in CLASSIFY_FIXTURES:
+        a = getattr(matrices, name)
+        n = a.order
+        for variant in Variant:
+            witness = exact_order(a, variant).witness
+            if witness is None:
+                continue
+            x = [F(0)] * n
+            for i, yi in zip(witness.support.members, witness.vector):
+                x[i - 1] = yi
+            ax = a @ tuple(x)
+            inside = set(witness.support.members)
+            q = tuple(-v if i + 1 in inside else max(F(1), -v) for i, v in enumerate(ax))
+            assert min(q) > 0 if variant is Variant.E0 else min(q) >= 0, (name, variant)
+            inst = LcpInstance(q, a)
+            w = tuple(qi + v for qi, v in zip(q, ax))
+            assert LcpSolution(tuple(x), w, witness.support).satisfies(inst), (name, variant)
+            nonzero = [s for s in lcp_solve_enum(inst).solutions if any(s.z)]
+            assert all(s.satisfies(inst) for s in nonzero), (name, variant)
+            if not nonzero:
+                misses.add((name, variant))
+            witnesses[variant] += 1
+    assert misses <= ENUMERATION_MISSES
+    assert witnesses[Variant.E0] >= 10 and witnesses[Variant.E] >= 10
 
 
 def test_p_matrix_unique_solution():
