@@ -1,36 +1,19 @@
 """Decision procedures for the matrix classes in the semimonotonicity
 hierarchy, with machine-checkable certificates.
 
-The central reduction: a square matrix A fails to be semimonotone exactly
-when some nonempty support alpha admits y > 0 with A_aa y < 0 (pad y with
-zeros to recover the failing x), and fails to be strictly semimonotone when
-some support admits y > 0 with A_aa y <= 0.  The memoized ``exact_order``
-is the one pruned sweep: it decides the 2^n - 1 supports of A's Fraction
-rows in a fixed (size, lex) order, skipping any support whose sub-support
-already fails (membership is hereditary), so every support it solves is
-minimal.  Orders 1 and 2 are sign tests read where the entries stand (the
-diagonal sign, and ``feasibility._pair_fails``); a larger block is sliced
-and solved by ``feasibility._witness`` (shortcuts and the simplex), and
-the certificate of the first failing support normalizes that raw
-witness.  The semimonotone, copositive and almost verdicts read the
-witness off the profile.  ``has_exact_order`` does not prune: it runs the
-screen that ``_exact_order_screen(n, k, strict)`` builds once per shape,
-over a precomputed diagonal range, pair list and support lists.  On
-integer rows D A, D a positive diagonal, whose supports fail exactly where
-A's do ((D A)_aa = D_a A_aa), the screen reads the diagonal signs and
-each pair (``feasibility._pair_fails``) in place, then loops over the
-larger supports, and returns at the first verdict that rules k out, so
-every support it decides is minimal and ``feasibility._minimal_witness``
-decides the orders above 2 with no simplex: a block fails iff it returns
-a witness.  Every search in ``explore`` builds it once and screens each
-candidate with it; the hits are then proven by substituted certificates
-(``feasibility._certified_exact_order``), not by a second sweep; README
-"How it works" describes the search pipeline.  The audits in ``verify``
-decide their exact-order hypotheses with it too.  The P0 and P verdicts
-read every principal minor from one D A (``ratcore._principal_minors``).
+A square matrix A fails to be semimonotone exactly when some nonempty
+support alpha admits y > 0 with A_aa y < 0 (pad y with zeros to recover
+the failing x), and fails to be strictly semimonotone when some support
+admits y > 0 with A_aa y <= 0.  Two sweeps over the supports decide this,
+each described in its docstring: ``exact_order``, the pruned sweep whose
+profile and first witness every membership verdict reads, and the screen
+of ``_exact_order_screen``, which ``has_exact_order``, the searches in
+``explore`` and the audits in ``verify`` run on integer rows.
+``_minor_verdicts`` reads the P0 and P verdicts, and ``_z_rows`` is the
+one Z rule.
 
-All procedures are pure; the fixed order makes the first witness
-deterministic.
+All procedures are pure; the fixed (size, lex) order makes the first
+witness deterministic.
 """
 
 from __future__ import annotations
@@ -158,9 +141,15 @@ def exact_order(a: RatMatrix, variant: Variant) -> ExactOrderResult:
     A has exact order k when every order-(n-k) principal submatrix is in the
     class and no larger one is.  k = 0 means A itself belongs; k = n is
     reported when already the order-1 submatrices all fail (the order-0
-    requirement is vacuous).  The result also keeps the first failing
-    support and its certificate, from which the membership verdicts read
-    their witness.
+    requirement is vacuous).
+
+    The sweep decides the 2^n - 1 supports of A's Fraction rows in (size,
+    lex) order and skips a support whose sub-support fails (membership is
+    hereditary), so it solves only minimal ones: orders 1 and 2 by sign
+    tests where the entries stand, larger blocks by
+    ``feasibility._witness``.  The result keeps the first failing support
+    with its normalized certificate, from which the membership verdicts
+    read their witness.
     """
     n = a.order
     rows = a.entries
@@ -310,8 +299,13 @@ def is_almost_semimonotone(a: RatMatrix, variant: Variant = Variant.E0) -> Class
 
 def is_Z(a: RatMatrix) -> bool:
     """All off-diagonal entries nonpositive."""
-    n = a.order
-    return all(a[i, j] <= 0 for i in range(n) for j in range(n) if i != j)
+    return _z_rows(a.entries)
+
+
+def _z_rows(rows: Sequence[Sequence[Union[Fraction, int]]]) -> bool:
+    """The one Z rule, on square rows, rational or integer: is every
+    off-diagonal entry <= 0?  A 1x1 matrix has none, so it is Z."""
+    return all(v <= 0 for i, row in enumerate(rows) for v in row[:i] + row[i + 1:])
 
 
 def is_nonnegative(a: RatMatrix) -> bool:

@@ -342,13 +342,15 @@ def _write_out(directory: str, files: dict[str, str]) -> None:
 
 def _cmd_explore(args: argparse.Namespace) -> Report:
     _check_budget(args.n)
-    variant = _VARIANTS[args.variant]
     target = _TARGETS[args.target]
     template_name = args.template or target.template
     if target.needs_k and args.k is None:
         raise CliError(f"explore {args.target} needs --k")
     if not target.needs_k and args.k is not None:
         raise CliError(f"explore {args.target} searches exact order 2 and takes no --k")
+    if not target.needs_k and args.variant is not None:
+        raise CliError(f"explore {args.target} searches the E0 variant and takes no --variant")
+    variant = _VARIANTS[args.variant or "e0"]
     # the bound flags the user gave, over the target's calibration, over
     # GeneratorConfig's defaults
     flags = dict(numerator_bound=args.num_bound, denominator_bound=args.den_bound,
@@ -504,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--seed", type=int, required=True, help="generator seed (mandatory)")
     p_explore.add_argument("--attempts", type=int, default=10_000)
     p_explore.add_argument("--hits", type=int, default=None, help="stop after this many hits")
-    p_explore.add_argument("--variant", choices=list(_VARIANTS), default="e0")
+    p_explore.add_argument("--variant", choices=list(_VARIANTS), default=None,
+                           help="e0 (the default) or e; exact-order and neg-entries only")
     p_explore.add_argument("--template", choices=list(_TEMPLATES), default=None)
     p_explore.add_argument("--num-bound", type=int, default=None)
     p_explore.add_argument("--den-bound", type=int, default=None,

@@ -7,18 +7,9 @@ conjectured conclusions on every verified hit.  Searches can only falsify a
 conjecture or accumulate evidence for it, never prove it; reports carry that
 caveat.
 
-Every public search is one call of one loop, ``_search``, which returns
-its report: the generator ``_draws`` yields each candidate as integer rows
-L A (one constant L per config), the screen that
-``classify._exact_order_screen`` builds once per search screens it (the
-``classify`` module docstring describes both sweeps), each hit's exact
-order is proven by substituted certificates
-(``feasibility._certified_exact_order``), and a counterexample is reported
-only after a triple check.  README "How it works" gives the full account.
-
-Conjecture 1 is stated with the partitioned inverse formula; its checker
-reads the blocks of one inverse of A instead, which agrees wherever the
-formula is defined.  The formula itself is a test oracle.
+Every public search is one call of ``_search``, whose pipeline README "How
+it works" sets out; ``_draws`` gives the generator's rules, and each
+conclusion checker states what it reads.
 
 Determinism contract: a report is a pure function of its configuration
 (seed included), so identical configs reproduce identical reports.
@@ -39,6 +30,7 @@ from typing import Callable, Iterator, Optional
 from .classify import (
     Variant,
     _exact_order_screen,
+    _z_rows,
     is_Z,
     negative_entry_profile,
 )
@@ -46,10 +38,10 @@ from .feasibility import _certified_exact_order
 from .ratcore import (
     IndexSet,
     RatMatrix,
+    _block,
     _cleared_rows,
     _det_and_inverse,
     count_negative_eigenvalues,
-    principal_submatrix,
 )
 
 
@@ -263,17 +255,12 @@ def _draws(cfg: GeneratorConfig) -> Iterator[tuple[int, _IntRows]]:
     at the same stream positions.  Wider configs read the 32-bit words.
     ``GeneratorConfig`` keeps every width below 2^32.
 
-    Every draw is a lookup in a table (``_table``) that maps each stream
-    item to the entry it decides: a numerator's denominator table, a
-    sign class's numerator table, the cleared entry itself, or the table
-    again for a redraw.  One loop follows each cell's chain of tables
-    until an entry is an int; a ZERO cell starts at the entry 0.  The
-    tables are cached per (width, sign, offset), per numerator and
-    denominator bound, and per free weights, so configs share them.  On
-    the byte stream they are lists over the 256 bytes; on the 32-bit
-    words they are ``_WordTable``s, which compute the entry, so both
-    streams go through the same loop.  Outputs drawn past the last
-    candidate are discarded.
+    Every draw is a lookup in a cached table (``_table``) that maps each
+    stream item to what it decides: a further table, the cleared entry, or
+    the table itself for a redraw.  One loop, on either stream, follows
+    each cell's chain of tables until an entry is an int; a ZERO cell
+    starts at the entry 0.  Outputs drawn past the last candidate are
+    discarded.
     """
     db = cfg.denominator_bound
     scale = lcm(*range(1, db + 1))
@@ -354,18 +341,6 @@ _EVIDENCE_NOTE = "randomized search accumulates evidence or counterexamples; it 
 
 
 # ---------------------------------------------------------------------------
-# conjecture 1's Z test on the integer rows (every pass is proven by certificates)
-
-
-def _z_rows(rows: _IntRows) -> bool:
-    """Are the rows of a Z-matrix: every off-diagonal entry <= 0?  Under
-    the ``z`` and ``pattern`` templates every candidate is Z; templates
-    with a ``POS``, ``NONNEG`` or ``FREE`` off-diagonal cell need the
-    test."""
-    return all(max(row[:i] + row[i + 1:]) <= 0 for i, row in enumerate(rows))
-
-
-# ---------------------------------------------------------------------------
 # per-matrix conjecture checkers (shared by searches, audits, and tests)
 
 
@@ -374,11 +349,12 @@ def conjecture_1_violations(a: RatMatrix) -> list[tuple[str, str]]:
     every size-(n-1) principal block of A^{-1} should be a Z-matrix, and A
     should have exactly one negative eigenvalue.
 
-    The blocks are read from one inverse of A.  A block is reported
-    undefined where the conjecture's partitioned inverse formula is, which
-    is when A or A_aa is singular.  For nonsingular A, A_aa is singular
-    iff (A^{-1})_ii = 0, i the one index outside alpha, by Jacobi's
-    identity det A_aa = det A (A^{-1})_ii.
+    The blocks are read in place from one inverse of A, which agrees with
+    the conjecture's partitioned inverse formula (a test oracle) wherever
+    that is defined.  A block is reported undefined where the formula is,
+    which is when A or A_aa is singular.  For nonsingular A, A_aa is
+    singular iff (A^{-1})_ii = 0, i the one index outside alpha, by
+    Jacobi's identity det A_aa = det A (A^{-1})_ii.
     """
     n = a.order
     violations: list[tuple[str, str]] = []
@@ -390,11 +366,9 @@ def conjecture_1_violations(a: RatMatrix) -> list[tuple[str, str]]:
             violations.append(
                 (f"inverse block formula undefined for alpha={alpha}", "matrix is singular")
             )
-            continue
-        block = principal_submatrix(inv, alpha)
-        if not is_Z(block):
+        elif not _z_rows(block := _block(inv.entries, combo)):
             violations.append(
-                (f"inverse principal block for alpha={alpha} is not Z", repr(block))
+                (f"inverse principal block for alpha={alpha} is not Z", repr(RatMatrix(block)))
             )
     negatives = count_negative_eigenvalues(a)
     if negatives != 1:
@@ -487,11 +461,12 @@ def _search(
     second_route: Callable[[RatMatrix], bool],
     z_only: bool = False,
 ) -> SearchReport:
-    """The one search loop of the public ``search`` (see the module
-    docstring); its report on ``target`` carries the evidence note.  The
-    screen is ``classify._exact_order_screen``'s for (n, k, variant),
-    built once k is checked, then, with ``z_only``, the Z test on the few
-    candidates that pass it."""
+    """The one search loop of the public ``search``; its report on
+    ``target`` carries the evidence note.  The screen is
+    ``classify._exact_order_screen``'s for (n, k, variant), built once k
+    is checked, then, with ``z_only``, the Z rule on the few candidates
+    that pass it: a template with a FREE, NONNEG or POS off-diagonal cell
+    draws non-Z candidates."""
     check_search(search, config.order, k, target_hits)
     screen = _exact_order_screen(config.order, k, variant.strict_system)
     hits: list[RatMatrix] = []

@@ -7,35 +7,14 @@ positive homogeneity these are equivalent to the closed systems
     strict:      y >= 1,  My <= -1
     semistrict:  y >= 1,  My <=  0
 
-which are decided exactly.  The decision and the certificate are two
-steps.  ``_witness`` decides a block from its rows and returns some raw
-witness: order 2 has a closed form by interval arithmetic; every other
-order first tries O(n^2) sign shortcuts, which settle every order-1 system,
-and then a phase-1 simplex with Bland's pivoting rule (termination under
-degeneracy, no tolerances anywhere) on the closed system.  The simplex
-pivots an integer tableau fraction-free through ``ratcore._pivot``, the one
-exact kernel that ``det`` and ``inverse`` use too.
-
-The two support sweeps that ask these questions, ``exact_order`` and
-the screen behind ``has_exact_order``, are described once, in the
-``classify`` module docstring.  Both read order 1 from the diagonal sign
-and order 2 by ``_pair_fails``; ``_witness`` decides the larger blocks of
-``exact_order``, and ``_minimal_witness`` those of the screen (its
-docstring holds the lemma and its proof).
-
-``_normalize_certificate`` scales a raw witness onto the closed system
-above; it runs only where a certificate is read: behind the public oracles,
-and for the first failing support of ``exact_order``, whose other
-supports need only the decision, and which reuses the sweep's witness
-where the sweep computed one.
-
-A search hit is proven, not re-swept: ``_certified_exact_order`` finds a
-certificate for every support that exact order k speaks about and checks
-each by integer substitution.  A member certificate z >= 0 with
-B^T z >= 0 (Ville's transposition theorem) shows a block's system has no
-solution; a witness y > 0 with By < 0 (<= 0) shows it has one.  They come
-from closed forms, a nonnegative row, ``phase1_feasible``'s Farkas
-multipliers and ``_minimal_witness``, and only the substitution decides.
+which are decided exactly, with no tolerance anywhere.  Each account
+lives at its function: ``_witness`` decides a block and returns a raw
+witness, from sign shortcuts, the order-2 closed form or
+``phase1_feasible``; ``_pair_fails`` reads a pair in place;
+``_minimal_witness`` decides a minimal support with no simplex;
+``_normalize_certificate`` scales a witness onto the closed system; and
+``_certified_exact_order`` proves a search hit by substituted
+certificates.  The sweeps that ask these questions are in ``classify``.
 
 Everything here is pure and stateless; callers may evaluate many systems
 concurrently.
@@ -78,14 +57,14 @@ class FeasibilityOutcome:
 def phase1_feasible(g_rows: Sequence[Sequence[Fraction]], h: Sequence[Fraction]) -> tuple[bool, list]:
     """Decide whether {x >= 0 : Gx <= h} is nonempty, exactly.
 
-    Minimizes the sum of artificial variables with Bland's rule; the system
-    is feasible iff the optimum is exactly zero.  Returns a witness x when
-    feasible, and else Farkas multipliers z >= 0 with G^T z >= 0 and
-    h^T z < 0: the final reduced costs of the slack columns.  (With duals
-    pi and row signs s, the slack of row i costs -pi_i s_i, the column of
-    x_j costs (G^T z)_j, both >= 0 at the optimum, and -h^T z is the
-    positive optimum.)  Rational G and h give integer multipliers, a
-    positive multiple of the rational ones.
+    Minimizes the sum of artificial variables with Bland's rule, which
+    terminates under degeneracy; the system is feasible iff the optimum is
+    exactly zero.  Returns a witness x when feasible, and else Farkas
+    multipliers z >= 0 with G^T z >= 0 and h^T z < 0: the final reduced
+    costs of the slack columns.  (With duals pi and row signs s, the slack
+    of row i costs -pi_i s_i, the column of x_j costs (G^T z)_j, both >= 0
+    at the optimum, and -h^T z is the positive optimum.)  Rational G and h
+    give integer multipliers, a positive multiple of the rational ones.
 
     The tableau, objective row included, is the rational one times the
     common denominator of G and h, and is pivoted fraction-free
@@ -293,8 +272,11 @@ def _minimal_witness(
     ker B = span(y) and By = 0.
 
     A nonsingular B gives y = |det B| x, so B y = -|det B| 1.  At order 3
-    that is y = -sign(det B) adj(B) 1, read in place in closed form.  At
-    other orders, one fraction-free solve of [B | -1]
+    that is y = -sign(det B) adj(B) 1, read in place in closed form, which
+    stays because every support the screen decides above order 2 at n = 4,
+    k = 2 has order 3: solved by elimination instead, the ``conj2-free``
+    benchmark read ``wall_s`` 0.58-0.59 s against 0.43 s (2-core Xeon,
+    CPython 3.11).  At other orders, one fraction-free solve of [B | -1]
     (``ratcore._gauss_jordan``) leaves p [I | x] with p on the diagonal;
     its return value is det B, which is p up to the sign of the row swaps,
     so y is the last column times the sign of the diagonal (y = 1 for a
@@ -409,7 +391,9 @@ def _certified_exact_order(rows: Sequence[Sequence[int]], k: int, strict: bool) 
 def _normalize_certificate(rows: _Rows, y: RatVector, strict: bool) -> RatVector:
     """Scale a raw witness (y > 0, My < 0 or <= 0) onto y >= 1, My <= -1 / 0.
 
-    A simplex witness already lies there, so it comes back unchanged.
+    It runs only where a certificate is read: behind the public oracles and
+    for the first failing support of ``exact_order``.  A simplex witness
+    already lies there, so it comes back unchanged.
     """
     factors = [Fraction(1)]
     factors.extend(Fraction(1) / yi for yi in y)

@@ -141,8 +141,9 @@ def _support_solutions(
     u >= 0, and d c w_i = d q'_i + (L A)_ia u off alpha.  A singular block
     goes to ``phase1_feasible``: z_a >= 0 with A_aa z_a <= -q_a and
     -A_ia z_a <= q_i for every i (the reverse half of the equality on
-    alpha, w_b >= 0 off it), on the rational rows, so Bland's rule meets
-    the tableau it always did.  z outside alpha is zero.
+    alpha, w_b >= 0 off it), on the rational rows: their tableau fixes
+    Bland's pivots and so the point a singular support yields, which the
+    ``lcp`` golden digests pin.  z outside alpha is zero.
     """
     n = a.order
     zero = Fraction(0)

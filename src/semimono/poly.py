@@ -1,10 +1,9 @@
 """Univariate integer polynomials: just enough for exact real root counting.
 
 A polynomial is a tuple of ints in ascending degree order with no trailing
-zero coefficient; the zero polynomial is the empty tuple.  Rational input
-is cleared once by a positive common denominator, which moves no root.
-Root counts use Sturm sequences on square-free layers, so multiplicities
-are recovered exactly and no numeric root finding is ever involved.
+zero coefficient; the zero polynomial is the empty tuple.  Root counts use
+Sturm sequences on square-free layers, so multiplicities are recovered
+exactly and no numeric root finding is ever involved.
 
 Everything divides exactly in the integers.  The square-free layers come
 from the primitive pseudo-remainder gcd (Collins 1967; Brown-Traub 1971),
@@ -17,9 +16,8 @@ sign, and with it every count, is the rational chain's.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from math import gcd
+from typing import Iterable, Sequence
 
 IntPoly = tuple[int, ...]
 
@@ -144,18 +142,16 @@ def _strip_zero_roots(p: IntPoly) -> tuple[IntPoly, int]:
     return p[m:], m
 
 
-def real_root_sign_counts(coeffs: Sequence[Union[Fraction, int]]) -> tuple[int, int, int]:
+def real_root_sign_counts(coeffs: Sequence[int]) -> tuple[int, int, int]:
     """Real roots of a polynomial in (-inf,0), {0}, (0,inf), with multiplicity.
 
-    The coefficients, ascending, may be ints or Fractions; they are cleared
-    by their positive denominator LCM once.  Multiplicities come from the
+    The coefficients are ints, ascending.  Multiplicities come from the
     repeated-gcd chain p, gcd(p,p'), ...: a root of multiplicity m
     contributes one distinct root to the first m layers.  One gcd per layer
     L serves twice: L / gcd(L, L') is the square-free part whose roots are
     counted, and gcd(L, L') is the next layer.
     """
-    scale = lcm(*(c.denominator for c in coeffs))
-    p = _trim(c.numerator * (scale // c.denominator) for c in coeffs)
+    p = _trim(coeffs)
     if not p:
         raise ValueError("zero polynomial has every number as a root")
     layer, zero_mult = _strip_zero_roots(primitive(p))

@@ -10,19 +10,14 @@ fraction-free integer pivot step, ``_pivot``, on denominator-cleared copies.
 There is no second elimination route: callers read det A and A^{-1}, or
 None for a singular A, from one ``_det_and_inverse(A)``.
 
-``_cleared_rows`` gives the row-cleared integer matrix D A, each row times
-the LCM of its denominators.  ``det`` and ``_det_and_inverse`` pivot it,
-and since D is positive, exact order and the sign of every principal
-minor can be read from it too: the searches decide candidates on these
-integer rows and build Fractions only for hits.  ``_principal_minors``
-reads every principal minor from one D A, so a Schur complement over an
-order-(n-1) block is the scalar det A / det A_aa of two of them.
-
-The spectrum is the one thing a row scaling does not keep.  Eigenvalue
-counts use ``_scalar_cleared`` instead, L A for one positive scalar L,
-whose roots are L times A's, and run Berkowitz's division-free recurrence
-on it; ``poly`` counts the roots in integers too.  ``lcp`` factors its
-principal blocks on L A as well, so that one cleared q serves every block.
+Two clearings serve the integer routes, each described at its function:
+the row-cleared D A of ``_cleared_rows``, which keeps exact order and the
+sign of every principal minor (the searches, ``det``, the inverse and
+``_principal_minors`` read it), and the scalar-cleared L A of
+``_scalar_cleared``, which keeps the spectrum too: the eigenvalue counts
+run Berkowitz's recurrence on it and hand ``poly`` integer coefficients,
+and ``lcp`` factors its blocks on it, so that one cleared q serves them
+all.
 
 All values here are immutable after construction and safe to share across
 threads.
@@ -284,7 +279,12 @@ def _cleared_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[int], list[l
     times the LCM of its denominators.
 
     D is positive, so every sign condition of exact order and the sign of
-    every principal minor are those of A: (D A)_aa = D_a A_aa.
+    every principal minor are those of A: (D A)_aa = D_a A_aa.  Minors,
+    det and the inverse pivot D A, not the one scalar L A of
+    ``_scalar_cleared``, because L carries every row's denominators: on
+    rows over distinct primes at n = 5..8 (2-core Xeon, CPython 3.11), all
+    principal minors read from L A took 1.06-1.27x and the inverse
+    1.29-1.64x as long.
     """
     scales: list[int] = []
     out: list[list[int]] = []

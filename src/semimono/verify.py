@@ -15,8 +15,8 @@ checked here only, in ``audit_thm_4_11``.
 The Schur complements of Theorems 3.5 and 4.11 are taken over order-(n-1)
 blocks, so each is the scalar det A / det A_aa of two principal minors of
 the row-cleared D A (Theorem 3.5 reads det A off the pass that inverts A),
-and no partitioned formula is evaluated; evidence still prints it as the 1x1
-``RatMatrix[v]`` that reports have always carried.
+and no partitioned formula is evaluated; evidence prints it as the 1x1
+``RatMatrix[v]``, the form the audit golden digests pin.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from semimono.classify import (
     Variant,
     WrongOrderError,
     _exact_order_screen,
+    _z_rows,
     copositive_exact_order,
     exact_order,
     has_exact_order,
@@ -544,6 +545,32 @@ def test_z_and_nonnegative_scans():
     assert is_Z(RatMatrix.identity(3))
     assert is_nonnegative(RatMatrix.identity(3))
     assert not is_nonnegative(M3_ORDER2_E0)
+
+
+def test_the_z_rule_on_rows_is_the_entrywise_definition():
+    # the one Z rule serves is_Z, conjecture 1's test on the search's integer
+    # rows and its checker on the blocks of A^{-1}: a 1x1 matrix has no
+    # off-diagonal entry, and a zero one is allowed
+    assert _z_rows([[5]]) and _z_rows([[-5]]) and is_Z(RatMatrix([[F(7, 2)]]))
+    assert _z_rows([[1, 0], [0, -1]]) and _z_rows(((F(0), F(0)), (F(0), F(0))))
+    assert not _z_rows([[0, 0], [F(1, 3), 0]]) and not _z_rows([[-1, 0, 0], [0, 2, 0], [0, 1, 3]])
+    rng = random.Random(29)
+    verdicts = Counter()
+    for index in range(300):
+        n = rng.randint(1, 5)
+        m = random_z_matrix(rng, n, num_bound=2) if index % 2 else random_matrix(rng, n, 2, 3)
+        if index % 3 == 0 and n > 1:
+            # one off-diagonal entry pushed to >= 0: zero keeps the matrix Z
+            i, j = rng.sample(range(n), 2)
+            rows = [list(row) for row in m.entries]
+            rows[i][j] = F(rng.randint(0, 1), rng.randint(1, 3))
+            m = RatMatrix(rows)
+        expected = all(m[i, j] <= 0 for i in range(n) for j in range(n) if i != j)
+        verdicts[expected] += 1
+        assert is_Z(m) is _z_rows(m.entries) is expected
+        assert _z_rows([list(row) for row in m.entries]) is expected
+        assert _z_rows(_cleared_rows(m.entries)[1]) is expected
+    assert min(verdicts.values()) > 60
 
 
 def test_p_and_p0_verdicts():

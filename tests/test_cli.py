@@ -494,6 +494,26 @@ def test_explore_conjecture_targets_refuse_k(target, k, tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize(
+    "target, variant", [("conjecture1", "e"), ("conjecture2", "e"), ("conjecture2", "e0")]
+)
+def test_explore_conjecture_targets_refuse_variant(target, variant, tmp_path, capsys, monkeypatch):
+    # the conjectures are about E0 exact order 2, so any --variant, even e0,
+    # is a usage error, raised before the search and before --out makes its
+    # directory
+    searched = []
+    monkeypatch.setattr(explore, "_search", lambda *args: searched.append(args))
+    out = tmp_path / "d"
+    argv = ["explore", "--target", target, "--n", "3", "--variant", variant, "--seed", "1",
+            "--attempts", "5", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not searched and not out.exists()
+    assert captured.err == (
+        f"error: explore {target} searches the E0 variant and takes no --variant\n"
+    )
+
+
+@pytest.mark.parametrize(
     "extra",
     [
         ["--target", "exact-order", "--n", "3", "--k", "5"],

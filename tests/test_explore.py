@@ -14,6 +14,7 @@ from semimono.classify import (
     NegativeEntryProfile,
     Variant,
     _exact_order_screen,
+    _z_rows,
     exact_order,
     is_Z,
 )
@@ -23,7 +24,6 @@ from semimono.explore import (
     EntrySign,
     GeneratorConfig,
     SearchReport,
-    _z_rows,
     conjecture_1_violations,
     conjecture_2_violations,
     generate,

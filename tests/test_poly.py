@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -11,6 +12,14 @@ def p(*coeffs):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def counts(q):
+    """Root sign counts of a Fraction polynomial, cleared here by the LCM of
+    its denominators: a positive scalar, which moves no root, since
+    ``poly.real_root_sign_counts`` takes integer coefficients."""
+    scale = lcm(*(c.denominator for c in q))
+    return poly.real_root_sign_counts(tuple(c.numerator * (scale // c.denominator) for c in q))
 
 
 def mul(*polys):
@@ -87,33 +96,33 @@ def test_sturm_chain_ends_at_a_zero_remainder():
 def test_root_counts_simple_factors():
     # (x - 1)(x + 2)(x + 3)
     q = mul(p(-1, 1), p(2, 1), p(3, 1))
-    assert poly.real_root_sign_counts(q) == (2, 0, 1)
+    assert counts(q) == (2, 0, 1)
 
 
 def test_root_counts_no_real_roots():
-    assert poly.real_root_sign_counts(p(1, 0, 1)) == (0, 0, 0)
+    assert counts(p(1, 0, 1)) == (0, 0, 0)
 
 
 def test_root_counts_pure_zero_root():
-    assert poly.real_root_sign_counts(p(0, 0, 0, 1)) == (0, 3, 0)
+    assert counts(p(0, 0, 0, 1)) == (0, 3, 0)
 
 
 def test_root_counts_with_multiplicity():
     # (x + 1)^3
     q = mul(p(1, 1), p(1, 1), p(1, 1))
-    assert poly.real_root_sign_counts(q) == (3, 0, 0)
+    assert counts(q) == (3, 0, 0)
     # (x + 1)^2 (x - 5)
     q = mul(p(1, 1), p(1, 1), p(-5, 1))
-    assert poly.real_root_sign_counts(q) == (2, 0, 1)
+    assert counts(q) == (2, 0, 1)
     # x^2 (x - 1/2) (x + 7)^2
     q = mul(p(0, 1), p(0, 1), p(F(-1, 2), 1), p(7, 1), p(7, 1))
-    assert poly.real_root_sign_counts(q) == (2, 2, 1)
+    assert counts(q) == (2, 2, 1)
 
 
 def test_root_counts_mixed_complex():
     # (x^2 + 1)(x - 2)
     q = mul(p(1, 0, 1), p(-2, 1))
-    assert poly.real_root_sign_counts(q) == (0, 0, 1)
+    assert counts(q) == (0, 0, 1)
 
 
 def test_root_counts_degree_eight_large_coefficients():
@@ -129,9 +138,9 @@ def test_root_counts_degree_eight_large_coefficients():
         p(10**12 + 1, 0, 1),
     )
     assert len(q) == 9
-    assert poly.real_root_sign_counts(q) == (2, 1, 3)
-    # the same roots from integer coefficients
-    cleared = tuple(c * 7**4 for c in q)
+    assert counts(q) == (2, 1, 3)
+    # the same roots from a negative multiple of the integer coefficients
+    cleared = tuple(c * -3 * 7**4 for c in q)
     assert all(c.denominator == 1 for c in cleared)
     assert poly.real_root_sign_counts(tuple(c.numerator for c in cleared)) == (2, 1, 3)
 

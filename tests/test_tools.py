@@ -1,10 +1,12 @@
 """The line counter in tools/src_lines.py, which the code/docstring/
 comment/blank accounting of the project's changes is read from, the line
-collector in tools/src_coverage.py, and a scan of the package for imports
-that nothing uses."""
+collector in tools/src_coverage.py, a scan of the package for imports
+that nothing uses, and a check that the docs point only at what a module
+of the package defines."""
 
 import ast
 import importlib.util
+import re
 import threading
 from pathlib import Path
 
@@ -113,3 +115,44 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py" and (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+# ``module.attr`` in a src docstring, `module.attr` in README, a call's
+# arguments allowed inside the quotes
+MODULE_REFERENCE = re.compile(r"`+(\w+)\.(\w+)[^`]*`+")
+
+
+def defined_in(module, attr: str) -> bool:
+    """Does ``module`` have ``attr``, and define it when it is a function
+    or a class, instead of importing it from another module?"""
+    value = getattr(module, attr, None)
+    return value is not None and (
+        not callable(value) or getattr(value, "__module__", None) == module.__name__
+    )
+
+
+def test_every_module_reference_in_the_docs_resolves():
+    # a reference into a module of the package must name what that module
+    # defines, so that a rule moved to another module takes its pointers
+    # along
+    assert defined_in(importlib.import_module("semimono.cli"), "SUPPORT_BUDGET")
+    assert not defined_in(importlib.import_module("semimono.verify"), "is_Z")
+    package = ROOT / "src" / "semimono"
+    modules = {path.stem for path in package.glob("*.py") if not path.stem.startswith("_")}
+    texts = [("README.md", (ROOT / "README.md").read_text())]
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                texts.append((path.name, ast.get_docstring(node, clean=False) or ""))
+    references = [
+        (where, module, attr)
+        for where, text in texts
+        for module, attr in MODULE_REFERENCE.findall(text)
+        if module in modules
+    ]
+    missing = [
+        (where, f"{module}.{attr}")
+        for where, module, attr in references
+        if not defined_in(importlib.import_module(f"semimono.{module}"), attr)
+    ]
+    assert len(references) >= 20 and missing == []
