@@ -108,6 +108,8 @@ def parse_matrix_text(text: str, source: str) -> RatMatrix:
 
 def parse_vector_text(text: str, source: str) -> RatVector:
     n, lines = _split_file(text, source, "vector", "length")
+    if n < 1:
+        raise CliError(f"{source}: length must be >= 1")
     tokens = " ".join(lines).split()
     if len(tokens) != n:
         raise CliError(f"{source}: expected {n} entries, got {len(tokens)}")
@@ -263,6 +265,8 @@ def _cmd_classify(args: argparse.Namespace) -> Report:
 
 
 def _cmd_audit(args: argparse.Namespace) -> Report:
+    if args.matrix_b is not None and args.theorem != "nonclosure":
+        raise CliError(f"audit {args.theorem} reads one matrix and takes no --matrix-b")
     a = _load(args.matrix, parse_matrix_text)
     b = _load(args.matrix_b, parse_matrix_text) if args.matrix_b else None
     _check_budget(max(m.order for m in (a, b) if m is not None))
@@ -415,10 +419,9 @@ def _cmd_lcp(args: argparse.Namespace) -> Report:
     q = _load(args.q, parse_vector_text)
     a = _load(args.matrix, parse_matrix_text)
     _check_budget(a.order)
-    try:
-        inst = lcp.LcpInstance(q, a)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if len(q) != a.order:
+        raise CliError(f"{args.q}: length {len(q)} does not match the order {a.order} of {args.matrix}")
+    inst = lcp.LcpInstance(q, a)
     feas = lcp.lcp_feasible(inst)
     enum = lcp.lcp_solve_enum(inst)
     verified = all(sol.satisfies(inst) for sol in enum.solutions)

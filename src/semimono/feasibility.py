@@ -34,7 +34,6 @@ from .ratcore import (
     _block,
     _cleared,
     _gauss_jordan,
-    _int_det,
     _pivot,
     _support_members,
 )
@@ -139,31 +138,25 @@ def phase1_feasible(g_rows: Sequence[Sequence[Fraction]], h: Sequence[Fraction])
 
 
 def _order2(rows: _Rows, strict: bool) -> Optional[RatVector]:
-    """Closed form by interval arithmetic: some y = (1, t), or None."""
-    lo_val, lo_open = Fraction(0), True  # y = (1, t) with t > 0
-    hi_val: Optional[Fraction] = None
-    hi_open = False
+    """Closed form: some y = (1, t), t > 0, or None.  Row (p, q) asks
+    p + q t < 0 (<= 0 unless ``strict``): t lies above lo = max(0, -p/q
+    over q < 0) and below hi = min(-p/q over q > 0), an end closed exactly
+    when the system is not strict and the end lies above 0."""
+    lo = Fraction(0)
+    hi: Optional[Fraction] = None
     for p, q in rows:
-        if q == 0:
-            ok = p < 0 if strict else p <= 0
-            if not ok:
-                return None
-        elif q < 0:
-            bound = -p / q
-            if bound > lo_val or (bound == lo_val and strict):
-                lo_val, lo_open = bound, strict if bound > lo_val else (lo_open or strict)
-        else:
-            bound = -p / q
-            if hi_val is None or bound < hi_val or (bound == hi_val and strict):
-                hi_open = strict if hi_val is None or bound < hi_val else (hi_open or strict)
-                hi_val = bound
-
-    if hi_val is None:
-        t = lo_val + 1
-    elif lo_val < hi_val:
-        t = (lo_val + hi_val) / 2
-    elif lo_val == hi_val and not lo_open and not hi_open and lo_val > 0:
-        t = lo_val
+        if q < 0:
+            lo = max(lo, -p / q)
+        elif q > 0:
+            hi = -p / q if hi is None else min(hi, -p / q)
+        elif p > 0 or (strict and p == 0):
+            return None
+    if hi is None:
+        t = lo + 1
+    elif lo < hi:
+        t = (lo + hi) / 2
+    elif lo == hi > 0 and not strict:
+        t = lo
     else:
         return None
     return Fraction(1), t
@@ -212,29 +205,17 @@ def _pair_fails(rows: _AnyRows, i: int, j: int, strict: bool) -> bool:
 
 
 def _positive_kernel(columns: Iterable[Sequence[int]]) -> Optional[list[int]]:
-    """For the columns of adj(B), B singular: a vector y > 0 spanning
-    ker B when ker B is one-dimensional and has one, else None.
-
-    B adj(B) = det(B) I = 0, and adj(B) is nonzero iff B has rank n - 1, so
-    ker B is one-dimensional exactly when some column is nonzero, and then
-    that column spans it.
-    """
+    """A vector y > 0 spanning ker B, B singular, or None, from candidates
+    that span a one-dimensional ker B: the columns of adj(B), or the kernel
+    vector of an elimination that found rank n - 1.  B adj(B) = det(B) I = 0,
+    and adj(B) is nonzero iff B has rank n - 1, so ker B is one-dimensional
+    exactly when some column is nonzero, and then that column spans it."""
     for col in columns:
         if any(col):
             if all(v > 0 for v in col):
                 return list(col)
             return [-v for v in col] if all(v < 0 for v in col) else None
     return None
-
-
-def _adjugate_column(rows: Sequence[Sequence[int]], j: int) -> list[int]:
-    """Column j of the adjugate of a square integer array: the cofactors
-    (-1)^(i+j) det(B without row j and column i)."""
-    others = [row for k, row in enumerate(rows) if k != j]
-    return [
-        (-1) ** (i + j) * _int_det([row[:i] + row[i + 1:] for row in others])
-        for i in range(len(rows))
-    ]
 
 
 def _minimal_witness(
@@ -280,8 +261,12 @@ def _minimal_witness(
     (``ratcore._gauss_jordan``) leaves p [I | x] with p on the diagonal;
     its return value is det B, which is p up to the sign of the row swaps,
     so y is the last column times the sign of the diagonal (y = 1 for a
-    1x1 block a < 0).  A singular semistrict block takes the columns of
-    adj(B) to ``_positive_kernel``, and its witness has B y = 0.
+    1x1 block a < 0).  A singular B stops the pass at the first column k
+    with no pivot, p on the diagonal of columns 0..k-1, so ker B holds
+    x = (-solve[0][k], ..., -solve[k-1][k], p, 0, ..., 0), or x = (1) for
+    B = [[0]].  For k < n-1, x has a zero entry and no y > 0 spans ker B;
+    for k = n-1, ker B = span(x), and x goes to ``_positive_kernel`` as
+    adj(B)'s columns do at order 3.  A semistrict witness has B y = 0.
     """
     n = len(members)
     if n == 3:
@@ -301,13 +286,15 @@ def _minimal_witness(
             return y if min(y) > 0 else None
         columns: Iterable[Sequence[int]] = zip(*adj)
     else:
-        block = _block(rows, members)
-        solve = [row + [-1] for row in block]
+        solve = [row + [-1] for row in _block(rows, members)]
         if _gauss_jordan(solve):
             p = solve[0][0]
             y = [row[n] if p > 0 else -row[n] for row in solve]
             return y if min(y) > 0 else None
-        columns = (_adjugate_column(block, j) for j in range(n))
+        if strict or not all(solve[i][i] for i in range(n - 1)):
+            return None
+        p = solve[0][0] if n > 1 else 1
+        columns = ([-row[n - 1] for row in solve[:n - 1]] + [p],)
     return None if strict else _positive_kernel(columns)
 
 

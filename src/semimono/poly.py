@@ -2,16 +2,18 @@
 
 A polynomial is a tuple of ints in ascending degree order with no trailing
 zero coefficient; the zero polynomial is the empty tuple.  Root counts use
-Sturm sequences on square-free layers, so multiplicities are recovered
-exactly and no numeric root finding is ever involved.
+Sturm chains on the layers p, gcd(p, p'), ..., so multiplicities are
+recovered exactly and no numeric root finding is ever involved.
 
-Everything divides exactly in the integers.  The square-free layers come
-from the primitive pseudo-remainder gcd (Collins 1967; Brown-Traub 1971),
-normalized to a positive leading coefficient, and by Gauss's lemma a
-primitive divisor over the rationals divides over the integers too.  The
-Sturm chain takes -|lc|^(delta+1) times each remainder over its positive
-content: a positive multiple of the rational Sturm polynomial, so every
-sign, and with it every count, is the rational chain's.
+Sturm's theorem needs no square-free p: at a and b that are not roots, the
+sign variations of p, p', -rem, ... differ by the number of distinct roots
+of p in (a, b), since every term is a multiple of g = gcd(p, p') and
+dividing by g(x) != 0 leaves a Sturm sequence of p / g (Basu, Pollack and
+Roy, Algorithms in Real Algebraic Geometry, 2006, ch. 2).  The chain ends
+at g times a constant, so made primitive its last term is the next layer.
+In the integers, each term is -|lc|^(delta+1) times a remainder over its
+positive content: a positive multiple of the rational Sturm polynomial, so
+every sign, and with it every count, is the rational chain's.
 """
 
 from __future__ import annotations
@@ -63,35 +65,6 @@ def pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
     return _trim(r)
 
 
-def exact_quotient(a: IntPoly, b: IntPoly) -> IntPoly:
-    """a / b for a b that divides a in the integers.
-
-    A step that does not divide exactly leaves its remainder in place, so
-    any nonzero remainder, in Z[x] or Q[x], raises ``ValueError``.
-    """
-    db = len(b) - 1
-    lc = b[-1]
-    r = list(a)
-    quot = [0] * max(len(a) - db, 0)
-    for shift in range(len(a) - 1 - db, -1, -1):
-        q = quot[shift] = r[shift + db] // lc
-        for i, bv in enumerate(b):
-            r[shift + i] -= q * bv
-    if any(r):
-        raise ValueError("divisor does not divide the dividend in the integers")
-    return _trim(quot)
-
-
-def primitive_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """gcd(a, b) by the primitive pseudo-remainder sequence: primitive, with
-    a positive leading coefficient, so it is unique and divides both a and
-    b in the integers."""
-    a, b = primitive(a), primitive(b)
-    while b:
-        a, b = b, primitive(pseudo_remainder(a, b))
-    return a
-
-
 def sturm_chain(p: IntPoly) -> list[IntPoly]:
     """p, p' and then -|lc|^(delta+1) prem over its positive content: each
     term a positive multiple of the rational Sturm polynomial."""
@@ -100,7 +73,7 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
         a, b = chain[-2], chain[-1]
         rem = pseudo_remainder(a, b)
         if not rem:
-            break  # callers pass square-free input; a zero remainder ends the chain
+            break  # p has repeated roots: the chain ends at a multiple of gcd(p, p')
         # prem = lc^(delta+1) rem; the factor's sign is that of lc^(delta+1)
         flip = b[-1] < 0 and (len(a) - len(b)) % 2 == 0
         c = gcd(*rem)
@@ -124,10 +97,9 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _distinct_neg_pos_counts(p: IntPoly) -> tuple[int, int]:
-    """Distinct roots of a square-free p with p(0) != 0 and degree >= 1 in
-    (-inf,0) and (0,inf)."""
-    chain = sturm_chain(p)
+def _distinct_neg_pos_counts(chain: list[IntPoly]) -> tuple[int, int]:
+    """Distinct roots in (-inf,0) and (0,inf) of the p that heads the Sturm
+    ``chain``, read as sign variations at -inf, 0 and +inf; p(0) != 0."""
     v_minus = _variations(_sign(q[-1]) * (-1 if len(q) % 2 == 0 else 1) for q in chain)
     v_zero = _variations(_sign(q[0]) for q in chain)
     v_plus = _variations(_sign(q[-1]) for q in chain)
@@ -147,9 +119,9 @@ def real_root_sign_counts(coeffs: Sequence[int]) -> tuple[int, int, int]:
 
     The coefficients are ints, ascending.  Multiplicities come from the
     repeated-gcd chain p, gcd(p,p'), ...: a root of multiplicity m
-    contributes one distinct root to the first m layers.  One gcd per layer
-    L serves twice: L / gcd(L, L') is the square-free part whose roots are
-    counted, and gcd(L, L') is the next layer.
+    contributes one distinct root to the first m layers.  One Sturm chain
+    per layer L serves twice: its variations count L's distinct roots, and
+    its last term, made primitive, is gcd(L, L'), the next layer.
     """
     p = _trim(coeffs)
     if not p:
@@ -158,9 +130,9 @@ def real_root_sign_counts(coeffs: Sequence[int]) -> tuple[int, int, int]:
     negatives = 0
     positives = 0
     while len(layer) > 1:
-        below = primitive_gcd(layer, derivative(layer))
-        n, q = _distinct_neg_pos_counts(exact_quotient(layer, below))
+        chain = sturm_chain(layer)
+        n, q = _distinct_neg_pos_counts(chain)
         negatives += n
         positives += q
-        layer = below
+        layer = primitive(chain[-1])
     return negatives, zero_mult, positives

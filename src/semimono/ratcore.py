@@ -432,10 +432,10 @@ def _berkowitz(rows: Sequence[Sequence[int]]) -> list[int]:
 def eigenvalue_sign_counts(a: RatMatrix) -> tuple[int, int, int]:
     """Counts of real characteristic roots in (-inf,0), {0}, (0,inf).
 
-    Roots are counted with multiplicity, exactly, by Sturm sequences on the
-    square-free layers of the integer characteristic polynomial of L A
-    (``_scalar_cleared``), whose roots are L > 0 times A's.  Complex roots
-    are the remainder up to n.
+    Roots are counted with multiplicity, exactly, by one Sturm chain per
+    layer p, gcd(p, p'), ... of the integer characteristic polynomial p of
+    L A (``_scalar_cleared``), whose roots are L > 0 times A's.  Complex
+    roots are the remainder up to n.
     """
     return poly.real_root_sign_counts(_berkowitz(_scalar_cleared(a)[1]))
 

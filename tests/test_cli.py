@@ -307,6 +307,9 @@ USAGE_FAULTS = {
     "unreadable matrix": ("matrix", None, "cannot read"),
     "empty vector file": ("vector", "", "empty vector file"),
     "vector of the wrong length": ("vector", "3\n1 1\n", "expected 3 entries, got 2"),
+    "length 0": ("vector", "0\n", "length must be >= 1"),
+    "length -1": ("vector", "-1\n", "length must be >= 1"),
+    "vector longer than the matrix": ("vector", "3\n1 1 1\n", "length 3 does not match the order 2 of"),
     "unreadable vector": ("vector", None, "cannot read"),
 }
 
@@ -366,6 +369,19 @@ def test_audit_nonclosure_pair(tmp_path, capsys):
 def test_audit_nonclosure_needs_second_matrix(tmp_path, capsys):
     pa = write_matrix(tmp_path, "a.txt", NONCLOSURE_A)
     assert main(["audit", pa, "--theorem", "nonclosure"]) == 2
+
+
+@pytest.mark.parametrize("theorem", [t for t in verify.AUDIT_IDS if t != "nonclosure"])
+def test_audits_of_one_matrix_refuse_matrix_b(theorem, tmp_path, capsys):
+    # only nonclosure reads a second matrix, so any other audit given
+    # --matrix-b is a usage error, raised before either file is read: both
+    # paths here name nothing
+    argv = ["audit", str(tmp_path / "a.txt"), "--theorem", theorem,
+            "--matrix-b", str(tmp_path / "b.txt")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: audit {theorem} reads one matrix and takes no --matrix-b\n"
 
 
 def test_audit_wrong_order_is_usage_error(tmp_path, capsys):
@@ -708,6 +724,7 @@ def test_lcp_dimension_mismatch(tmp_path, capsys):
     q = write_vector(tmp_path, "q.txt", [1, 2, 3])
     a = write_matrix(tmp_path, "a.txt", RatMatrix.identity(2))
     assert main(["lcp", q, a]) == 2
+    assert capsys.readouterr().err == f"error: {q}: length 3 does not match the order 2 of {a}\n"
 
 
 def test_lcp_q0_violation_exit_1(tmp_path, capsys):

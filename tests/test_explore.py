@@ -710,8 +710,8 @@ def test_hits_with_three_passing_orders_get_farkas_member_certificates(monkeypat
 def test_a_singular_failing_E_block_passes_the_hit_check(monkeypatch, n):
     # (n I - J) D, D a positive diagonal, has E exact order 1: its whole
     # support fails E through the kernel D^{-1} span(1), with B y = 0, and
-    # its witness is a positive adjugate column (closed form up to order 3,
-    # cofactors above)
+    # its witness is a positive kernel vector (an adjugate column at order
+    # 3, read off the block's own elimination at the other orders)
     rows = [[(n * (i == j) - 1) * (j + 1) for j in range(n)] for i in range(n)]
     monkeypatch.setattr(explore, "_draws", lambda config: iter([(1, rows)]))
     report = search_exact_order(cfg(n, template_free(n), max_attempts=1), 1, Variant.E)

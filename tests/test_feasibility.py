@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -83,6 +84,23 @@ def test_strict_order2_example():
     out = feasible_strict(m)
     assert out.certificate == (F(1), F(1))
     assert_certificate(m, out, strict=True)
+
+
+# sha256 over the t of each y = (1, t) from _order2, or "-" for None, over
+# every 2x2 block with entries in ORDER2_VALUES in product order, strict
+# first: ties of the two ends and open ends included
+ORDER2_VALUES = tuple(F(v) for v in range(-3, 4)) + (F(1, 2), F(-1, 2), F(3, 2), F(-5, 3))
+ORDER2_GOLDEN = "dee4bbca94f0872bde7d7b59b10e07a4e41d95bd1c615abee0d964a9d203a626"
+
+
+def test_order2_closed_form_golden_digest():
+    h = hashlib.sha256()
+    for strict in (True, False):
+        for a, b, c, d in itertools.product(ORDER2_VALUES, repeat=4):
+            y = _order2([[a, b], [c, d]], strict)
+            assert y is None or y[0] == 1
+            h.update(f"{'-' if y is None else y[1]};".encode())
+    assert h.hexdigest() == ORDER2_GOLDEN
 
 
 def test_order1_and_order2_sign_tests_match_the_witness_route():
@@ -523,14 +541,15 @@ def test_certificate_checks_refuse_degenerate_vectors():
     assert not _certifies_failure(b, None, False) and not _certifies_member(b, None, True)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_a_singular_failing_E_block_is_certified_by_its_kernel(n):
     # (n I - J) D with D a positive diagonal: every proper principal block
     # is positive definite up to the scaling, and the whole matrix is
     # singular with kernel D^{-1} span(1), so E fails first at the full
-    # support (E exact order 1) and E0 never (exact order 0).  The witness
-    # is a positive adjugate column with B y = 0: in closed form up to
-    # order 3, from the cofactors above.
+    # support (E exact order 1) and E0 never (exact order 0); at n = 1 it
+    # is [[0]].  The witness is a positive kernel vector with B y = 0: an
+    # adjugate column at order 3, read off the block's own elimination at
+    # the other orders.
     rng = random.Random(229 + n)
     d = [rng.randint(1, 4) for _ in range(n)]
     rows = [[(n * (i == j) - 1) * d[j] for j in range(n)] for i in range(n)]
@@ -542,6 +561,36 @@ def test_a_singular_failing_E_block_is_certified_by_its_kernel(n):
     assert _certified_exact_order(rows, 1, False)
     assert _certified_exact_order(rows, 0, True)
     assert not _certified_exact_order(rows, 0, False) and not _certified_exact_order(rows, 1, True)
+
+
+# Singular order-4 blocks whose proper principal blocks all pass E, so the
+# lemma of _minimal_witness applies.  In the first, the leading 2x2 minor is
+# 0, so the pass swaps in a lower row at column 1 before it stops at column
+# 3, and the kernel is positive: E fails.  The second stops at column 2, so
+# its kernel vector has a zero entry and E passes, although its pass's last
+# column, which spans nothing here, reads as the positive (3, 4, 1, 2).
+SINGULAR_ORDER4 = {
+    "swaps rows, then stops at the last column":
+        [[1, 2, -2, 0], [1, 2, 0, -2], [0, -2, 2, -1], [-1, 0, -1, 2]],
+    "stops before its last column":
+        [[2, -1, 2, -1], [0, 1, 0, -2], [1, -1, 1, 0], [0, 0, 0, 3]],
+}
+
+
+@pytest.mark.parametrize("case", list(SINGULAR_ORDER4))
+def test_a_singular_order4_block_matches_the_witness_route(case):
+    rows = SINGULAR_ORDER4[case]
+    full = (1, 2, 3, 4)
+    assert _int_det([row[:] for row in rows]) == 0
+    for members in _support_members(4):
+        if len(members) < 4:
+            assert _witness([[F(v) for v in row] for row in _block(rows, members)], False) is None
+    for strict in (True, False):
+        y = _minimal_witness(rows, full, strict)
+        expected = _witness([[F(v) for v in row] for row in rows], strict)
+        assert (y is not None) == (expected is not None)
+        assert y is None or _certifies_failure(rows, y, strict)
+    assert (_minimal_witness(rows, full, False) is not None) == case.startswith("swaps")
 
 
 def test_certified_exact_order_matches_the_classifier():

@@ -5,6 +5,8 @@ import pytest
 
 from semimono import poly
 
+from oracles import _derivative, _monic_gcd, _rem
+
 
 def p(*coeffs):
     """A Fraction polynomial, ascending, with trailing zeros dropped."""
@@ -39,23 +41,15 @@ def poly_mul(a, b):
     return tuple(res)
 
 
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def test_divmod_roundtrip():
-    # pseudo-division: lc(den)^(deg num - deg den + 1) num = quot den + prem
+    # pseudo-division: lc(den)^(deg num - deg den + 1) num = quot den + prem,
+    # so prem is the rational remainder of the scaled dividend
     num = (1, 0, -3, 2, 5)
     den = (-1, 1, 3)
     rem = poly.pseudo_remainder(num, den)
     assert len(rem) < len(den)
-    scaled = tuple(3 ** 3 * c for c in num)
-    quot = poly.exact_quotient(poly_add(scaled, tuple(-c for c in rem)), den)
-    assert poly_add(poly_mul(quot, den), rem) == scaled
+    scaled = tuple(F(3 ** 3 * c) for c in num)
+    assert rem == _rem(scaled, tuple(map(F, den)))
 
 
 def test_pseudo_remainder_keeps_the_power_when_a_step_cancels_nothing():
@@ -64,21 +58,27 @@ def test_pseudo_remainder_keeps_the_power_when_a_step_cancels_nothing():
     assert poly.pseudo_remainder((5, 1), (1, 1, 1)) == (5, 1)
 
 
-def test_exact_quotient_rejects_a_non_divisor():
-    with pytest.raises(ValueError):
-        poly.exact_quotient((1, 0, 1), (1, 1))
-    with pytest.raises(ValueError):
-        poly.exact_quotient((1, 3), (1, 2))  # (3x + 1) / (2x + 1) is not integral
-
-
 def test_gcd_of_shared_factor():
-    shared = (1, 1)  # x + 1
-    a = poly_mul(shared, (-2, 1))
-    b = poly_mul(shared, (3, 1))
-    assert poly.primitive_gcd(a, b) == (1, 1)
-    # equal up to a positive constant, whatever the contents and signs
-    assert poly.primitive_gcd(tuple(-6 * c for c in a), tuple(4 * c for c in b)) == (1, 1)
-    assert poly.primitive_gcd((2, 4), (3, 5)) == (1,)
+    # the Sturm chain of p ends at gcd(p, p') up to a constant, so its last
+    # term made primitive is the primitive gcd: the oracle's monic gcd up to
+    # a positive scalar, on polynomials with repeated roots (and a
+    # square-free one, whose gcd is 1), whatever the content and sign of p
+    cases = [
+        mul(p(1, 1), p(1, 1), p(-2, 1)),
+        mul(p(-1, 1), p(-1, 1), p(-1, 1), p(3, 1), p(3, 1)),
+        mul(p(1, 0, 1), p(1, 0, 1), p(-2, 1), p(F(1, 2), 1)),
+        mul(p(0, 1), p(1, 1), p(1, 1), p(1, 1), p(1, 1), p(-2, 1), p(-2, 1), p(2, 0, 3)),
+        mul(p(1, 1), p(-2, 1), p(3, 1)),
+    ]
+    for q in cases:
+        scale = lcm(*(c.denominator for c in q))
+        ints = tuple(c.numerator * (scale // c.denominator) for c in q)
+        expected = _monic_gcd(q, _derivative(q))
+        for factor in (1, -6):
+            chain = poly.sturm_chain(tuple(factor * c for c in ints))
+            got = poly.primitive(chain[-1])
+            assert got[-1] > 0 and tuple(F(c, got[-1]) for c in got) == expected
+    assert poly.primitive(poly.sturm_chain((-2, 1))[-1]) == (1,)
 
 
 def test_primitive_is_positive_and_content_free():
@@ -89,7 +89,8 @@ def test_primitive_is_positive_and_content_free():
 
 def test_sturm_chain_ends_at_a_zero_remainder():
     # (x - 1)^2 is not square-free: p' = 2x - 2 divides it, so the chain
-    # stops at p' instead of appending a zero polynomial
+    # stops at p', a multiple of gcd(p, p'), instead of appending a zero
+    # polynomial
     assert poly.sturm_chain((1, -2, 1)) == [(1, -2, 1), (-2, 2)]
 
 
@@ -117,6 +118,9 @@ def test_root_counts_with_multiplicity():
     # x^2 (x - 1/2) (x + 7)^2
     q = mul(p(0, 1), p(0, 1), p(F(-1, 2), 1), p(7, 1), p(7, 1))
     assert counts(q) == (2, 2, 1)
+    # x (x + 1)^4 (x - 2)^3 (x^2 + 1)^2: four layers, a repeated complex factor
+    q = mul(p(0, 1), *[p(1, 1)] * 4, *[p(-2, 1)] * 3, p(1, 0, 1), p(1, 0, 1))
+    assert counts(q) == (4, 1, 3)
 
 
 def test_root_counts_mixed_complex():
