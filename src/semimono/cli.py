@@ -16,7 +16,8 @@ lines; no verb prints.
 
 Exit codes: 0 = ran and every asserted property passed; 1 = a validated
 counterexample or violation was found; 2 = usage or parse error, including
-an order whose 2^n - 1 supports exceed SUPPORT_BUDGET; 141 = stdout was
+an order whose 2^n - 1 supports exceed SUPPORT_BUDGET, explore attempts
+over SCREEN_BUDGET and q0 trials over Q0_TRIAL_BUDGET; 141 = stdout was
 closed before the report was written (a broken pipe).
 """
 
@@ -46,6 +47,15 @@ T = TypeVar("T")
 # invariance audit 8.7 s and an LCP solve 3.2 s on a 2-core machine.
 SUPPORT_BUDGET = 2**12 - 1
 
+# An explore attempt screens up to 2^n - 1 supports, and a q0 trial sweeps
+# up to 2^n - 1 factored blocks and runs an LP on some singular ones.  At
+# order 12 on the same machine, an attempt that screens every support (the
+# nonneg template at exact order 1) took 0.21-0.25 s and a q0 trial up to
+# 0.15 s (a dense matrix with a zero row, whose trials almost never solve),
+# so each budget runs for at most about half an hour.
+SCREEN_BUDGET = 2**13 * SUPPORT_BUDGET
+Q0_TRIAL_BUDGET = 10_000
+
 
 class CliError(Exception):
     """Usage or parse failure; maps to exit code 2."""
@@ -58,6 +68,18 @@ def _check_budget(n: int) -> None:
         raise CliError(
             f"order {n} is over the support budget: SUPPORT_BUDGET = {SUPPORT_BUDGET} "
             f"supports (2^n - 1) admits orders up to {max_order}"
+        )
+
+
+def _check_attempts(n: int, attempts: int) -> None:
+    """Refuse, before any search, more attempts than the screen budget
+    admits at order n."""
+    most = SCREEN_BUDGET // ((1 << max(n, 1)) - 1)
+    if attempts > most:
+        raise CliError(
+            f"explore --attempts {attempts} is over the screen budget: SCREEN_BUDGET = "
+            f"{SCREEN_BUDGET} supports (attempts x (2^n - 1)) admits up to {most} attempts "
+            f"at order {n}"
         )
 
 
@@ -346,6 +368,7 @@ def _write_out(directory: str, files: dict[str, str]) -> None:
 
 def _cmd_explore(args: argparse.Namespace) -> Report:
     _check_budget(args.n)
+    _check_attempts(args.n, args.attempts)
     target = _TARGETS[args.target]
     template_name = args.template or target.template
     if target.needs_k and args.k is None:
@@ -416,6 +439,11 @@ def _cmd_explore(args: argparse.Namespace) -> Report:
 
 
 def _cmd_lcp(args: argparse.Namespace) -> Report:
+    if args.q0_trials > Q0_TRIAL_BUDGET:
+        raise CliError(
+            f"lcp --q0-trials {args.q0_trials} is over the trial budget: "
+            f"Q0_TRIAL_BUDGET = {Q0_TRIAL_BUDGET} trials"
+        )
     q = _load(args.q, parse_vector_text)
     a = _load(args.matrix, parse_matrix_text)
     _check_budget(a.order)

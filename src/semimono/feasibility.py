@@ -33,6 +33,7 @@ from .ratcore import (
     RatVector,
     _block,
     _cleared,
+    _failed_pass_kernel,
     _gauss_jordan,
     _pivot,
     _support_members,
@@ -206,10 +207,14 @@ def _pair_fails(rows: _AnyRows, i: int, j: int, strict: bool) -> bool:
 
 def _positive_kernel(columns: Iterable[Sequence[int]]) -> Optional[list[int]]:
     """A vector y > 0 spanning ker B, B singular, or None, from candidates
-    that span a one-dimensional ker B: the columns of adj(B), or the kernel
-    vector of an elimination that found rank n - 1.  B adj(B) = det(B) I = 0,
-    and adj(B) is nonzero iff B has rank n - 1, so ker B is one-dimensional
-    exactly when some column is nonzero, and then that column spans it."""
+    in ker B: the columns of adj(B), or the one kernel vector x of a failed
+    elimination.  B adj(B) = det(B) I = 0, and adj(B) is nonzero iff B has
+    rank n - 1, so ker B is one-dimensional exactly when some column is
+    nonzero, and then that column spans it.  The pass that gives x stopped
+    at a column k, after k independent columns.  For k = n-1, B has rank
+    n - 1 and x spans ker B.  For k < n-1, x has a zero entry, and the
+    answer is None whatever the rank: a one-dimensional ker B is spanned
+    by x, and a larger one by no single vector."""
     for col in columns:
         if any(col):
             if all(v > 0 for v in col):
@@ -261,12 +266,10 @@ def _minimal_witness(
     (``ratcore._gauss_jordan``) leaves p [I | x] with p on the diagonal;
     its return value is det B, which is p up to the sign of the row swaps,
     so y is the last column times the sign of the diagonal (y = 1 for a
-    1x1 block a < 0).  A singular B stops the pass at the first column k
-    with no pivot, p on the diagonal of columns 0..k-1, so ker B holds
-    x = (-solve[0][k], ..., -solve[k-1][k], p, 0, ..., 0), or x = (1) for
-    B = [[0]].  For k < n-1, x has a zero entry and no y > 0 spans ker B;
-    for k = n-1, ker B = span(x), and x goes to ``_positive_kernel`` as
-    adj(B)'s columns do at order 3.  A semistrict witness has B y = 0.
+    1x1 block a < 0).  A singular B stops the pass part-way, and
+    ``ratcore._failed_pass_kernel`` reads x in ker B off it, which goes to
+    ``_positive_kernel`` as adj(B)'s columns do at order 3.  A semistrict
+    witness has B y = 0.
     """
     n = len(members)
     if n == 3:
@@ -291,10 +294,7 @@ def _minimal_witness(
             p = solve[0][0]
             y = [row[n] if p > 0 else -row[n] for row in solve]
             return y if min(y) > 0 else None
-        if strict or not all(solve[i][i] for i in range(n - 1)):
-            return None
-        p = solve[0][0] if n > 1 else 1
-        columns = ([-row[n - 1] for row in solve[:n - 1]] + [p],)
+        columns = (_failed_pass_kernel(solve),)
     return None if strict else _positive_kernel(columns)
 
 

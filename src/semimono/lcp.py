@@ -5,14 +5,19 @@ LCP(q, A) asks for z >= 0 with w = q + Az >= 0 and z^T w = 0.  The solver
 sweeps the 2^n complementary supports alpha, each of which asks for
 z_a >= 0 with A_aa z_a = -q_a and q_b + A_ba z_a >= 0, z = 0 off alpha.
 The blocks A_aa do not depend on q, so they are factored once per matrix:
-one fraction-free elimination of [(L A)_aa | I], with L the LCM of A's
-denominators, gives p B^{-1} for B = (L A)_aa, or marks B singular.  Every
-q, the enumeration's and each Q0 trial's, is then read against these
-factors.  Where A_aa is nonsingular, z_a = -A_aa^{-1} q_a is the only
-candidate, and one integer product with q decides the support.  Where it
-is singular, one exact phase-1 LP decides the polyhedron and gives its
-point.  Every solution has w = 0 on some support alpha with z = 0 off it,
-so the sweep finds a solution iff one exists, singular blocks included.
+one fraction-free elimination of [B^T | I], for B = (L A)_aa with L the
+LCM of A's denominators, gives p B^{-1}, or stops part-way on a singular B
+with a vector y != 0 in ker B^T.  Every q, the enumeration's and each Q0
+trial's, is then read against these factors.  Where A_aa is nonsingular,
+z_a = -A_aa^{-1} q_a is the only candidate, and one integer product with q
+decides the support.  Where it is singular, the Fredholm alternative
+decides most supports with no LP: every z_a the support accepts has
+A_aa z_a = -q_a, so y^T B z_a = 0 = -L y^T q_a, and y^T q_a != 0 proves
+that it has none.  Only a q_a orthogonal to y goes to one exact phase-1
+LP, which decides the polyhedron and gives its point.  One y is a
+necessary condition at any rank, not a decision rule, so the LP stays.
+Every solution has w = 0 on some support alpha with z = 0 off it, so the
+sweep finds a solution iff one exists, singular blocks included.
 
 Q0 sampling asks, for each q that no support solves, whether FEA(q, A) =
 {z >= 0 : q + Az >= 0} is empty, and one LP per matrix answers most of
@@ -37,7 +42,8 @@ from typing import Iterator
 
 from .feasibility import FeasibilityOutcome, phase1_feasible
 from .ratcore import (
-    IndexSet, RatMatrix, RatVector, _block, _cleared, _gauss_jordan, _scalar_cleared, _support_members,
+    IndexSet, RatMatrix, RatVector, _cleared, _failed_pass_kernel, _gauss_jordan, _scalar_cleared,
+    _support_members,
 )
 
 
@@ -78,7 +84,8 @@ class LcpSolution:
 class LcpEnumeration:
     """The solutions of one instance, deduplicated by z.
 
-    ``singular_supports`` is always empty: singular blocks go to the LP, so
+    ``singular_supports`` is always empty: a singular block is decided
+    exactly, by its kernel vector or by the LP (``_support_solutions``), so
     none is skipped.  The field stays because benchmark tracing reads it.
     """
 
@@ -96,36 +103,43 @@ def lcp_feasible(inst: LcpInstance) -> FeasibilityOutcome:
     return FeasibilityOutcome(True, tuple(z))
 
 
-_Block = tuple[tuple[int, ...], tuple[int, ...], int, list[list[int]], list[tuple[int, list[int]]]]
+_Block = tuple[
+    tuple[int, ...], tuple[int, ...], int, list[list[int]], list[int], list[tuple[int, list[int]]]
+]
 
 
 @lru_cache(maxsize=1)
 def _factor(a: RatMatrix) -> tuple[int, list[_Block]]:
     """L of ``_scalar_cleared`` and the factors of every principal block
     B = (L A)_aa in (size, lex) order, from one ``_gauss_jordan`` on
-    [B | I] each.  The last matrix's factors are kept, so ``lcp_solve_enum``
-    and ``q0_falsify`` on one A factor it once; callers only read them.
+    [B^T | I] each.  The last matrix's factors are kept, so
+    ``lcp_solve_enum`` and ``q0_falsify`` on one A factor it once; callers
+    only read them.
 
-    A block is (members, idx, d, N, off): alpha 1-based and 0-based, d = |p|
-    for the last pivot p of the pass, N = -d B^{-1} (the pass leaves
-    p B^{-1} on the right), and the rows (L A)_{i,a} for every i outside
-    alpha; d is 0 and N empty when B is singular.
+    A block is (members, idx, d, N, y, off): alpha 1-based and 0-based,
+    d = |p| for the last pivot p of the pass, N = -d B^{-1} (the pass leaves
+    p (B^T)^{-1} = p (B^{-1})^T on the right), y empty, and the rows
+    (L A)_{i,a} for every i outside alpha.  When B is singular, d is 0, N
+    empty, and y the nonzero vector of ``ratcore._failed_pass_kernel`` on
+    the stopped pass: B^T y = 0, so y^T B = 0.  Row swaps move no kernel.
     """
     n = a.order
     scale, rows = _scalar_cleared(a)
     blocks: list[_Block] = []
     for members in _support_members(n):
         idx = tuple(i - 1 for i in members)
-        work = _block(rows, members)
-        work = [row + [int(j == k) for j in range(len(idx))] for k, row in enumerate(work)]
-        d, neg_inv = 0, []
+        m = len(idx)
+        work = [[rows[i][j] for i in idx] + [int(j == k) for k in idx] for j in idx]
+        d, neg_inv, kernel = 0, [], []
         if _gauss_jordan(work):
             p = work[0][0]
             s = -1 if p > 0 else 1
             d = abs(p)
-            neg_inv = [[s * v for v in row[len(idx):]] for row in work]
+            neg_inv = [[s * row[m + i] for row in work] for i in range(m)]
+        else:
+            kernel = _failed_pass_kernel(work)
         off = [(i, [rows[i][j] for j in idx]) for i in range(n) if i + 1 not in members]
-        blocks.append((members, idx, d, neg_inv, off))
+        blocks.append((members, idx, d, neg_inv, kernel, off))
     return scale, blocks
 
 
@@ -139,6 +153,9 @@ def _support_solutions(
     by the LCM c of its denominators to the integers q' = c q, and a
     nonsingular block gives u = N q'_a, so z_a = L u / (d c) >= 0 iff
     u >= 0, and d c w_i = d q'_i + (L A)_ia u off alpha.  A singular block
+    with y^T B = 0 is skipped when y^T q'_a != 0: every point of its
+    system has A_aa z_a = -q_a, as the equality's two halves below say,
+    and then 0 = y^T B z_a = -L y^T q_a = -(L / c) y^T q'_a.  Otherwise it
     goes to ``phase1_feasible``: z_a >= 0 with A_aa z_a <= -q_a and
     -A_ia z_a <= q_i for every i (the reverse half of the equality on
     alpha, w_b >= 0 off it), on the rational rows: their tableau fixes
@@ -152,13 +169,15 @@ def _support_solutions(
     scale, blocks = factors
     c = lcm(*[v.denominator for v in q])
     qc = _cleared(q, c)
-    for members, idx, d, neg_inv, off in blocks:
+    for members, idx, d, neg_inv, kernel, off in blocks:
+        qa = [qc[j] for j in idx]
         if d:
-            qa = [qc[j] for j in idx]
             u = [sum(map(mul, row, qa)) for row in neg_inv]
             if min(u) < 0 or any(d * qc[i] + sum(map(mul, row, u)) < 0 for i, row in off):
                 continue
             z_alpha = [Fraction(scale * v, d * c) for v in u]
+        elif sum(map(mul, kernel, qa)):
+            continue
         else:
             a_alpha = [[row[j] for j in idx] for row in a.entries]  # A_{i,alpha}, every i
             g = [a_alpha[i] for i in idx] + [[-v for v in row] for row in a_alpha]

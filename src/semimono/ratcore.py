@@ -336,6 +336,24 @@ def _gauss_jordan(rows: list[list[int]]) -> int:
     return sign * prev
 
 
+def _failed_pass_kernel(rows: Sequence[Sequence[int]]) -> list[int]:
+    """A nonzero x with B x = 0, for the square left part B of an array on
+    which ``_gauss_jordan`` has returned 0.
+
+    The pass stopped at the first column k with no pivot: columns 0..k-1
+    hold the last pivot p on the diagonal and 0 elsewhere, and column k is
+    0 from row k down.  So x = (-rows[0][k], ..., -rows[k-1][k], p, 0, ...,
+    0), or e_0 when k = 0, is in the kernel of the left part as the pass
+    left it.  That is ker B: each step swaps two rows or replaces a row by
+    a nonzero multiple of itself plus a multiple of another, and so is
+    invertible.
+    """
+    n = len(rows)
+    k = next(i for i, row in enumerate(rows) if row[i] == 0)
+    p = rows[0][0] if k else 1
+    return [-rows[i][k] for i in range(k)] + [p] + [0] * (n - 1 - k)
+
+
 def _int_det(rows: list[list[int]]) -> int:
     """Determinant of a square integer array: closed forms for orders 1 and
     2, fraction-free pivots (in place) above."""

@@ -61,6 +61,23 @@ def det_cofactor(a: RatMatrix) -> Fraction:
     return total
 
 
+def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """The rank of a rational array, by Gaussian elimination on a Fraction
+    copy."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    r = 0
+    for c in range(len(work[0])):
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(r + 1, len(work)):
+            f = work[i][c] / work[r][c]
+            work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        r += 1
+    return r
+
+
 def adjugate(a: RatMatrix) -> RatMatrix:
     """Transpose of the cofactor matrix, from cofactor determinants;
     A adj(A) = det(A) I holds for singular A too."""

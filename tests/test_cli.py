@@ -297,8 +297,8 @@ def test_classify_missing_file_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# (the faulty file, its text, the message's tail); the text None stands for
-# a path that cannot be read (a directory)
+# (the faulty file or flag, its text or value, the message's tail); the text
+# None stands for a path that cannot be read (a directory)
 USAGE_FAULTS = {
     "empty matrix file": ("matrix", "", "empty matrix file"),
     "order 0": ("matrix", "0\n", "order must be >= 1"),
@@ -311,16 +311,24 @@ USAGE_FAULTS = {
     "length -1": ("vector", "-1\n", "length must be >= 1"),
     "vector longer than the matrix": ("vector", "3\n1 1 1\n", "length 3 does not match the order 2 of"),
     "unreadable vector": ("vector", None, "cannot read"),
+    "q0 trials over the budget": ("--q0-trials", str(cli.Q0_TRIAL_BUDGET + 1), "Q0_TRIAL_BUDGET"),
+    "attempts over the budget at order 12": (
+        "--attempts", str(cli.SCREEN_BUDGET // cli.SUPPORT_BUDGET + 1), "SCREEN_BUDGET"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(USAGE_FAULTS))
-def test_file_faults_exit_2_with_one_line(case, tmp_path, capsys):
+def test_file_faults_exit_2_with_one_line(case, tmp_path, capsys, monkeypatch):
     # each fault of a matrix or vector file is a usage error: exit 2 and one
     # line on stderr naming the file, never a traceback.  A matrix fault
     # stops classify and lcp, a vector fault lcp; the other file is sound.
+    # A budget fault names the budget, before lcp reads either file (both
+    # are unreadable here) and before explore searches.
     faulty, text, tail = USAGE_FAULTS[case]
-    files = {"matrix": "2\n1 0\n0 1\n", "vector": "2\n1 1\n", faulty: text}
+    flag = faulty.startswith("--")
+    files = {"matrix": "2\n1 0\n0 1\n", "vector": "2\n1 1\n"}
+    files.update({"matrix": None, "vector": None} if flag else {faulty: text})
     paths = {}
     for kind, content in files.items():
         path = tmp_path / f"{kind}.txt"
@@ -332,11 +340,23 @@ def test_file_faults_exit_2_with_one_line(case, tmp_path, capsys):
     runs = [["lcp", paths["vector"], paths["matrix"]]]
     if faulty == "matrix":
         runs.append(["classify", paths["matrix"]])
+    if faulty == "--q0-trials":
+        runs = [runs[0] + [faulty, text]]
+    if faulty == "--attempts":
+        monkeypatch.setattr(explore, "_search", lambda *args: pytest.fail("searched"))
+        runs = [["explore", "--target", "conjecture1", "--n", "12", "--seed", "1", faulty, text]]
     for argv in runs:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
-        assert tail in err and paths[faulty] in err
+        assert tail in err and (flag or paths[faulty] in err)
+
+
+def test_the_screen_budget_admits_its_edge():
+    # the README's explore example, and the most attempts admitted at order
+    # 12; one attempt more is refused (USAGE_FAULTS)
+    for n, attempts in ((4, 200_000), (12, cli.SCREEN_BUDGET // cli.SUPPORT_BUDGET)):
+        cli._check_attempts(n, attempts)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from oracles import (
     det_cofactor,
     fm_point,
     lcp_support_solutions_lp,
+    planted_singular,
     random_p_matrix,
+    rank,
     s_certificate_holds,
 )
 
@@ -345,31 +347,43 @@ def test_s_certificate_check_rejects_wrong_vectors():
 
 def _sweeps_agree(instance, monkeypatch):
     """The factored sweep and the all-LP oracle give the same supports and
-    points, and the sweep runs one LP per singular block and no other."""
+    points, and the sweep runs one LP per singular block whose stored
+    kernel vector y is orthogonal to q_a, and no other.  Returns the
+    solutions and the counts of singular blocks refuted by y and sent to
+    the LP."""
     lps = _counting(monkeypatch, "phase1_feasible")
-    got = list(lcp._support_solutions(instance.a, lcp._factor(instance.a), instance.q))
+    factors = lcp._factor(instance.a)
+    got = list(lcp._support_solutions(instance.a, factors, instance.q))
     assert got == list(lcp_support_solutions_lp(instance))
-    singular = sum(
-        det_cofactor(principal_submatrix(instance.a, alpha)) == 0
-        for alpha in all_supports(instance.order)
-    )
-    assert len(lps) == singular
+    kernels = {members: y for members, _, _, _, y, _ in factors[1]}
+    refuted = fallback = 0
+    for alpha in all_supports(instance.order):
+        if det_cofactor(principal_submatrix(instance.a, alpha)) == 0:
+            y = kernels[alpha.members]
+            if sum(yi * instance.q[i] for yi, i in zip(y, alpha.zero_based())):
+                refuted += 1
+            else:
+                fallback += 1
+    assert len(lps) == fallback
     monkeypatch.undo()
-    return got, singular
+    return got, refuted, fallback
 
 
 def test_support_sweep_matches_the_all_lp_oracle(monkeypatch):
-    # entries and q in {-1, 0, 1}: many singular blocks and w = 0 boundaries
+    # entries and q in {-1, 0, 1}: many singular blocks and w = 0 boundaries,
+    # and many q_a orthogonal to a block's kernel vector, so that both the
+    # refutation by y and the LP run often
     rng = random.Random(12)
-    solved = singular = 0
+    solved = refuted = fallback = 0
     for n, count in ((1, 30), (2, 120), (3, 200), (4, 120), (5, 40)):
         for _ in range(count):
             a = RatMatrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
             instance = inst([rng.randint(-1, 1) for _ in range(n)], a)
-            got, blocks = _sweeps_agree(instance, monkeypatch)
+            got, by_kernel, by_lp = _sweeps_agree(instance, monkeypatch)
             solved += bool(got)
-            singular += blocks
-    assert solved > 300 and singular > 1000
+            refuted += by_kernel
+            fallback += by_lp
+    assert solved > 300 and refuted > 1000 and fallback > 400
 
 
 def test_support_sweep_matches_the_oracle_on_planted_blocks(monkeypatch):
@@ -377,15 +391,17 @@ def test_support_sweep_matches_the_oracle_on_planted_blocks(monkeypatch):
     # _gauss_jordan returns det = +1; [[0, 1], [1, 0]] has p = +1 and det -1.
     # Both solve only on the full support, at z = (1, 1).
     for a, q in (([[0, 1], [-1, 0]], [-1, 1]), ([[0, 1], [1, 0]], [-1, -1])):
-        got, _ = _sweeps_agree(inst(q, RatMatrix(a)), monkeypatch)
+        got, _, _ = _sweeps_agree(inst(q, RatMatrix(a)), monkeypatch)
         assert [(z, alpha.members) for z, alpha in got] == [((F(1), F(1)), (1, 2))]
     # the same swap inside a 3x3 block, with a third row that w must respect
     _sweeps_agree(inst([-1, 1, F(1, 2)], RatMatrix([[0, 1, 0], [-1, 0, 1], [2, -3, 1]])), monkeypatch)
-    # a singular full block whose polyhedron has two vertices: the LP on the
-    # rational rows ends at (0, 1, 5/4), on the row-cleared ones at (1, 0, 7/4)
+    # a singular full block whose polyhedron has two vertices: q is
+    # orthogonal to its left kernel (1, -1, 0), so the LP decides it, and on
+    # the rational rows it ends at (0, 1, 5/4), on the row-cleared ones at
+    # (1, 0, 7/4)
     instance = inst([-1, -1, F(-1, 4)], RatMatrix([[1, 1, 0], [1, 1, 0], [F(-3, 2), -1, 1]]))
-    got, _ = _sweeps_agree(instance, monkeypatch)
-    assert got[-1] == ((F(0), F(1), F(5, 4)), IndexSet(3, (1, 2, 3)))
+    got, _, fallback = _sweeps_agree(instance, monkeypatch)
+    assert got[-1] == ((F(0), F(1), F(5, 4)), IndexSet(3, (1, 2, 3))) and fallback >= 1
     # q denominators that divide none of A's row LCMs
     rng = random.Random(13)
     for _ in range(40):
@@ -393,6 +409,70 @@ def test_support_sweep_matches_the_oracle_on_planted_blocks(monkeypatch):
         a = RatMatrix([[F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)] for _ in range(n)])
         q = [F(rng.randint(-5, 5), rng.choice((3, 5, 7))) for _ in range(n)]
         _sweeps_agree(inst(q, a), monkeypatch)
+
+
+def test_factor_stores_a_left_kernel_vector_for_every_singular_block():
+    # zero rows and columns, 1x1 zeros, rank <= m - 2 blocks and thirds: for
+    # every block B = (L A)_aa, d = 0 iff B is singular, and then the stored
+    # y is nonzero with y^T B = 0 by substitution
+    rng = random.Random(16)
+    corpus = [
+        RatMatrix([[0]]),
+        RatMatrix([[0, 0], [0, 0]]),
+        RatMatrix([[0, 1, 2], [0, 3, 4], [0, 5, 6]]),
+        RatMatrix([[1, 2, 3], [0, 0, 0], [4, 5, 6]]),
+        RatMatrix([[1, 2, 3], [2, 4, 6], [3, 6, 9]]),
+        RatMatrix([[F(1, 3), 0, 1], [F(2, 3), 0, 2], [1, 0, F(-1, 3)]]),
+    ]
+    corpus += [RatMatrix(planted_singular(rng, n, "rank <= n-2")) for n in (3, 4, 5) for _ in range(3)]
+    for n in (3, 4, 5):  # rank 1: every block of order m has nullity m - 1 or m
+        u, v = ([rng.randint(-2, 2) for _ in range(n)] for _ in range(2))
+        corpus.append(RatMatrix([[ui * vj for vj in v] for ui in u]))
+    corpus += [
+        RatMatrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+        for n in (1, 2, 3, 4, 5) for _ in range(6)
+    ]
+    ranks = Counter()
+    for a in corpus:
+        scale, blocks = lcp._factor(a)
+        for members, idx, d, _, y, _ in blocks:
+            b = [[scale * a[i, j] for j in idx] for i in idx]
+            m = len(idx)
+            assert (d == 0) == (det_cofactor(RatMatrix(b)) == 0)
+            if d:
+                assert y == []
+                continue
+            assert any(y)
+            assert all(sum(yi * row[j] for yi, row in zip(y, b)) == 0 for j in range(m))
+            ranks[(m, m - rank(b))] += 1
+    # 1x1 zeros, nullity 1 above order 1, and nullity >= 2 blocks, often
+    assert ranks[(1, 1)] > 30
+    assert sum(v for (m, k), v in ranks.items() if m > 1 and k == 1) > 150
+    assert sum(v for (m, k), v in ranks.items() if k >= 2) > 30
+
+
+@st.composite
+def _sign_instances(draw):
+    """Orders 1..4, entries of A in {-1, 0, 1} and of q in {-1, -1/2, 0,
+    1/2, 1}: singular blocks, and q_a orthogonal to their kernel vectors,
+    are common."""
+    n = draw(st.integers(1, 4))
+    a = RatMatrix([[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(n)])
+    q = [F(draw(st.integers(-2, 2)), 2) for _ in range(n)]
+    return inst(q, a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sign_instances(), st.integers(0, 2**16))
+def test_enum_and_q0_match_the_all_lp_oracle_on_sign_matrices(instance, seed):
+    expected, seen = [], set()
+    for z, alpha in lcp_support_solutions_lp(instance):
+        if z not in seen:
+            seen.add(z)
+            expected.append((z, alpha))
+    got = lcp_solve_enum(instance).solutions
+    assert [(s.z, s.support) for s in got] == expected
+    assert q0_falsify(instance.a, 10, seed) == _q0_oracle(instance.a, 10, seed)
 
 
 def test_solution_satisfies_rejects_wrong_data():
