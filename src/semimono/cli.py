@@ -17,8 +17,9 @@ lines; no verb prints.
 Exit codes: 0 = ran and every asserted property passed; 1 = a validated
 counterexample or violation was found; 2 = usage or parse error, including
 an order whose 2^n - 1 supports exceed SUPPORT_BUDGET, explore attempts
-over SCREEN_BUDGET and q0 trials over Q0_TRIAL_BUDGET; 141 = stdout was
-closed before the report was written (a broken pipe).
+over CALIBRATED_ATTEMPT_BUDGET or SCREEN_BUDGET and q0 trials over
+Q0_TRIAL_BUDGET; 141 = stdout was closed before the report was written (a
+broken pipe).
 """
 
 from __future__ import annotations
@@ -47,13 +48,24 @@ T = TypeVar("T")
 # invariance audit 8.7 s and an LCP solve 3.2 s on a 2-core machine.
 SUPPORT_BUDGET = 2**12 - 1
 
-# An explore attempt screens up to 2^n - 1 supports, and a q0 trial sweeps
-# up to 2^n - 1 factored blocks and runs an LP on some singular ones.  At
-# order 12 on the same machine, an attempt that screens every support (the
-# nonneg template at exact order 1) took 0.21-0.25 s and a q0 trial up to
-# 0.15 s (a dense matrix with a zero row, whose trials almost never solve),
-# so each budget runs for at most about half an hour.
-SCREEN_BUDGET = 2**13 * SUPPORT_BUDGET
+# An explore attempt screens up to 2^n - 1 supports.  On a conjecture
+# target's calibrated law (its own template and bounds) most draws fail a
+# small block, and an attempt took at most 30 us at orders 3-8 and 41-85 us
+# at order 12 on the same machine, so CALIBRATED_ATTEMPT_BUDGET runs for at
+# most about a quarter of an hour.  Any other law is sized by the supports
+# its attempts can screen: the nonneg template at exact order 1 screens
+# every one, and an attempt took 0.047 ms at order 4, 6.3 ms at order 8 and
+# 0.21-0.25 s at order 12.  SCREEN_BUDGET admits the default 10,000
+# attempts at order 12, so at most about 40 minutes there, 17 at order 8
+# and 2 at order 4.
+CALIBRATED_ATTEMPT_BUDGET = 10**7
+SCREEN_BUDGET = 10_000 * SUPPORT_BUDGET
+
+# A q0 trial sweeps up to 2^n - 1 factored blocks and runs an LP on some
+# singular ones.  The costliest trials seen are on matrices whose trials
+# almost never solve (a zero row, or the zero matrix): up to 0.12 ms at
+# order 4, 3.1 ms at order 8 and 0.15 s at order 12, so at most about 25
+# minutes.
 Q0_TRIAL_BUDGET = 10_000
 
 
@@ -71,16 +83,11 @@ def _check_budget(n: int) -> None:
         )
 
 
-def _check_attempts(n: int, attempts: int) -> None:
-    """Refuse, before any search, more attempts than the screen budget
-    admits at order n."""
-    most = SCREEN_BUDGET // ((1 << max(n, 1)) - 1)
-    if attempts > most:
-        raise CliError(
-            f"explore --attempts {attempts} is over the screen budget: SCREEN_BUDGET = "
-            f"{SCREEN_BUDGET} supports (attempts x (2^n - 1)) admits up to {most} attempts "
-            f"at order {n}"
-        )
+def _check_search(flag: str, asked: int, most: int, budget: str) -> None:
+    """Refuse, before any file is read or any search starts, a search over
+    its budget: ``budget`` admits at most ``most`` of what ``flag`` asks."""
+    if asked > most:
+        raise CliError(f"{flag} {asked} is over the search budget: {budget} admits up to {most}")
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +375,6 @@ def _write_out(directory: str, files: dict[str, str]) -> None:
 
 def _cmd_explore(args: argparse.Namespace) -> Report:
     _check_budget(args.n)
-    _check_attempts(args.n, args.attempts)
     target = _TARGETS[args.target]
     template_name = args.template or target.template
     if target.needs_k and args.k is None:
@@ -383,6 +389,14 @@ def _cmd_explore(args: argparse.Namespace) -> Report:
     flags = dict(numerator_bound=args.num_bound, denominator_bound=args.den_bound,
                  diagonal_numerator_bound=args.diag_bound)
     bounds = {**target.calibration, **{f: v for f, v in flags.items() if v is not None}}
+    # a conjecture target on its calibrated law is sized by its measured
+    # attempt cost, any other law by the supports its attempts can screen
+    if target.calibration and template_name == target.template and bounds == target.calibration:
+        most, budget = CALIBRATED_ATTEMPT_BUDGET, "CALIBRATED_ATTEMPT_BUDGET"
+    else:
+        most = SCREEN_BUDGET // ((1 << max(args.n, 1)) - 1)
+        budget = f"SCREEN_BUDGET ({SCREEN_BUDGET} supports, attempts x (2^n - 1)) at order {args.n}"
+    _check_search("explore --attempts", args.attempts, most, budget)
     # The config and the searches check their arguments before sampling, so
     # a ValueError here is a usage error, not a finding.
     try:
@@ -439,11 +453,7 @@ def _cmd_explore(args: argparse.Namespace) -> Report:
 
 
 def _cmd_lcp(args: argparse.Namespace) -> Report:
-    if args.q0_trials > Q0_TRIAL_BUDGET:
-        raise CliError(
-            f"lcp --q0-trials {args.q0_trials} is over the trial budget: "
-            f"Q0_TRIAL_BUDGET = {Q0_TRIAL_BUDGET} trials"
-        )
+    _check_search("lcp --q0-trials", args.q0_trials, Q0_TRIAL_BUDGET, "Q0_TRIAL_BUDGET")
     q = _load(args.q, parse_vector_text)
     a = _load(args.matrix, parse_matrix_text)
     _check_budget(a.order)

@@ -294,7 +294,7 @@ def _minimal_witness(
             p = solve[0][0]
             y = [row[n] if p > 0 else -row[n] for row in solve]
             return y if min(y) > 0 else None
-        columns = (_failed_pass_kernel(solve),)
+        columns = () if strict else (_failed_pass_kernel(solve),)
     return None if strict else _positive_kernel(columns)
 
 

@@ -312,8 +312,12 @@ USAGE_FAULTS = {
     "vector longer than the matrix": ("vector", "3\n1 1 1\n", "length 3 does not match the order 2 of"),
     "unreadable vector": ("vector", None, "cannot read"),
     "q0 trials over the budget": ("--q0-trials", str(cli.Q0_TRIAL_BUDGET + 1), "Q0_TRIAL_BUDGET"),
-    "attempts over the budget at order 12": (
-        "--attempts", str(cli.SCREEN_BUDGET // cli.SUPPORT_BUDGET + 1), "SCREEN_BUDGET"
+    "attempts over the calibrated budget": (
+        "--attempts", str(cli.CALIBRATED_ATTEMPT_BUDGET + 1), "CALIBRATED_ATTEMPT_BUDGET"
+    ),
+    "attempts over the screen budget at order 12": (
+        "--attempts", f"{cli.SCREEN_BUDGET // cli.SUPPORT_BUDGET + 1} --template nonneg",
+        "SCREEN_BUDGET",
     ),
 }
 
@@ -344,7 +348,8 @@ def test_file_faults_exit_2_with_one_line(case, tmp_path, capsys, monkeypatch):
         runs = [runs[0] + [faulty, text]]
     if faulty == "--attempts":
         monkeypatch.setattr(explore, "_search", lambda *args: pytest.fail("searched"))
-        runs = [["explore", "--target", "conjecture1", "--n", "12", "--seed", "1", faulty, text]]
+        runs = [["explore", "--target", "conjecture1", "--n", "12", "--seed", "1", faulty,
+                 *text.split()]]
     for argv in runs:
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -352,11 +357,34 @@ def test_file_faults_exit_2_with_one_line(case, tmp_path, capsys, monkeypatch):
         assert tail in err and (flag or paths[faulty] in err)
 
 
-def test_the_screen_budget_admits_its_edge():
-    # the README's explore example, and the most attempts admitted at order
-    # 12; one attempt more is refused (USAGE_FAULTS)
-    for n, attempts in ((4, 200_000), (12, cli.SCREEN_BUDGET // cli.SUPPORT_BUDGET)):
-        cli._check_attempts(n, attempts)
+# explore runs the search budgets must admit: the default --attempts at
+# order 12 on every target and on the costliest template, the measured runs
+# in ROADMAP, the README example, and each budget's edge (one attempt more
+# is refused, USAGE_FAULTS)
+ADMITTED_SEARCHES = [
+    *(["--target", t, "--n", "12"] for t in ("conjecture1", "conjecture2")),
+    *(["--target", t, "--n", "12", "--k", "1"] for t in ("exact-order", "neg-entries")),
+    ["--target", "exact-order", "--n", "12", "--k", "1", "--template", "nonneg"],
+    ["--target", "conjecture1", "--n", "7", "--attempts", "1000000"],
+    ["--target", "conjecture1", "--n", "8", "--attempts", "1000000"],
+    *(["--target", t, "--n", "12", "--attempts", "20000"] for t in ("conjecture1", "conjecture2")),
+    ["--target", "conjecture2", "--n", "4", "--attempts", "200000", "--hits", "1000"],
+    ["--target", "conjecture1", "--n", "12", "--attempts", str(cli.CALIBRATED_ATTEMPT_BUDGET)],
+    ["--target", "conjecture1", "--n", "12", "--template", "nonneg",
+     "--attempts", str(cli.SCREEN_BUDGET // cli.SUPPORT_BUDGET)],
+]
+
+
+@pytest.mark.parametrize("argv", ADMITTED_SEARCHES, ids=" ".join)
+def test_the_search_budgets_admit_the_documented_runs(argv, monkeypatch):
+    searched = []
+
+    def search(search, target, config, *args, **kwargs):
+        searched.append(config.max_attempts)
+        return explore.SearchReport(target, config.max_attempts, (), (), ())
+
+    monkeypatch.setattr(explore, "_search", search)
+    assert main(["explore", "--seed", "1", *argv]) == 0 and len(searched) == 1
 
 
 # ---------------------------------------------------------------------------
