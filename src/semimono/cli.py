@@ -55,9 +55,10 @@ SUPPORT_BUDGET = 2**12 - 1
 # most about a quarter of an hour.  Any other law is sized by the supports
 # its attempts can screen: the nonneg template at exact order 1 screens
 # every one, and an attempt took 0.047 ms at order 4, 6.3 ms at order 8 and
-# 0.21-0.25 s at order 12.  SCREEN_BUDGET admits the default 10,000
-# attempts at order 12, so at most about 40 minutes there, 17 at order 8
-# and 2 at order 4.
+# 0.21-0.25 s at order 12 at the default bounds.  SCREEN_BUDGET admits the
+# default 10,000 attempts at order 12, so at most about 40 minutes there,
+# 17 at order 8 and 2 at order 4.  Wider entries cost more per support,
+# which the budget does not see (README).
 CALIBRATED_ATTEMPT_BUDGET = 10**7
 SCREEN_BUDGET = 10_000 * SUPPORT_BUDGET
 
